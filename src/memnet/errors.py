@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ParameterError -> 2, data-shaped
-errors -> 3, ConvergenceError -> 4.
+errors -> 3, ConvergenceError and every other MemnetError (InvariantError
+among them) -> 4.
 """
 
 
@@ -46,6 +47,10 @@ class SamplerFailureError(MemnetError, RuntimeError):
 
 class QuadratureResolutionError(MemnetError, RuntimeError):
     """A quadrature-based quantity could not be resolved."""
+
+
+class InvariantError(MemnetError, RuntimeError):
+    """An internal guarantee of a construction failed to hold."""
 
 
 class UninformativeBoundError(MemnetError, ValueError):

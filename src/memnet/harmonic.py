@@ -6,12 +6,15 @@ Pipeline for one boosting step:
    residual-driven vector v(w), and keep the best complex neuron
    g(x) = Re(z * phi((w~ + i w~') . x)) with phi = H_m / sqrt(m);
 2. rewrite Re(z * phi(x + i y)) as a sum of univariate polynomials in the
-   directions x + j y, j = 0..m (integer-node Vandermonde solve, exact
-   rational arithmetic);
+   directions x + j y, j = 0..m: the integer-node Vandermonde solves are
+   done once per degree in exact rationals for z = 1 and z = -i, and each
+   step combines their float copies linearly in (Re z, Im z);
 3. represent each truncated univariate polynomial as a signed mixture of
    ReLUs using psi'' = delta_0, with biases distributed as |f''| / int|f''|;
 4. return the single ReLU realization maximizing the correlation with the
-   residual, which dominates the mixture mean.
+   residual over a bias grid per direction, which dominates the mixture
+   mean; one sort of the projections and suffix sums give the correlation
+   at every grid bias.
 
 The tuning constants (cutoff, correlation floor, variance cap) are
 calibrated once on a reference fixture and frozen in
@@ -28,8 +31,8 @@ from importlib import resources
 import numpy as np
 
 from .data import Dataset, GenericityReport, genericity
-from .errors import (ConvergenceError, ParameterError, QuadratureResolutionError,
-                     SamplerFailureError)
+from .errors import (ConvergenceError, InvariantError, ParameterError,
+                     QuadratureResolutionError, SamplerFailureError)
 from .hermite import HermiteBasis, hermite_eval
 from .network import FitTrace, IterationRecord, Neuron, TwoLayerNetwork, total_weight
 
@@ -167,17 +170,17 @@ def _solve_fraction(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction
 
 @dataclass(frozen=True)
 class DirectionalDecomposition:
-    """Re(z * phi(x + i y)) = sum_j p_j(x + j y), polynomials p_j exact
-    rationals up to the common irrational factor ``scale`` = 1/(sqrt(m!) sqrt(m))."""
+    """Re(z * phi(x + i y)) = sum_j p_j(x + j y), polynomial coefficients
+    up to the common irrational factor ``scale`` = 1/(sqrt(m!) sqrt(m))."""
 
     m: int
-    polys: tuple            # m+1 tuples of Fractions, constant term first
+    polys: np.ndarray       # (m+1, m+1) floats, row j = p_j, constant term first
     scale: float
     z: complex | None = None  # set when built from a unit z; enables reuse
                               # of per-degree mixture quadrature (linearity)
 
     def poly_float(self, j: int) -> np.ndarray:
-        return np.array([float(c) for c in self.polys[j]]) * self.scale
+        return self.polys[j] * self.scale
 
     def evaluate(self, x, y):
         x = np.asarray(x, dtype=np.float64)
@@ -232,20 +235,31 @@ def _decomp_basis(m: int) -> tuple:
     return _decomp_basis_cache[m]
 
 
+_decomp_float_cache: dict[int, tuple] = {}
+
+
+def _decomp_basis_float(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float copies of ``_decomp_basis(m)`` as two (m+1, m+1) arrays."""
+    if m not in _decomp_float_cache:
+        _decomp_float_cache[m] = tuple(
+            np.array([[float(c) for c in p] for p in polys])
+            for polys in _decomp_basis(m))
+    return _decomp_float_cache[m]
+
+
 def decompose_directions(z: complex, m: int) -> DirectionalDecomposition:
-    """Exact directional decomposition of Re(z * phi(x + i y)).
+    """Directional decomposition of Re(z * phi(x + i y)).
 
     Each homogeneous degree k of He_m is expressed in the basis
     {(x + j y)^k, j = 0..k} by solving the integer-node Vandermonde system
-    over exact rationals (cached per degree); Fraction(float) keeps z exact.
+    over exact rationals, once per degree for z = 1 and z = -i; the
+    coefficients for z are Re(z) * p_re + Im(z) * p_im in floats, within a
+    few units in the last place of the exact combination.
     """
-    polys_re, polys_im = _decomp_basis(m)
-    zr, zi = Fraction(z.real), Fraction(z.imag)
-    polys = tuple(
-        tuple(zr * a + zi * b for a, b in zip(pr, pi))
-        for pr, pi in zip(polys_re, polys_im))
+    basis_re, basis_im = _decomp_basis_float(m)
     scale = 1.0 / (math.sqrt(math.factorial(m)) * math.sqrt(m))
-    return DirectionalDecomposition(m=m, polys=polys, scale=scale, z=z)
+    return DirectionalDecomposition(m=m, polys=z.real * basis_re + z.imag * basis_im,
+                                    scale=scale, z=z)
 
 
 # -- smooth bump and ReLU mixture ---------------------------------------------
@@ -299,6 +313,7 @@ class MixtureComponent:
     nodes: np.ndarray           # bias grid (quadrature nodes on [-2M, 2M])
     quad_f2: np.ndarray         # quadrature weight * f_j''(node)
     mass: float                 # int |f_j''|
+    cdf: np.ndarray             # cumulative sum of |quad_f2|, ends at ~mass
 
     @property
     def density_weights(self) -> np.ndarray:
@@ -383,10 +398,9 @@ def _mixture_basis(m: int, M: float, tol: float, max_panels: int) -> tuple:
     decomposition bases; any unit z combines them linearly."""
     key = (m, round(M, 9))
     if key not in _mixture_basis_cache:
-        polys_re, polys_im = _decomp_basis(m)
+        basis_re, basis_im = _decomp_basis_float(m)
         scale = 1.0 / (math.sqrt(math.factorial(m)) * math.sqrt(m))
-        cre = [np.array([float(c) for c in p]) * scale for p in polys_re]
-        cim = [np.array([float(c) for c in p]) * scale for p in polys_im]
+        cre, cim = basis_re * scale, basis_im * scale
         panels, prev = 64, None
         while True:
             nodes, wts = _gl_grid(-2.0 * M, 2.0 * M, panels)
@@ -405,6 +419,27 @@ def _mixture_basis(m: int, M: float, tol: float, max_panels: int) -> tuple:
             panels *= 2
         _mixture_basis_cache[key] = (nodes, wts, f2_re, f2_im)
     return _mixture_basis_cache[key]
+
+
+def _mixture(polys: list, nodes: np.ndarray, wts: np.ndarray, f2: np.ndarray,
+             M: float) -> ReluMixture:
+    """Mixture components from f_j'' at the quadrature nodes, one row per j;
+    rows whose polynomial is None are left out.  ``f2`` is overwritten."""
+    quad = np.multiply(wts, f2, out=f2)
+    abs_quad = np.abs(quad)
+    masses = abs_quad.sum(axis=1)
+    for j, c in enumerate(polys):
+        if c is not None and masses[j] <= 0.0:
+            raise QuadratureResolutionError(f"int |f_{j}''| vanished for a nonzero p_{j}")
+    total = float(masses.sum())
+    if total <= 0.0:
+        raise QuadratureResolutionError("all mixture components are zero")
+    cdfs = np.cumsum(abs_quad, axis=1)
+    components = tuple(
+        MixtureComponent(j=j, prob=float(masses[j]) / total, nodes=nodes,
+                         quad_f2=quad[j], mass=float(masses[j]), cdf=cdfs[j])
+        for j, c in enumerate(polys) if c is not None)
+    return ReluMixture(components=components, M=M, scale=1.0 / total)
 
 
 def relu_mixture(dd: DirectionalDecomposition, M: float,
@@ -426,32 +461,19 @@ def relu_mixture(dd: DirectionalDecomposition, M: float,
     if dd.z is not None:
         # f'' is linear in (Re z, Im z): combine the cached per-degree bases
         nodes, wts, f2_re, f2_im = _mixture_basis(dd.m, M, tol, max_panels)
-        f2 = dd.z.real * f2_re + dd.z.imag * f2_im
-        masses = np.abs(f2 * wts).sum(axis=1)
-        for j, c in enumerate(polys):
-            if c is not None and masses[j] <= 0.0:
-                raise QuadratureResolutionError(
-                    f"int |f_{j}''| vanished for a nonzero p_{j}")
-        total = float(masses.sum())
-        if total <= 0.0:
-            raise QuadratureResolutionError("all mixture components are zero")
-        components = tuple(
-            MixtureComponent(j=j, prob=float(masses[j]) / total, nodes=nodes,
-                             quad_f2=wts * f2[j], mass=float(masses[j]))
-            for j in range(dd.m + 1) if polys[j] is not None)
-        return ReluMixture(components=components, M=M, scale=1.0 / total)
+        f2 = dd.z.real * f2_re
+        f2 += dd.z.imag * f2_im
+        return _mixture(polys, nodes, wts, f2, M)
 
-    def second_derivatives(t: np.ndarray) -> list:
+    def second_derivatives(t: np.ndarray) -> np.ndarray:
         # one bump evaluation shared by every component polynomial
         chi, chi1, chi2 = bump_eval(t, M)
-        out = []
-        for c in polys:
-            if c is None:
-                out.append(None)
-                continue
-            c1, c2 = _poly_deriv(c), _poly_deriv(_poly_deriv(c))
-            out.append(_poly_eval(c2, t) * chi + 2.0 * _poly_eval(c1, t) * chi1
-                       + _poly_eval(c, t) * chi2)
+        out = np.zeros((len(polys), len(t)))
+        for j, c in enumerate(polys):
+            if c is not None:
+                c1, c2 = _poly_deriv(c), _poly_deriv(_poly_deriv(c))
+                out[j] = (_poly_eval(c2, t) * chi + 2.0 * _poly_eval(c1, t) * chi1
+                          + _poly_eval(c, t) * chi2)
         return out
 
     cache_key = (dd.m, round(M, 9))
@@ -461,15 +483,15 @@ def relu_mixture(dd: DirectionalDecomposition, M: float,
     while True:
         nodes, wts = _gl_grid(-2.0 * M, 2.0 * M, panels)
         f2 = second_derivatives(nodes)
-        masses = [float(np.abs(wts * v).sum()) if v is not None else 0.0 for v in f2]
         if cached is not None:
             # grid already validated for this (degree, M); spike resolution is
             # set by the bump bands, which do not depend on z
             break
+        masses = np.abs(wts * f2).sum(axis=1)
         if prev_masses is not None:
-            ref = max(max(masses), 1e-300)
-            if all(abs(a - b) <= tol * max(abs(a), ref * 1e-12, 1e-300)
-                   for a, b in zip(masses, prev_masses)):
+            ref = max(float(masses.max()), 1e-300)
+            if np.all(np.abs(masses - prev_masses)
+                      <= tol * np.maximum(np.abs(masses), max(ref * 1e-12, 1e-300))):
                 break
         if panels >= max_panels:
             break
@@ -477,19 +499,7 @@ def relu_mixture(dd: DirectionalDecomposition, M: float,
         panels *= 2
 
     _panels_cache[cache_key] = panels
-    for j, c in enumerate(polys):
-        if c is not None and masses[j] <= 0.0:
-            raise QuadratureResolutionError(f"int |f_{j}''| vanished for a nonzero p_{j}")
-
-    total = sum(masses)
-    if total <= 0.0:
-        raise QuadratureResolutionError("all mixture components are zero")
-    components = tuple(
-        MixtureComponent(j=j, prob=masses[j] / total, nodes=nodes,
-                         quad_f2=wts * f2[j], mass=masses[j])
-        for j in range(dd.m + 1) if f2[j] is not None
-    )
-    return ReluMixture(components=components, M=M, scale=1.0 / total)
+    return _mixture(polys, nodes, wts, f2, M)
 
 
 # -- single-neuron step and the trimmed iterative fit -------------------------
@@ -504,15 +514,30 @@ class SingleNeuronStep:
     M: float
 
 
+def _relu_correlations(p: np.ndarray, r: np.ndarray, biases: np.ndarray) -> np.ndarray:
+    """sum_i r_i * relu(p_i - b) at every b in ``biases``.
+
+    With the projections sorted ascending and k the count of p_i <= b, the
+    sum is S1[k] - b * S0[k] for the suffix sums S1 of r_i p_i and S0 of r_i.
+    """
+    order = np.argsort(p)
+    ps, rs = p[order], r[order]
+    s0 = np.append(np.cumsum(rs[::-1])[::-1], 0.0)
+    s1 = np.append(np.cumsum((rs * ps)[::-1])[::-1], 0.0)
+    k = np.searchsorted(ps, biases, side="right")
+    return s1[k] - biases * s0[k]
+
+
 def single_neuron_step(ds: Dataset, residual: np.ndarray, m: int, seed: int,
                        gamma: float, candidates: int = 64,
                        grid_per_j: int = 512) -> SingleNeuronStep:
     """One harmonic step: a single ReLU neuron correlating with the residual.
 
     The returned neuron sigma * psi((w~ + j w~') . x - b) is the argmax of
-    |r . f| over directions j, signs, and a bias grid mixing density
-    quantiles of |f_j''| with a uniform cover of the data projection range;
-    the argmax dominates the signed mixture mean by construction.
+    |r . f| over directions j, signs, and a bias grid mixing ``grid_per_j``
+    density quantiles of |f_j''| with a 128-point uniform cover of the data
+    projection range; the argmax dominates the signed mixture mean by
+    construction.  Ties go to the first grid bias of the first direction.
     """
     r = np.asarray(residual, dtype=np.float64)
     cn, corr_g = sample_complex_neuron(ds, r, m, candidates, seed, gamma)
@@ -521,29 +546,29 @@ def single_neuron_step(ds: Dataset, residual: np.ndarray, m: int, seed: int,
     mix = relu_mixture(dd, M)
     mean_corr = mix.scale * corr_g
 
+    directions = cn.w_re[:, None] + np.arange(m + 1) * cn.w_im[:, None]  # (d, m+1)
+    projections = ds.points @ directions
+    comps = {c.j: c for c in mix.components}
+    q = (np.arange(grid_per_j) + 0.5) / grid_per_j
     best = None
     for j in range(m + 1):
-        w = cn.w_re + j * cn.w_im
-        proj = ds.points @ w
-        comp = next((c for c in mix.components if c.j == j), None)
+        proj = projections[:, j]
         grids = []
+        comp = comps.get(j)
         if comp is not None:
-            cdf = np.cumsum(np.abs(comp.quad_f2))
-            cdf /= cdf[-1]
-            q = (np.arange(grid_per_j) + 0.5) / grid_per_j
-            grids.append(comp.nodes[np.searchsorted(cdf, q)])
+            grids.append(comp.nodes[np.searchsorted(comp.cdf / comp.cdf[-1], q)])
         span = max(np.max(np.abs(proj)), 1e-6)
         grids.append(np.linspace(-1.5 * span, 1.5 * span, 128))
         biases = np.unique(np.concatenate(grids))
-        corr = np.maximum(proj[:, None] - biases[None, :], 0.0).T @ r
+        corr = _relu_correlations(proj, r, biases)
         idx = int(np.argmax(np.abs(corr)))
         score = abs(float(corr[idx]))
         if best is None or score > best[0]:
             sigma = 1.0 if corr[idx] >= 0.0 else -1.0
-            best = (score, Neuron(sigma, w, -float(biases[idx])))
+            best = (score, Neuron(sigma, cn.w_re + j * cn.w_im, -float(biases[idx])))
     score, neuron = best
     if score < mean_corr * (1.0 - 1e-9):
-        raise AssertionError("bias-grid argmax fell below the mixture mean")
+        raise InvariantError("bias-grid argmax fell below the mixture mean")
     values = neuron.a * np.maximum(ds.points @ neuron.w + neuron.b, 0.0)
     return SingleNeuronStep(neuron=neuron, values=values, correlation=score,
                             mixture_mean_correlation=mean_corr,
@@ -564,15 +589,15 @@ class HarmonicFitResult:
 
 def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
                  max_iters: int = 4000, candidates: int = 64,
-                 eta_mode: str = "adaptive", retry_budget: int = 20,
+                 retry_budget: int = 20,
                  report: GenericityReport | None = None) -> HarmonicFitResult:
     """Trimmed iterative harmonic fit.
 
     Labels are normalized to ||y||^2 = n internally (undone on output).
     Indices whose residual exceeds n gamma^2 are trimmed from the active
     set A, which only shrinks; the guarantee |A| >= n - ceil(1/gamma^2) is
-    asserted on exit.  The fit stops when the trimmed residual reaches
-    epsilon * ||y||^2.
+    checked on exit (InvariantError).  The fit stops when the trimmed
+    residual reaches epsilon * ||y||^2.
     """
     if not (0.0 < epsilon < 1.0):
         raise ParameterError("epsilon must lie in (0, 1)")
@@ -596,9 +621,6 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     norm_scale = math.sqrt(n / y_sq)
     yn = y * norm_scale
     trim_sq = n * gamma * gamma
-    if eta_mode == "fixed":
-        eta_c = CONSTANTS["eta_c"]
-        fixed_eta = (eta_c ** 2) * epsilon / math.log(n) ** (m * m / 2.0 + m)
 
     r = yn.copy()
     active = np.ones(n, dtype=bool)
@@ -632,7 +654,7 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
             raise ConvergenceError(f"harmonic step retries exhausted at iteration {it}",
                                    trace=trace)
         cand, f_trim, corr, norm_sq = step
-        eta = corr / norm_sq if eta_mode == "adaptive" else fixed_eta
+        eta = corr / norm_sq
         neurons.append(cand.neuron.scaled(eta))
         r = r - eta * cand.values
         trace.iterations.append(IterationRecord(
@@ -647,7 +669,7 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     trace.total_weight = total_weight(net)
     min_active = n - math.ceil(1.0 / (gamma * gamma))
     if int(active.sum()) < min_active:
-        raise AssertionError(
+        raise InvariantError(
             f"active set {int(active.sum())} below the guarantee {min_active}")
     if not converged and trace.final_error_ratio > epsilon:
         raise ConvergenceError(

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, InvariantError, ParameterError
 from .hermite import hermite_eval
 
 
@@ -235,7 +235,7 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
             active_set_size=len(y),
         ))
         if eta_mode == "adaptive" and float(r @ r) > r_sq * (1 + 1e-12):
-            raise AssertionError("adaptive step increased the residual")
+            raise InvariantError("adaptive step increased the residual")
 
     net = TwoLayerNetwork(tuple(neurons), activation)
     trace.final_error_ratio = float(r @ r) / y_sq

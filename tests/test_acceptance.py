@@ -5,11 +5,16 @@ four constructions end to end: exact interpolation, the two combinatorial
 fits, the kernel-step boosting fit, and the harmonic fit, plus the shared
 numerical identities and the universal total-weight floor.  Printed lines
 bypass pytest's capture so the gate summary is always visible.
+
+The networks fitted on +-1 labels come from session-scoped fixtures: the
+criterion that measures a group of fits and the final weight-floor
+criterion share them, so every criterion also runs alone and in any order.
 """
 
 import math
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -27,8 +32,6 @@ from memnet.network import evaluate, total_weight
 from memnet.ntk import (arcsin_gram, gram_lower_bound_check, ntk_fit,
                         ntk_kd_bound, ntk_step)
 
-# networks built on +-1-labeled data, re-checked by the final criterion
-_REGISTRY: list = []
 _CAPTURE = None
 
 
@@ -69,17 +72,73 @@ def test_criterion_01_exact_interpolation():
                    f"{elapsed:.2f}s (<1s)")
 
 
-def test_criterion_02_relu_groups():
-    t0 = time.monotonic()
-    worst_resid, ok = 0.0, True
+class Fits(NamedTuple):
+    """One group of fits: (name, dataset, network, fit result) rows and the
+    seconds the group took to fit."""
+
+    rows: list
+    elapsed: float
+
+
+@pytest.fixture(scope="session")
+def relu_group_fits():
+    t0, rows = time.monotonic(), []
     for seed in range(10):
         ds = rademacher_labels(sample_sphere(200, 20, seed), seed + 1)
-        net = baum_relu_fit(ds, seed=seed)
+        rows.append((f"baum-relu-{seed}", ds, baum_relu_fit(ds, seed=seed), None))
+    return Fits(rows, time.monotonic() - t0)
+
+
+@pytest.fixture(scope="session")
+def kernel_fits():
+    t0, rows = time.monotonic(), []
+    for seed in range(50):
+        ds = rademacher_labels(sample_sphere(300, 50, seed), seed + 1)
+        res = ntk_fit(ds, epsilon=0.1, seed=seed)
+        rows.append((f"ntk-{seed}", ds, res.network, res))
+    return Fits(rows, time.monotonic() - t0)
+
+
+@pytest.fixture(scope="session")
+def harmonic_fits():
+    t0, rows = time.monotonic(), []
+    for seed in range(5):
+        ds = rademacher_labels(sample_sphere(200, 100, seed), seed + 201)
+        res = harmonic_fit(ds, epsilon=0.25, seed=seed)
+        rows.append((f"harmonic-{seed}", ds, res.network, res))
+    return Fits(rows, time.monotonic() - t0)
+
+
+@pytest.fixture(scope="session")
+def ntk_sweep_fits():
+    t0, rows = time.monotonic(), []
+    for n in (100, 200, 400, 800):
+        for seed in range(7):
+            ds = rademacher_labels(sample_sphere(n, 20, seed), seed + 1)
+            res = ntk_fit(ds, epsilon=0.25, seed=seed)
+            rows.append((f"ntk-sweep-{n}-{seed}", ds, res.network, res))
+    return Fits(rows, time.monotonic() - t0)
+
+
+@pytest.fixture(scope="session")
+def harmonic_sweep_fits():
+    # single seed per n: the fit is the dominant serial cost and its weight
+    # spread across seeds is small
+    t0, rows = time.monotonic(), []
+    for n in (50, 100, 200, 400):
+        ds = rademacher_labels(sample_sphere(n, 100, 0), n + 1)
+        res = harmonic_fit(ds, epsilon=0.25, seed=0)
+        rows.append((f"harmonic-sweep-{n}", ds, res.network, res))
+    return Fits(rows, time.monotonic() - t0)
+
+
+def test_criterion_02_relu_groups(relu_group_fits):
+    worst_resid, ok = 0.0, True
+    for _, ds, net, _ in relu_group_fits.rows:
         resid = float(np.max(np.abs(evaluate(net, ds) - ds.labels)))
         worst_resid = max(worst_resid, resid)
         ok = ok and net.k == 40 and resid <= 1e-6
-        _REGISTRY.append((f"baum-relu-{seed}", ds, net))
-    elapsed = time.monotonic() - t0
+    elapsed = relu_group_fits.elapsed
     ok = ok and elapsed < 5.0
     _report(2, ok, f"4-ReLU groups n=200 d=20 x10 seeds: k=40, "
                    f"max residual={worst_resid:.2e}, {elapsed:.2f}s (<5s)")
@@ -119,17 +178,13 @@ def test_criterion_04_kernel_step_correlation():
                    f"95% lower={lo95:.4f} >= {bound:.4f}, {elapsed:.1f}s (<30s)")
 
 
-def test_criterion_05_kernel_fit_size():
-    t0 = time.monotonic()
+def test_criterion_05_kernel_fit_size(kernel_fits):
     ratios, kd_ok = [], True
-    for seed in range(50):
-        ds = rademacher_labels(sample_sphere(300, 50, seed), seed + 1)
-        res = ntk_fit(ds, epsilon=0.1, seed=seed)
+    for _, _, _, res in kernel_fits.rows:
         ratios.append(res.trace.final_error_ratio)
         kd_ok = kd_ok and res.kd_achieved <= res.kd_bound
-        _REGISTRY.append((f"ntk-{seed}", ds, res.network))
     mean_ratio = float(np.mean(ratios))
-    elapsed = time.monotonic() - t0
+    elapsed = kernel_fits.elapsed
     ok = mean_ratio <= 0.1 and kd_ok and elapsed < 120.0
     _report(5, ok, f"kernel fit n=300 d=50 eps=0.1 x50 seeds: mean ratio="
                    f"{mean_ratio:.4f} (<=0.1), k*d within bound={kd_ok}, "
@@ -212,56 +267,42 @@ def test_criterion_07_harmonic_identities():
                    f"reconstruction={recon_ok}, mixture rel err={rel:.1e} (<=2e-3)")
 
 
-def test_criterion_08_harmonic_fit():
-    t0 = time.monotonic()
+def test_criterion_08_harmonic_fit(harmonic_fits):
     ok = True
     ratios, trims = [], []
-    for seed in range(5):
-        ds = rademacher_labels(sample_sphere(200, 100, seed), seed + 201)
-        res = harmonic_fit(ds, epsilon=0.25, seed=seed)
+    for _, _, _, res in harmonic_fits.rows:
         ratios.append(res.trace.final_error_ratio)
         trims.append(200 - len(res.active_set))
         guarantee = 200 - math.ceil(1.0 / res.gamma ** 2)
         ok = ok and res.trace.final_error_ratio <= 0.25 \
             and len(res.active_set) >= guarantee
-        _REGISTRY.append((f"harmonic-{seed}", ds, res.network))
-    elapsed = time.monotonic() - t0
+    elapsed = harmonic_fits.elapsed
     ok = ok and elapsed < 300.0
     _report(8, ok, f"harmonic fit n=200 d=100 eps=0.25 x5 seeds: max ratio="
                    f"{max(ratios):.4f} (<=0.25), trimmed={trims}, "
                    f"{elapsed:.0f}s (<300s)")
 
 
-def test_criterion_09_weight_scaling():
+def test_criterion_09_weight_scaling(ntk_sweep_fits, harmonic_sweep_fits):
     t0 = time.monotonic()
     ns = [100, 200, 400, 800]
     # combinatorial construction, d=20
     _, baum_medians = measure_baum_weight_scaling(20, ns, [0, 1, 2])
     baum_slope = _slope(ns, [baum_medians[n] for n in ns])
-    # kernel-step construction, d=20
-    ntk_medians = []
-    for n in ns:
-        ws = []
-        for seed in range(7):
-            ds = rademacher_labels(sample_sphere(n, 20, seed), seed + 1)
-            res = ntk_fit(ds, epsilon=0.25, seed=seed)
-            ws.append(total_weight(res.network))
-            _REGISTRY.append((f"ntk-sweep-{n}-{seed}", ds, res.network))
-        ntk_medians.append(float(np.median(ws)))
+    # kernel-step construction, d=20, 7 seeds per n
+    ws = [total_weight(net) for _, _, net, _ in ntk_sweep_fits.rows]
+    ntk_medians = [float(np.median(ws[i:i + 7])) for i in range(0, len(ws), 7)]
     ntk_slope = _slope(ns, ntk_medians)
-    # harmonic construction, d=100 (single seed per n: the fit is the
-    # dominant serial cost and its weight spread across seeds is small)
+    # harmonic construction, d=100
     harm_ns = [50, 100, 200, 400]
     harm_ws, floor_ok = [], True
-    for n in harm_ns:
-        ds = rademacher_labels(sample_sphere(n, 100, 0), n + 1)
-        res = harmonic_fit(ds, epsilon=0.25, seed=0)
+    for n, (_, _, _, res) in zip(harm_ns, harmonic_sweep_fits.rows):
         w = res.trace.total_weight
         harm_ws.append(w)
         floor_ok = floor_ok and w >= math.sqrt(n) / 8.0
-        _REGISTRY.append((f"harmonic-sweep-{n}", ds, res.network))
     harm_slope = _slope(harm_ns, harm_ws)
-    elapsed = time.monotonic() - t0
+    elapsed = (time.monotonic() - t0 + ntk_sweep_fits.elapsed
+               + harmonic_sweep_fits.elapsed)
     ok = (baum_slope >= 1.5 and ntk_slope >= 1.2 and harm_slope <= 0.9
           and floor_ok and elapsed < 1800.0)
     _report(9, ok, f"weight scaling slopes: baum={baum_slope:.2f} (>=1.5), "
@@ -311,11 +352,19 @@ def test_criterion_10_hermite_suite():
                     f"step coeffs={coef_ok}")
 
 
-def test_criterion_11_weight_floor_guard():
-    assert _REGISTRY, "earlier criteria must register fitted networks"
+@pytest.fixture(scope="session")
+def registry(relu_group_fits, kernel_fits, harmonic_fits, ntk_sweep_fits,
+             harmonic_sweep_fits):
+    """Every network built on +-1-labeled data, re-checked by criterion 11."""
+    return [row[:3] for fits in (relu_group_fits, kernel_fits, harmonic_fits,
+                                 ntk_sweep_fits, harmonic_sweep_fits)
+            for row in fits.rows]
+
+
+def test_criterion_11_weight_floor_guard(registry):
     flagged = []
     checked = 0
-    for name, ds, net in _REGISTRY:
+    for name, ds, net in registry:
         report = verify_weight_bound(ds, [(name, net)])
         checked += 1
         flagged.extend(report.falsifications)

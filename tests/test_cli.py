@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memnet.cli import main
-from memnet.errors import ConvergenceError
+from memnet.errors import ConvergenceError, InvariantError
 from memnet.network import FitTrace
 
 
@@ -86,6 +86,18 @@ def test_fit_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):
     rc = main(["fit", "--method", "ntk", "--epsilon", "0.1", path])
     assert rc == 4
     assert "convergence" in capsys.readouterr().err
+
+
+def test_fit_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):
+    path = _gen(tmp_path)
+
+    def broken(ds, epsilon, seed=0):
+        raise InvariantError("adaptive step increased the residual")
+
+    monkeypatch.setattr("memnet.cli.ntk_fit", broken)
+    rc = main(["fit", "--method", "ntk", "--epsilon", "0.1", path])
+    assert rc == 4
+    assert "increased the residual" in capsys.readouterr().err
 
 
 def test_config_file_defaults(tmp_path, capsys):

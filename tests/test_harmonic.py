@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,15 +6,16 @@ import numpy as np
 import pytest
 
 from memnet.data import Dataset, genericity, rademacher_labels, sample_sphere
-from memnet.errors import ParameterError, SamplerFailureError
+import memnet.harmonic as harmonic
+from memnet.errors import InvariantError, ParameterError, SamplerFailureError
 from memnet.harmonic import (CONSTANTS, ComplexNeuron, DirectionalDecomposition,
-                             choose_degree, decompose_directions, harmonic_fit,
-                             hermite_gram, perturbation_vector,
-                             projection_cutoff, relu_mixture,
-                             sample_complex_neuron, single_neuron_step,
-                             tail_diagnostic)
+                             _decomp_basis, _relu_correlations, choose_degree,
+                             decompose_directions, harmonic_fit, hermite_gram,
+                             perturbation_vector, projection_cutoff,
+                             relu_mixture, sample_complex_neuron,
+                             single_neuron_step, tail_diagnostic)
 from memnet.hermite import hermite_eval
-from memnet.network import evaluate
+from memnet.network import Neuron, evaluate
 
 
 def _fixture(n=100, d=50, seed=0):
@@ -268,13 +270,28 @@ def test_decompose_any_degree_reconstruction():
         assert np.max(np.abs(dd.evaluate(x, y) - target)) / scale < 1e-8
 
 
+def test_decompose_float_matches_exact_recombination():
+    """The float combination of the cached basis stays within 1e-14 of the
+    exact Fraction combination Re(z) p_re + Im(z) p_im."""
+    rng = np.random.default_rng(2)
+    for m in range(3, 13):
+        polys_re, polys_im = _decomp_basis(m)
+        for theta in rng.uniform(0, 2 * math.pi, size=3):
+            z = complex(math.cos(theta), math.sin(theta))
+            zr, zi = Fraction(z.real), Fraction(z.imag)
+            exact = np.array([[float(zr * a + zi * b) for a, b in zip(pr, pi)]
+                              for pr, pi in zip(polys_re, polys_im)])
+            got = decompose_directions(z, m).polys
+            assert got.shape == (m + 1, m + 1)
+            assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
 # -- ReLU mixture -------------------------------------------------------------
 
 def _monomial_dd(m, power):
-    polys = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
-    polys[0][power] = Fraction(1)
-    return DirectionalDecomposition(m=m, polys=tuple(tuple(p) for p in polys),
-                                    scale=1.0)
+    polys = np.zeros((m + 1, m + 1))
+    polys[0, power] = 1.0
+    return DirectionalDecomposition(m=m, polys=polys, scale=1.0)
 
 
 def test_mixture_quadratic_reconstruction():
@@ -322,6 +339,8 @@ def test_mixture_probabilities_and_support():
     probs = [c.prob for c in mix.components]
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
     for comp in mix.components:
+        assert np.array_equal(comp.cdf, np.cumsum(np.abs(comp.quad_f2)))
+        assert comp.cdf[-1] == pytest.approx(comp.mass, rel=1e-12)
         assert float(comp.density_weights.sum()) == pytest.approx(1.0, abs=1e-6)
         assert np.max(np.abs(comp.nodes)) <= 2.0 * M
         nz = comp.signs[comp.quad_f2 != 0.0]
@@ -386,6 +405,74 @@ def test_single_neuron_step_guarantees():
     cap = m * (np.linalg.norm(step.complex_neuron.w_re)
                + np.linalg.norm(step.complex_neuron.w_im))
     assert np.linalg.norm(step.neuron.w) <= cap * (1 + 1e-12)
+
+
+def _dense_correlations(p, r, biases):
+    return np.maximum(p[:, None] - biases[None, :], 0.0).T @ r
+
+
+_BIAS_CASES = ("random", "repeated", "at_points", "outside")
+
+
+@pytest.mark.parametrize("case", _BIAS_CASES)
+def test_relu_correlations_match_dense(case):
+    rng = np.random.default_rng(_BIAS_CASES.index(case))
+    n = 200
+    r = rng.standard_normal(n)
+    if case == "repeated":
+        p = rng.integers(-4, 5, size=n) / 3.0
+    else:
+        p = rng.standard_normal(n) * 5.0
+    if case == "random":
+        biases = np.sort(rng.uniform(-15.0, 15.0, size=640))
+    elif case == "outside":
+        lo, hi = p.min(), p.max()
+        biases = np.array([lo - 100.0, lo - 1e-9, lo, hi, hi + 1e-9, hi + 100.0])
+    else:
+        biases = np.unique(p)
+    got = _relu_correlations(p, r, biases)
+    want = _dense_correlations(p, r, biases)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.all(got[biases >= p.max()] == 0.0)
+
+
+def test_step_below_mixture_mean_raises_invariant_error(monkeypatch):
+    ds, gamma = _fixture()
+    m = choose_degree(ds.n, gamma)
+    real_mixture = harmonic.relu_mixture
+
+    def inflated(dd, M):
+        return dataclasses.replace(real_mixture(dd, M), scale=1e12)
+
+    monkeypatch.setattr(harmonic, "relu_mixture", inflated)
+    with pytest.raises(InvariantError, match="mixture mean"):
+        single_neuron_step(ds, ds.labels, m, seed=0, gamma=gamma)
+
+
+class _DriftingStep:
+    """A step whose values change after the line search has read them
+    (one read: the trimmed copy the line search uses)."""
+
+    def __init__(self, neuron, searched, applied):
+        self.neuron = neuron
+        self._reads = [searched, applied]
+
+    @property
+    def values(self):
+        return self._reads.pop(0) if len(self._reads) > 1 else self._reads[0]
+
+
+def test_harmonic_fit_active_set_guarantee_raises_invariant_error(monkeypatch):
+    ds = rademacher_labels(sample_sphere(40, 80, 0), 1)
+
+    def drifting(ds_, r, m, seed, gamma, candidates):
+        # the update pushes every residual past the trimming threshold
+        return _DriftingStep(Neuron(1.0, np.zeros(ds_.d), 0.0), r.copy(),
+                             np.full(ds_.n, 1e3))
+
+    monkeypatch.setattr(harmonic, "single_neuron_step", drifting)
+    with pytest.raises(InvariantError, match="active set"):
+        harmonic_fit(ds, epsilon=0.3, seed=0)
 
 
 def test_harmonic_fit_small_instance():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memnet.data import Dataset, rademacher_labels, sample_sphere
-from memnet.errors import ConvergenceError, ParameterError
+from memnet.errors import ConvergenceError, InvariantError, ParameterError
 from memnet.network import (FitTrace, Neuron, StepProposal, TwoLayerNetwork,
                             boost_fit, evaluate, get_activation, relu,
                             threshold, total_weight)
@@ -179,6 +179,29 @@ def test_boost_adaptive_never_increases_residual():
     net, trace = boost_fit(builder, ds, epsilon=0.3, max_iters=500)
     res = [rec.residual_sq for rec in trace.iterations]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(res, res[1:]))
+
+
+class _DriftingProposal:
+    """A proposal whose values change after the line search has read them
+    (three reads: r . f and f . f)."""
+
+    def __init__(self, neurons, searched, applied):
+        self.neurons = neurons
+        self._reads = [searched, searched, searched, applied]
+
+    @property
+    def values(self):
+        return self._reads.pop(0) if len(self._reads) > 1 else self._reads[0]
+
+
+def test_boost_residual_increase_raises_invariant_error():
+    ds = _dataset()
+
+    def builder(r, seed):
+        return _DriftingProposal([Neuron(1.0, np.zeros(ds.d), 1.0)], r.copy(), -r)
+
+    with pytest.raises(InvariantError, match="increased the residual"):
+        boost_fit(builder, ds, epsilon=0.1, max_iters=5)
 
 
 def test_boost_weight_is_sum_of_scaled_steps():
