@@ -152,7 +152,11 @@ def cmd_sweep(args) -> int:
              for n in args.n_list for seed in args.seeds]
     if args.parallel:
         from concurrent.futures import ProcessPoolExecutor
-        workers = int(os.environ.get("MEMNET_THREADS", os.cpu_count() or 1))
+        threads = os.environ.get("MEMNET_THREADS", str(os.cpu_count() or 1))
+        try:
+            workers = int(threads)
+        except ValueError:
+            raise ParameterError(f"MEMNET_THREADS must be an integer, got {threads!r}") from None
         with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
             rows = list(pool.map(_sweep_cell_star, cells))
     else:

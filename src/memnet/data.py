@@ -164,18 +164,27 @@ def load_dataset(path: str) -> Dataset:
             if c == b"\n":
                 break
             header_bytes.extend(c)
-        header = json.loads(header_bytes.decode("utf-8"))
-        n, d = int(header["n"]), int(header["d"])
-        pts = np.frombuffer(fh.read(8 * n * d), dtype="<f8").reshape(n, d)
-        lab = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if lab.shape != (n,):
-            raise DataError(f"{path}: truncated payload")
-    return Dataset(pts.copy(), lab.copy())
+        try:
+            header = json.loads(header_bytes.decode("utf-8"))
+            n, d = int(header["n"]), int(header["d"])
+        except (ValueError, KeyError, TypeError) as err:
+            raise DataError(f"{path}: malformed header: {err}") from None
+        if n < 1 or d < 1:
+            raise DataError(f"{path}: header needs n >= 1 and d >= 1, got n={n}, d={d}")
+        payload = fh.read()
+    if len(payload) != 8 * n * (d + 1):
+        raise DataError(f"{path}: payload holds {len(payload)} bytes, "
+                        f"expected {8 * n * (d + 1)} for n={n}, d={d}")
+    values = np.frombuffer(payload, dtype="<f8")
+    return Dataset(values[:n * d].reshape(n, d).copy(), values[n * d:].copy())
 
 
 def load_csv(path: str) -> Dataset:
     """CSV import: one row per point, last column is the label."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as err:
+        raise DataError(f"{path}: {err}") from None
     if raw.shape[1] < 2:
         raise DataError("CSV needs at least one feature column plus a label")
     return Dataset(raw[:, :-1], raw[:, -1])

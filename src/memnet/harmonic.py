@@ -12,9 +12,11 @@ Pipeline for one boosting step:
 3. represent each truncated univariate polynomial as a signed mixture of
    ReLUs using psi'' = delta_0, with biases distributed as |f''| / int|f''|;
 4. return the single ReLU realization maximizing the correlation with the
-   residual over a bias grid per direction, which dominates the mixture
-   mean; one sort of the projections and suffix sums give the correlation
-   at every grid bias.
+   residual by a breakpoint argmax: for a fixed direction the correlation is
+   piecewise linear in the bias, with breakpoints at the data projections,
+   so its exact maximum over the mixture's bias support [-2M, 2M] sits at
+   -2M or at a projection and dominates the mixture mean; one sort of the
+   projections and suffix sums give the correlation at every breakpoint.
 
 The tuning constants (cutoff, correlation floor, variance cap) are
 calibrated once on a reference fixture and frozen in
@@ -310,10 +312,9 @@ def bump_eval(t: np.ndarray, M: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
 class MixtureComponent:
     j: int
     prob: float
-    nodes: np.ndarray           # bias grid (quadrature nodes on [-2M, 2M])
+    nodes: np.ndarray           # quadrature nodes on [-2M, 2M]
     quad_f2: np.ndarray         # quadrature weight * f_j''(node)
     mass: float                 # int |f_j''|
-    cdf: np.ndarray             # cumulative sum of |quad_f2|, ends at ~mass
 
     @property
     def density_weights(self) -> np.ndarray:
@@ -426,18 +427,16 @@ def _mixture(polys: list, nodes: np.ndarray, wts: np.ndarray, f2: np.ndarray,
     """Mixture components from f_j'' at the quadrature nodes, one row per j;
     rows whose polynomial is None are left out.  ``f2`` is overwritten."""
     quad = np.multiply(wts, f2, out=f2)
-    abs_quad = np.abs(quad)
-    masses = abs_quad.sum(axis=1)
+    masses = np.abs(quad).sum(axis=1)
     for j, c in enumerate(polys):
         if c is not None and masses[j] <= 0.0:
             raise QuadratureResolutionError(f"int |f_{j}''| vanished for a nonzero p_{j}")
     total = float(masses.sum())
     if total <= 0.0:
         raise QuadratureResolutionError("all mixture components are zero")
-    cdfs = np.cumsum(abs_quad, axis=1)
     components = tuple(
         MixtureComponent(j=j, prob=float(masses[j]) / total, nodes=nodes,
-                         quad_f2=quad[j], mass=float(masses[j]), cdf=cdfs[j])
+                         quad_f2=quad[j], mass=float(masses[j]))
         for j, c in enumerate(polys) if c is not None)
     return ReluMixture(components=components, M=M, scale=1.0 / total)
 
@@ -514,30 +513,41 @@ class SingleNeuronStep:
     M: float
 
 
-def _relu_correlations(p: np.ndarray, r: np.ndarray, biases: np.ndarray) -> np.ndarray:
-    """sum_i r_i * relu(p_i - b) at every b in ``biases``.
+def _breakpoint_argmax(P: np.ndarray, r: np.ndarray, M: float) -> tuple[int, float, float]:
+    """(j, b, c): the direction, bias and signed value maximizing
+    |c| = |sum_i r_i psi(P[i, j] - b)| over columns j and b in [-2M, 2M].
 
-    With the projections sorted ascending and k the count of p_i <= b, the
-    sum is S1[k] - b * S0[k] for the suffix sums S1 of r_i p_i and S0 of r_i.
+    Every projection must lie in (-2M, 2M).  The sum is piecewise linear in
+    b with breakpoints at the projections, so its maximum sits at b = -2M or
+    at a projection.  With column j sorted ascending and S0, S1 the suffix
+    sums of r_i and r_i p_i, it is S1[0] + 2M S0[0] at -2M and
+    S1[k+1] - p_(k) S0[k+1] at the k-th smallest projection (0 at the
+    largest).  Ties go to the first column, then the smallest bias.
     """
-    order = np.argsort(p)
-    ps, rs = p[order], r[order]
-    s0 = np.append(np.cumsum(rs[::-1])[::-1], 0.0)
-    s1 = np.append(np.cumsum((rs * ps)[::-1])[::-1], 0.0)
-    k = np.searchsorted(ps, biases, side="right")
-    return s1[k] - biases * s0[k]
+    n, cols = P.shape
+    order = np.argsort(P, axis=0)
+    ps = np.take_along_axis(P, order, axis=0)
+    rs = r[order]
+    s0 = np.cumsum(rs[::-1], axis=0)[::-1]
+    s1 = np.cumsum((rs * ps)[::-1], axis=0)[::-1]
+    # row j holds column j's values at b = -2M, p_(0), ..., p_(n-1)
+    corr = np.zeros((cols, n + 1))
+    corr[:, 0] = s1[0] + 2.0 * M * s0[0]
+    corr[:, 1:n] = (s1[1:] - ps[:-1] * s0[1:]).T
+    j, k = divmod(int(np.argmax(np.abs(corr))), n + 1)
+    bias = -2.0 * M if k == 0 else float(ps[k - 1, j])
+    return j, bias, float(corr[j, k])
 
 
 def single_neuron_step(ds: Dataset, residual: np.ndarray, m: int, seed: int,
-                       gamma: float, candidates: int = 64,
-                       grid_per_j: int = 512) -> SingleNeuronStep:
+                       gamma: float, candidates: int = 64) -> SingleNeuronStep:
     """One harmonic step: a single ReLU neuron correlating with the residual.
 
-    The returned neuron sigma * psi((w~ + j w~') . x - b) is the argmax of
-    |r . f| over directions j, signs, and a bias grid mixing ``grid_per_j``
-    density quantiles of |f_j''| with a 128-point uniform cover of the data
-    projection range; the argmax dominates the signed mixture mean by
-    construction.  Ties go to the first grid bias of the first direction.
+    The returned neuron sigma * psi((w~ + j w~') . x - b) is the breakpoint
+    argmax of |r . f| over directions j, signs, and biases b in the mixture's
+    bias support [-2M, 2M]; every data projection lies in [-M, M].  The
+    argmax dominates the signed mixture mean by construction.  Ties go to the
+    first direction, then the smallest bias.
     """
     r = np.asarray(residual, dtype=np.float64)
     cn, corr_g = sample_complex_neuron(ds, r, m, candidates, seed, gamma)
@@ -547,28 +557,11 @@ def single_neuron_step(ds: Dataset, residual: np.ndarray, m: int, seed: int,
     mean_corr = mix.scale * corr_g
 
     directions = cn.w_re[:, None] + np.arange(m + 1) * cn.w_im[:, None]  # (d, m+1)
-    projections = ds.points @ directions
-    comps = {c.j: c for c in mix.components}
-    q = (np.arange(grid_per_j) + 0.5) / grid_per_j
-    best = None
-    for j in range(m + 1):
-        proj = projections[:, j]
-        grids = []
-        comp = comps.get(j)
-        if comp is not None:
-            grids.append(comp.nodes[np.searchsorted(comp.cdf / comp.cdf[-1], q)])
-        span = max(np.max(np.abs(proj)), 1e-6)
-        grids.append(np.linspace(-1.5 * span, 1.5 * span, 128))
-        biases = np.unique(np.concatenate(grids))
-        corr = _relu_correlations(proj, r, biases)
-        idx = int(np.argmax(np.abs(corr)))
-        score = abs(float(corr[idx]))
-        if best is None or score > best[0]:
-            sigma = 1.0 if corr[idx] >= 0.0 else -1.0
-            best = (score, Neuron(sigma, cn.w_re + j * cn.w_im, -float(biases[idx])))
-    score, neuron = best
+    j, bias, corr = _breakpoint_argmax(ds.points @ directions, r, M)
+    score = abs(corr)
     if score < mean_corr * (1.0 - 1e-9):
-        raise InvariantError("bias-grid argmax fell below the mixture mean")
+        raise InvariantError("breakpoint argmax fell below the mixture mean")
+    neuron = Neuron(1.0 if corr >= 0.0 else -1.0, cn.w_re + j * cn.w_im, -bias)
     values = neuron.a * np.maximum(ds.points @ neuron.w + neuron.b, 0.0)
     return SingleNeuronStep(neuron=neuron, values=values, correlation=score,
                             mixture_mean_correlation=mean_corr,

@@ -93,7 +93,13 @@ def hermite_eval(m: int, z):
         return one
     h_prev, h = one, z * one
     for k in range(2, m + 1):
-        h_prev, h = h, (z * h - math.sqrt(k - 1) * h_prev) / math.sqrt(k)
+        # (z h - sqrt(k-1) h_prev) / sqrt(k) with the same operations in the
+        # same order, reusing h_prev (never the caller's z) as scratch
+        h_prev *= math.sqrt(k - 1)
+        nxt = z * h
+        nxt -= h_prev
+        nxt /= math.sqrt(k)
+        h_prev, h = h, nxt
     return h
 
 

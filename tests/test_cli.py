@@ -76,6 +76,41 @@ def test_fit_bad_dataset_file(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def _write_dataset(tmp_path, header: bytes, payload: bytes = b"\0" * 16):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"MEMNETDS" + header + b"\n" + payload)
+    return str(path)
+
+
+def _assert_data_error(argv, capsys):
+    assert main(argv) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+def test_fit_malformed_header(tmp_path, capsys):
+    path = _write_dataset(tmp_path, b'{"n": 1, "d":')
+    _assert_data_error(["fit", "--method", "exact", path], capsys)
+
+
+def test_fit_negative_n_header(tmp_path, capsys):
+    path = _write_dataset(tmp_path, b'{"n": -1, "d": 1}')
+    _assert_data_error(["fit", "--method", "exact", path], capsys)
+
+
+def test_fit_non_numeric_csv(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("1.0,0.0,1.0\n0.0,abc,-1.0\n")
+    _assert_data_error(["fit", "--method", "exact", str(path)], capsys)
+
+
+def test_fit_trailing_bytes(tmp_path, capsys):
+    path = _gen(tmp_path)
+    capsys.readouterr()
+    with open(path, "ab") as fh:
+        fh.write(b"\0")
+    _assert_data_error(["fit", "--method", "exact", path], capsys)
+
+
 def test_fit_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):
     path = _gen(tmp_path)
 
@@ -135,6 +170,20 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     assert main(base + ["--parallel", "-o", parallel]) == 0
     assert open(serial).read() == open(parallel).read()
     capsys.readouterr()
+
+
+def test_sweep_bad_thread_count(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was created")
+
+    monkeypatch.setenv("MEMNET_THREADS", "abc")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    rc = main(["sweep", "--method", "baum-relu", "--d", "10", "--n-list", "20",
+               "--parallel", "-o", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "MEMNET_THREADS" in capsys.readouterr().err
 
 
 def test_sweep_empty_n_list(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from memnet.data import (Dataset, gamma_floor, gaussian_labels, genericity,
                          load_csv, load_dataset, rademacher_labels,
@@ -153,6 +156,34 @@ def test_roundtrip_binary(tmp_path):
     back = load_dataset(path)
     assert np.array_equal(back.points, ds.points)
     assert np.array_equal(back.labels, ds.labels)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _datasets(draw):
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    points = draw(hnp.arrays(np.float64, (n, d), elements=_finite))
+    assume(np.all(np.any(points != 0.0, axis=1)))
+    return Dataset(points, draw(hnp.arrays(np.float64, n, elements=_finite)))
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ds=_datasets(), tail=st.binary(min_size=1, max_size=16))
+def test_roundtrip_binary_property(tmp_path, ds, tail):
+    """Bit-exact round trip (signed zeros, subnormals); any trailing bytes
+    make the file invalid."""
+    path = str(tmp_path / "ds.bin")
+    save_dataset(ds, path)
+    back = load_dataset(path)
+    assert back.points.tobytes() == ds.points.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+    with open(path, "ab") as fh:
+        fh.write(tail)
+    with pytest.raises(DataError):
+        load_dataset(path)
 
 
 def test_binary_deterministic_bytes(tmp_path):

@@ -9,7 +9,7 @@ from memnet.data import Dataset, genericity, rademacher_labels, sample_sphere
 import memnet.harmonic as harmonic
 from memnet.errors import InvariantError, ParameterError, SamplerFailureError
 from memnet.harmonic import (CONSTANTS, ComplexNeuron, DirectionalDecomposition,
-                             _decomp_basis, _relu_correlations, choose_degree,
+                             _breakpoint_argmax, _decomp_basis, choose_degree,
                              decompose_directions, harmonic_fit, hermite_gram,
                              perturbation_vector, projection_cutoff,
                              relu_mixture, sample_complex_neuron,
@@ -339,8 +339,6 @@ def test_mixture_probabilities_and_support():
     probs = [c.prob for c in mix.components]
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
     for comp in mix.components:
-        assert np.array_equal(comp.cdf, np.cumsum(np.abs(comp.quad_f2)))
-        assert comp.cdf[-1] == pytest.approx(comp.mass, rel=1e-12)
         assert float(comp.density_weights.sum()) == pytest.approx(1.0, abs=1e-6)
         assert np.max(np.abs(comp.nodes)) <= 2.0 * M
         nz = comp.signs[comp.quad_f2 != 0.0]
@@ -411,29 +409,89 @@ def _dense_correlations(p, r, biases):
     return np.maximum(p[:, None] - biases[None, :], 0.0).T @ r
 
 
-_BIAS_CASES = ("random", "repeated", "at_points", "outside")
+def _dense_max(P, r, M):
+    """max over columns of |sum_i r_i relu(p_i - b)| on 10^4 biases in
+    [-2M, 2M] plus every projection."""
+    return max(np.max(np.abs(_dense_correlations(
+        p, r, np.concatenate([np.linspace(-2.0 * M, 2.0 * M, 10_000), p]))))
+        for p in P.T)
 
 
-@pytest.mark.parametrize("case", _BIAS_CASES)
-def test_relu_correlations_match_dense(case):
-    rng = np.random.default_rng(_BIAS_CASES.index(case))
-    n = 200
-    r = rng.standard_normal(n)
+_ARGMAX_CASES = ("random", "repeated", "signs")
+
+
+@pytest.mark.parametrize("case", _ARGMAX_CASES)
+def test_breakpoint_argmax_matches_dense(case):
+    rng = np.random.default_rng(_ARGMAX_CASES.index(case))
+    n, cols, M = 200, 6, 20.0
     if case == "repeated":
-        p = rng.integers(-4, 5, size=n) / 3.0
+        P = rng.integers(-4, 5, size=(n, cols)) / 3.0
     else:
-        p = rng.standard_normal(n) * 5.0
-    if case == "random":
-        biases = np.sort(rng.uniform(-15.0, 15.0, size=640))
-    elif case == "outside":
-        lo, hi = p.min(), p.max()
-        biases = np.array([lo - 100.0, lo - 1e-9, lo, hi, hi + 1e-9, hi + 100.0])
-    else:
-        biases = np.unique(p)
-    got = _relu_correlations(p, r, biases)
-    want = _dense_correlations(p, r, biases)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.all(got[biases >= p.max()] == 0.0)
+        P = rng.uniform(-M, M, size=(n, cols))
+    # +-1 residuals summing to zero make the suffix sums vanish exactly
+    r = rng.permutation(np.repeat([1.0, -1.0], n // 2)) if case == "signs" \
+        else rng.standard_normal(n)
+    j, bias, corr = _breakpoint_argmax(P, r, M)
+    want = _dense_max(P, r, M)
+    assert abs(corr) >= want * (1.0 - 1e-12)
+    assert abs(corr) <= want * (1.0 + 1e-12)
+    assert bias == -2.0 * M or bias in P[:, j]
+    got = _dense_correlations(P[:, j], r, np.array([bias]))[0]
+    assert abs(got - corr) <= 1e-12 * want
+
+
+def test_breakpoint_argmax_ties():
+    # suffix sums of r vanish below p = 0, so |corr| = 2 on all of [-2M, 0]
+    p = np.array([0.0, 1.0, 2.0, 3.0])
+    r = np.array([1.0, -1.0, 1.0, -1.0])
+    M = 5.0
+    assert _breakpoint_argmax(p[:, None], r, M) == (0, -2.0 * M, -2.0)
+    # |corr| = 1 at both interior breakpoints b = 1 and b = 2, 0 below b = 0
+    r2 = np.array([1.0, -1.0, -1.0, 1.0])
+    assert _breakpoint_argmax(p[:, None], r2, M) == (0, 1.0, 1.0)
+    # the second direction reaches the same |corr| = 1 at smaller biases
+    # (-2M and 0): the direction order decides before the bias order
+    P = np.column_stack([p, [1.0, 0.0, 0.0, 0.0]])
+    assert _breakpoint_argmax(P[:, ::-1], r2, M) == (0, -2.0 * M, 1.0)
+    assert _breakpoint_argmax(P, r2, M) == (0, 1.0, 1.0)
+    # all three directions reach |corr| = 2 at -2M: the first one wins
+    P = np.column_stack([p - 1.0, p, p])
+    assert _breakpoint_argmax(P, r, M) == (0, -2.0 * M, -2.0)
+    # a stronger later direction beats the first; of two equal ones, the first wins
+    P = np.column_stack([p, 2.0 * p, 2.0 * p])
+    assert _breakpoint_argmax(P, r, M) == (1, -2.0 * M, -4.0)
+    # a zero residual ties everywhere at 0: first direction, smallest bias
+    assert _breakpoint_argmax(P, np.zeros(4), M) == (0, -2.0 * M, 0.0)
+
+
+def _old_grid_score(ds, r, step, m):
+    """The argmax over the former per-direction bias grid: 512 quantiles of
+    |f_j''| plus a 128-point cover of the projection range."""
+    mix = relu_mixture(decompose_directions(step.complex_neuron.z, m), step.M)
+    comps = {c.j: c for c in mix.components}
+    q = (np.arange(512) + 0.5) / 512
+    cn = step.complex_neuron
+    best = 0.0
+    for j in range(m + 1):
+        proj = ds.points @ (cn.w_re + j * cn.w_im)
+        grids = []
+        if j in comps:
+            cdf = np.cumsum(np.abs(comps[j].quad_f2))
+            grids.append(comps[j].nodes[np.searchsorted(cdf / cdf[-1], q)])
+        span = max(np.max(np.abs(proj)), 1e-6)
+        grids.append(np.linspace(-1.5 * span, 1.5 * span, 128))
+        biases = np.unique(np.concatenate(grids))
+        best = max(best, float(np.max(np.abs(_dense_correlations(proj, r, biases)))))
+    return best
+
+
+def test_step_dominates_old_bias_grid():
+    ds, gamma = _fixture()
+    m = choose_degree(ds.n, gamma)
+    for seed in range(4):
+        step = single_neuron_step(ds, ds.labels, m, seed=seed, gamma=gamma)
+        assert step.correlation >= _old_grid_score(ds, ds.labels, step, m) * (1 - 1e-12)
+        assert step.correlation >= step.mixture_mean_correlation
 
 
 def test_step_below_mixture_mean_raises_invariant_error(monkeypatch):

@@ -29,6 +29,32 @@ def test_recursion_matches_monomial_oracle():
         assert np.max(np.abs(a - b) / (1.0 + np.abs(b))) < 1e-10
 
 
+def _hermite_textbook(m, z):
+    z = np.asarray(z)
+    one = np.ones_like(z, dtype=np.result_type(z.dtype, np.float64))
+    if m == 0:
+        return one
+    h_prev, h = one, z * one
+    for k in range(2, m + 1):
+        h_prev, h = h, (z * h - math.sqrt(k - 1) * h_prev) / math.sqrt(k)
+    return h
+
+
+def test_recursion_bit_identical_to_textbook():
+    rng = np.random.default_rng(3)
+    real = rng.uniform(-6, 6, size=(7, 5))
+    inputs = [real, real + 1j * rng.uniform(-3, 3, size=(7, 5)),
+              np.array(1.7), np.array(0.4 - 2.2j), 2.5, -1.25 + 0.5j, 3]
+    for z in inputs:
+        before = np.array(z, copy=True)
+        for m in range(13):
+            got, want = hermite_eval(m, z), _hermite_textbook(m, z)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+        assert np.array_equal(z, before)
+
+
 def test_complex_argument():
     z = 1.5 + 0.5j
     assert hermite_eval(4, z) == pytest.approx(HermiteBasis(4).eval_monomial(4, z),
