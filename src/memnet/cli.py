@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import data as data_mod
-from .bounds import verify_weight_bound
 from .constructive import baum_relu_fit, baum_threshold_fit, exact_fit_generic
 from .errors import (ConvergenceError, DataError, MemnetError, ParameterError)
 from .harmonic import harmonic_fit
@@ -86,12 +85,15 @@ def _run_method(method: str, ds, epsilon, seed: int):
     raise ParameterError(f"unknown method {method!r}")
 
 
-def _summary(method: str, ds, net, trace, epsilon, extras: dict) -> dict:
-    f = evaluate(net, ds)
-    y = ds.labels
+def _error_ratio(f: np.ndarray, y: np.ndarray) -> float:
+    """||f - y||^2 / ||y||^2, 0 for zero labels."""
     y_sq = float(y @ y)
-    ratio = float(np.sum((f - y) ** 2)) / y_sq if y_sq > 0 else 0.0
-    rademacher = bool(np.all(np.abs(y) == 1.0))
+    return float(np.sum((f - y) ** 2)) / y_sq if y_sq > 0 else 0.0
+
+
+def _summary(method: str, ds, net, epsilon, extras: dict) -> dict:
+    ratio = _error_ratio(evaluate(net, ds), ds.labels)
+    rademacher = bool(np.all(np.abs(ds.labels) == 1.0))
     out = {
         "method": method, "n": ds.n, "d": ds.d, "epsilon": epsilon,
         "k": net.k, "total_weight": total_weight(net),
@@ -116,7 +118,7 @@ def cmd_fit(args) -> int:
     with open(prefix + ".network.json", "w") as fh:
         fh.write(net.to_json())
     trace.to_csv(prefix + ".trace.csv")
-    summary = _summary(args.method, ds, net, trace, args.epsilon, extras)
+    summary = _summary(args.method, ds, net, args.epsilon, extras)
     with open(prefix + ".summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     print(json.dumps(summary, indent=2))
@@ -128,14 +130,13 @@ def _sweep_cell(method, n, d, seed, epsilon, labels):
     ds = _make_labels(ds, labels, seed + 1)
     if method == "baum-threshold":
         ds = ds.with_labels((ds.labels > 0).astype(float))
-    net, trace, extras = _run_method(method, ds, epsilon, seed)
+    net, _, extras = _run_method(method, ds, epsilon, seed)
     f = evaluate(net, ds)
-    y_sq = float(ds.labels @ ds.labels)
     return {
         "method": method, "n": n, "d": d, "seed": seed,
         "epsilon": "" if epsilon is None else epsilon,
         "k": net.k, "total_weight": total_weight(net),
-        "error_ratio": float(np.sum((f - ds.labels) ** 2)) / y_sq if y_sq else 0.0,
+        "error_ratio": _error_ratio(f, ds.labels),
         "max_residual": float(np.max(np.abs(f - ds.labels))),
         "trimmed_out": extras.get("trimmed_out", 0),
     }
@@ -214,15 +215,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_config(parser, args) -> None:
+    """Fill flags left at their defaults from the ``--config`` JSON object."""
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ParameterError(f"cannot read --config {args.config}: {err}") from None
+    if not isinstance(config, dict):
+        raise ParameterError(f"--config {args.config} must hold a JSON object")
+    for key, value in config.items():
+        if key not in vars(args) or key in ("config", "command", "func"):
+            raise ParameterError(f"--config key {key!r} is not a flag of {args.command}")
+        if getattr(args, key) in (None, parser.get_default(key)):
+            setattr(args, key, value)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            for key, value in json.load(fh).items():
-                if getattr(args, key, None) in (None, parser.get_default(key)):
-                    setattr(args, key, value)
     try:
+        if args.config:
+            _apply_config(parser, args)
         return args.func(args)
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -11,7 +11,6 @@ coincides on every data point with psi'(u . x - b) * (v . x).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,11 +105,31 @@ def _hyperplane_through(points_group: np.ndarray) -> tuple[np.ndarray, float]:
     return u / norm, float(b / norm)
 
 
-def _partition(n: int, d: int, rng: np.random.Generator,
-               indices: np.ndarray | None = None) -> list[np.ndarray]:
-    idx = np.arange(n) if indices is None else np.asarray(indices)
-    idx = idx[rng.permutation(len(idx))]
-    return [idx[i:i + d] for i in range(0, len(idx), d)]
+def _slab_half_width(ds: Dataset, group: np.ndarray, u: np.ndarray, b: float) -> float:
+    """tau: half the distance from the hyperplane u . x = b through the group
+    to the nearest other point (1 when there is none)."""
+    others = np.setdiff1d(np.arange(ds.n), group)
+    tau = 0.5 * float(np.min(np.abs(ds.points[others] @ u - b))) if len(others) else 1.0
+    if tau <= 1e-12:
+        raise DegenerateDataError(
+            f"another point lies on the group hyperplane (group {group.tolist()})")
+    return tau
+
+
+def _retry_partitions(ds: Dataset, indices: np.ndarray, build, seed: int,
+                      retries: int, what: str):
+    """``build(groups)`` over random partitions of ``indices`` into groups of
+    at most d points, drawing a fresh partition while it raises
+    DegenerateDataError, at most ``retries`` times."""
+    last_err: Exception | None = None
+    for attempt in range(retries):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
+        idx = indices[rng.permutation(len(indices))]
+        try:
+            return build([idx[i:i + ds.d] for i in range(0, len(idx), ds.d)])
+        except DegenerateDataError as err:
+            last_err = err
+    raise DegenerateDataError(f"{what} failed after {retries} partitions: {last_err}")
 
 
 def baum_threshold_fit(ds: Dataset, seed: int = 0, retries: int = 20) -> TwoLayerNetwork:
@@ -130,8 +149,9 @@ def baum_threshold_fit(ds: Dataset, seed: int = 0, retries: int = 20) -> TwoLaye
 
     neurons: list[Neuron] = []
     if len(minority_idx) > 0:
-        slabs = _fit_indicator_slabs(ds, minority_idx, seed, retries)
-        neurons.extend(slabs)
+        neurons = _retry_partitions(ds, minority_idx,
+                                    lambda groups: _indicator_slabs(ds, groups),
+                                    seed, retries, "indicator construction")
     if minority_label == 0.0:
         # f = 1 - (indicator of 0-points): negate and add the constant neuron.
         neurons = [Neuron(-nr.a, nr.w, nr.b) for nr in neurons]
@@ -142,30 +162,14 @@ def baum_threshold_fit(ds: Dataset, seed: int = 0, retries: int = 20) -> TwoLaye
     return net
 
 
-def _fit_indicator_slabs(ds: Dataset, target_idx: np.ndarray, seed: int,
-                         retries: int) -> list[Neuron]:
-    """Two threshold neurons per group realizing the indicator of target_idx."""
-    last_err: Exception | None = None
-    for attempt in range(retries):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
-        try:
-            neurons: list[Neuron] = []
-            for group in _partition(len(target_idx), ds.d, rng, target_idx):
-                u, b = _hyperplane_through(ds.points[group])
-                others = np.setdiff1d(np.arange(ds.n), group)
-                if len(others):
-                    tau = 0.5 * float(np.min(np.abs(ds.points[others] @ u - b)))
-                else:
-                    tau = 1.0
-                if tau <= 1e-12:
-                    raise DegenerateDataError(
-                        f"another point lies on the group hyperplane (group {group.tolist()})")
-                neurons.append(Neuron(1.0, u, -(b - tau)))
-                neurons.append(Neuron(-1.0, u, -(b + tau)))
-            return neurons
-        except DegenerateDataError as err:
-            last_err = err
-    raise DegenerateDataError(f"indicator construction failed after {retries} partitions: {last_err}")
+def _indicator_slabs(ds: Dataset, groups: list[np.ndarray]) -> list[Neuron]:
+    """Two threshold neurons per group realizing the indicator of its points."""
+    neurons: list[Neuron] = []
+    for group in groups:
+        u, b = _hyperplane_through(ds.points[group])
+        tau = _slab_half_width(ds, group, u, b)
+        neurons += [Neuron(1.0, u, -(b - tau)), Neuron(-1.0, u, -(b + tau))]
+    return neurons
 
 
 def baum_relu_fit(ds: Dataset, seed: int = 0, retries: int = 20) -> TwoLayerNetwork:
@@ -176,20 +180,14 @@ def baum_relu_fit(ds: Dataset, seed: int = 0, retries: int = 20) -> TwoLayerNetw
     neurons at biases b -+ tau, which is supported on a thin slab around the
     hyperplane and linear (equal to v . x) on it.
     """
-    last_err: Exception | None = None
-    for attempt in range(retries):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
-        try:
-            neurons: list[Neuron] = []
-            for group in _partition(ds.n, ds.d, rng):
-                neurons.extend(_group_neurons(ds, group))
-            net = TwoLayerNetwork(tuple(neurons), "relu")
-            if np.max(np.abs(evaluate(net, ds) - ds.labels)) > 1e-6:
-                raise DegenerateDataError("construction failed to certify the fit")
-            return net
-        except DegenerateDataError as err:
-            last_err = err
-    raise DegenerateDataError(f"baum_relu_fit failed after {retries} partitions: {last_err}")
+    def build(groups):
+        net = TwoLayerNetwork(tuple(nr for group in groups
+                                    for nr in _group_neurons(ds, group)), "relu")
+        if np.max(np.abs(evaluate(net, ds) - ds.labels)) > 1e-6:
+            raise DegenerateDataError("construction failed to certify the fit")
+        return net
+
+    return _retry_partitions(ds, np.arange(ds.n), build, seed, retries, "baum_relu_fit")
 
 
 def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
@@ -204,14 +202,7 @@ def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
         v = np.linalg.lstsq(Xg, yg, rcond=None)[0]
     if np.max(np.abs(Xg @ v - yg), initial=0.0) > 1e-8 * max(1.0, np.max(np.abs(yg), initial=0.0)):
         raise DegenerateDataError(f"group labels not realizable (group {group.tolist()})")
-    others = np.setdiff1d(np.arange(ds.n), group)
-    if len(others):
-        tau = 0.5 * float(np.min(np.abs(ds.points[others] @ u - b)))
-    else:
-        tau = 1.0
-    if tau <= 1e-12:
-        raise DegenerateDataError(
-            f"another point lies on the group hyperplane (group {group.tolist()})")
+    tau = _slab_half_width(ds, group, u, b)
     out: list[Neuron] = []
     for bias, sign in ((b - tau, 1.0), (b + tau, -1.0)):
         pair = DerivativeNeuronPair(u, v, bias, safe_delta(ds.points, u, v, bias))

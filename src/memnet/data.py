@@ -152,26 +152,24 @@ def save_dataset(ds: Dataset, path: str, label_kind: str = "unknown") -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise DataError(f"{path}: not a memnet dataset file")
-        header_bytes = bytearray()
-        while True:
-            c = fh.read(1)
-            if not c:
-                raise DataError(f"{path}: truncated header")
-            if c == b"\n":
-                break
-            header_bytes.extend(c)
-        try:
-            header = json.loads(header_bytes.decode("utf-8"))
-            n, d = int(header["n"]), int(header["d"])
-        except (ValueError, KeyError, TypeError) as err:
-            raise DataError(f"{path}: malformed header: {err}") from None
-        if n < 1 or d < 1:
-            raise DataError(f"{path}: header needs n >= 1 and d >= 1, got n={n}, d={d}")
-        payload = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as err:
+        raise DataError(f"{path}: {err.strerror or err}") from None
+    if not raw.startswith(_MAGIC):
+        raise DataError(f"{path}: not a memnet dataset file")
+    end = raw.find(b"\n", len(_MAGIC))
+    if end < 0:
+        raise DataError(f"{path}: truncated header")
+    try:
+        header = json.loads(raw[len(_MAGIC):end].decode("utf-8"))
+        n, d = int(header["n"]), int(header["d"])
+    except (ValueError, KeyError, TypeError) as err:
+        raise DataError(f"{path}: malformed header: {err}") from None
+    if n < 1 or d < 1:
+        raise DataError(f"{path}: header needs n >= 1 and d >= 1, got n={n}, d={d}")
+    payload = raw[end + 1:]
     if len(payload) != 8 * n * (d + 1):
         raise DataError(f"{path}: payload holds {len(payload)} bytes, "
                         f"expected {8 * n * (d + 1)} for n={n}, d={d}")
@@ -183,7 +181,7 @@ def load_csv(path: str) -> Dataset:
     """CSV import: one row per point, last column is the label."""
     try:
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise DataError(f"{path}: {err}") from None
     if raw.shape[1] < 2:
         raise DataError("CSV needs at least one feature column plus a label")

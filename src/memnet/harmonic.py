@@ -26,7 +26,7 @@ calibrated once on a reference fixture and frozen in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -35,8 +35,9 @@ import numpy as np
 from .data import Dataset, GenericityReport, genericity
 from .errors import (ConvergenceError, InvariantError, ParameterError,
                      QuadratureResolutionError, SamplerFailureError)
-from .hermite import HermiteBasis, hermite_eval
-from .network import FitTrace, IterationRecord, Neuron, TwoLayerNetwork, total_weight
+from .hermite import HermiteBasis, gl_grid, hermite_eval
+from .network import (FitTrace, Neuron, StepProposal, TwoLayerNetwork, boost_fit,
+                      total_weight)
 
 
 def _load_constants() -> dict[str, float]:
@@ -178,8 +179,8 @@ class DirectionalDecomposition:
     m: int
     polys: np.ndarray       # (m+1, m+1) floats, row j = p_j, constant term first
     scale: float
-    z: complex | None = None  # set when built from a unit z; enables reuse
-                              # of per-degree mixture quadrature (linearity)
+    z: complex              # the unit z; the mixture combines its per-degree
+                            # quadrature linearly in (Re z, Im z)
 
     def poly_float(self, j: int) -> np.ndarray:
         return self.polys[j] * self.scale
@@ -187,15 +188,8 @@ class DirectionalDecomposition:
     def evaluate(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        acc = np.zeros(np.broadcast(x, y).shape)
-        for j in range(self.m + 1):
-            coeffs = self.poly_float(j)
-            t = x + j * y
-            val = np.zeros_like(acc)
-            for c in reversed(coeffs):
-                val = val * t + c
-            acc += val
-        return acc
+        polyval = np.polynomial.polynomial.polyval
+        return sum(polyval(x + j * y, self.poly_float(j)) for j in range(self.m + 1))
 
 
 def _re_z_i_pow(zr: Fraction, zi: Fraction, s: int) -> Fraction:
@@ -324,19 +318,12 @@ class MixtureComponent:
     def signs(self) -> np.ndarray:
         return np.sign(self.quad_f2)
 
-    def expectation(self, t) -> np.ndarray:
-        """E[S psi(t - B) | J = j] = int psi(t - y) f''(y) dy / int |f''|."""
-        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        vals = np.maximum(t[:, None] - self.nodes[None, :], 0.0) @ self.quad_f2
-        return vals / self.mass
-
 
 @dataclass(frozen=True)
 class ReluMixture:
     components: tuple
     M: float
     scale: float                # c_{z,m} / M^m = 1 / sum_j int |f_j''|
-    bump: str = "exp-ramp"
 
     def expectation(self, x_proj, y_proj) -> np.ndarray:
         """E[S psi(W-projection - B)] at scalar projections (x, y) = (w~.x, w~'.x)."""
@@ -350,53 +337,24 @@ class ReluMixture:
         return acc * self.scale
 
 
-_leggauss_cache: dict[int, tuple] = {}
-
-
-def _gl_grid(lo: float, hi: float, panels: int, order: int = 16
-             ) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _leggauss_cache:
-        _leggauss_cache[order] = np.polynomial.legendre.leggauss(order)
-    nodes, weights = _leggauss_cache[order]
-    edges = np.linspace(lo, hi, panels + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wts = (half[:, None] * weights[None, :]).ravel()
-    return pts, wts
-
-
-def _poly_eval(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(t)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def _poly_deriv(coeffs: np.ndarray) -> np.ndarray:
-    if len(coeffs) <= 1:
-        return np.zeros(1)
-    return coeffs[1:] * np.arange(1, len(coeffs))
-
-
-_panels_cache: dict[tuple, int] = {}
 _mixture_basis_cache: dict[tuple, tuple] = {}
 
 
-def _basis_second_derivatives(coeff_rows: list, nodes: np.ndarray,
+def _basis_second_derivatives(coeffs: np.ndarray, nodes: np.ndarray,
                               chis: tuple) -> np.ndarray:
+    """(p * chi)'' = p'' chi + 2 p' chi' + p chi'' at the nodes, one row per
+    coefficient row p of ``coeffs``."""
     chi, chi1, chi2 = chis
-    rows = []
-    for c in coeff_rows:
-        c1, c2 = _poly_deriv(c), _poly_deriv(_poly_deriv(c))
-        rows.append(_poly_eval(c2, nodes) * chi + 2.0 * _poly_eval(c1, nodes) * chi1
-                    + _poly_eval(c, nodes) * chi2)
-    return np.vstack(rows)
+    P = np.polynomial.polynomial  # loaded on first access; memnet does not import it
+    return np.vstack([P.polyval(nodes, P.polyder(c, 2)) * chi
+                      + 2.0 * P.polyval(nodes, P.polyder(c)) * chi1
+                      + P.polyval(nodes, c) * chi2 for c in coeffs])
 
 
-def _mixture_basis(m: int, M: float, tol: float, max_panels: int) -> tuple:
+def _mixture_basis(m: int, M: float, tol: float = 1e-6, max_panels: int = 4096) -> tuple:
     """Quadrature grid plus (p * chi_M)'' values for the z = 1 and z = -i
-    decomposition bases; any unit z combines them linearly."""
+    decomposition bases; any unit z combines them linearly.  The grid is
+    refined until every int |f''| is stable to ``tol`` relative."""
     key = (m, round(M, 9))
     if key not in _mixture_basis_cache:
         basis_re, basis_im = _decomp_basis_float(m)
@@ -404,7 +362,7 @@ def _mixture_basis(m: int, M: float, tol: float, max_panels: int) -> tuple:
         cre, cim = basis_re * scale, basis_im * scale
         panels, prev = 64, None
         while True:
-            nodes, wts = _gl_grid(-2.0 * M, 2.0 * M, panels)
+            nodes, wts = gl_grid(-2.0 * M, 2.0 * M, panels)
             chis = bump_eval(nodes, M)
             f2_re = _basis_second_derivatives(cre, nodes, chis)
             f2_im = _basis_second_derivatives(cim, nodes, chis)
@@ -422,14 +380,25 @@ def _mixture_basis(m: int, M: float, tol: float, max_panels: int) -> tuple:
     return _mixture_basis_cache[key]
 
 
-def _mixture(polys: list, nodes: np.ndarray, wts: np.ndarray, f2: np.ndarray,
-             M: float) -> ReluMixture:
-    """Mixture components from f_j'' at the quadrature nodes, one row per j;
-    rows whose polynomial is None are left out.  ``f2`` is overwritten."""
-    quad = np.multiply(wts, f2, out=f2)
+def relu_mixture(dd: DirectionalDecomposition, M: float) -> ReluMixture:
+    """Signed ReLU mixture realizing scale * sum_j p_j(x + j y) on [-M, M].
+
+    Each f_j = p_j * chi_M is compactly supported and C^2, so
+    f_j(t) = int psi(t - y) f_j''(y) dy exactly; biases follow |f_j''|,
+    signs follow sign(f_j'').  f'' is linear in (Re z, Im z), so it combines
+    the cached per-degree quadrature of ``_mixture_basis``.  Components with
+    p_j = 0 are left out.
+    """
+    if M <= 0.0:
+        raise ParameterError("M must be positive")
+    nodes, wts, f2_re, f2_im = _mixture_basis(dd.m, M)
+    quad = dd.z.real * f2_re
+    quad += dd.z.imag * f2_im
+    quad *= wts
     masses = np.abs(quad).sum(axis=1)
-    for j, c in enumerate(polys):
-        if c is not None and masses[j] <= 0.0:
+    present = [j for j in range(dd.m + 1) if np.max(np.abs(dd.poly_float(j))) > 0.0]
+    for j in present:
+        if masses[j] <= 0.0:
             raise QuadratureResolutionError(f"int |f_{j}''| vanished for a nonzero p_{j}")
     total = float(masses.sum())
     if total <= 0.0:
@@ -437,68 +406,8 @@ def _mixture(polys: list, nodes: np.ndarray, wts: np.ndarray, f2: np.ndarray,
     components = tuple(
         MixtureComponent(j=j, prob=float(masses[j]) / total, nodes=nodes,
                          quad_f2=quad[j], mass=float(masses[j]))
-        for j, c in enumerate(polys) if c is not None)
+        for j in present)
     return ReluMixture(components=components, M=M, scale=1.0 / total)
-
-
-def relu_mixture(dd: DirectionalDecomposition, M: float,
-                 tol: float = 1e-6, max_panels: int = 4096) -> ReluMixture:
-    """Signed ReLU mixture realizing scale * sum_j p_j(x + j y) on [-M, M].
-
-    Each f_j = p_j * chi_M is compactly supported and C^2, so
-    f_j(t) = int psi(t - y) f_j''(y) dy exactly; biases follow |f_j''|,
-    signs follow sign(f_j'').  The quadrature grid is refined until every
-    int |f_j''| is stable to ``tol`` relative.
-    """
-    if M <= 0.0:
-        raise ParameterError("M must be positive")
-    polys = []
-    for j in range(dd.m + 1):
-        c = dd.poly_float(j)
-        polys.append(c if np.max(np.abs(c)) > 0.0 else None)
-
-    if dd.z is not None:
-        # f'' is linear in (Re z, Im z): combine the cached per-degree bases
-        nodes, wts, f2_re, f2_im = _mixture_basis(dd.m, M, tol, max_panels)
-        f2 = dd.z.real * f2_re
-        f2 += dd.z.imag * f2_im
-        return _mixture(polys, nodes, wts, f2, M)
-
-    def second_derivatives(t: np.ndarray) -> np.ndarray:
-        # one bump evaluation shared by every component polynomial
-        chi, chi1, chi2 = bump_eval(t, M)
-        out = np.zeros((len(polys), len(t)))
-        for j, c in enumerate(polys):
-            if c is not None:
-                c1, c2 = _poly_deriv(c), _poly_deriv(_poly_deriv(c))
-                out[j] = (_poly_eval(c2, t) * chi + 2.0 * _poly_eval(c1, t) * chi1
-                          + _poly_eval(c, t) * chi2)
-        return out
-
-    cache_key = (dd.m, round(M, 9))
-    cached = _panels_cache.get(cache_key)
-    panels = cached if cached is not None else 64
-    prev_masses = None
-    while True:
-        nodes, wts = _gl_grid(-2.0 * M, 2.0 * M, panels)
-        f2 = second_derivatives(nodes)
-        if cached is not None:
-            # grid already validated for this (degree, M); spike resolution is
-            # set by the bump bands, which do not depend on z
-            break
-        masses = np.abs(wts * f2).sum(axis=1)
-        if prev_masses is not None:
-            ref = max(float(masses.max()), 1e-300)
-            if np.all(np.abs(masses - prev_masses)
-                      <= tol * np.maximum(np.abs(masses), max(ref * 1e-12, 1e-300))):
-                break
-        if panels >= max_panels:
-            break
-        prev_masses = masses
-        panels *= 2
-
-    _panels_cache[cache_key] = panels
-    return _mixture(polys, nodes, wts, f2, M)
 
 
 # -- single-neuron step and the trimmed iterative fit -------------------------
@@ -576,15 +485,12 @@ class HarmonicFitResult:
     m: int
     gamma: float
 
-    def __iter__(self):
-        return iter((self.network, self.trace, self.active_set))
-
 
 def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
                  max_iters: int = 4000, candidates: int = 64,
                  retry_budget: int = 20,
                  report: GenericityReport | None = None) -> HarmonicFitResult:
-    """Trimmed iterative harmonic fit.
+    """Trimmed iterative harmonic fit on the boosting driver.
 
     Labels are normalized to ||y||^2 = n internally (undone on output).
     Indices whose residual exceeds n gamma^2 are trimmed from the active
@@ -592,82 +498,39 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     checked on exit (InvariantError).  The fit stops when the trimmed
     residual reaches epsilon * ||y||^2.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ParameterError("epsilon must lie in (0, 1)")
     n = ds.n
-    y = ds.labels
-    y_sq = float(y @ y)
+    y_sq = float(ds.labels @ ds.labels)
     if report is None:
         report = genericity(ds)
     gamma = report.gamma_clamped(n)
     if gamma >= 1.0:
         raise ParameterError("harmonic_fit requires coherence < 1")
     m = choose_degree(n, gamma)
-    trace = FitTrace(notes={"m": m, "gamma": gamma,
-                            "gamma_clamped": gamma != report.gamma})
-    if y_sq == 0.0:
-        trace.final_error_ratio = 0.0
-        trace.total_weight = 0.0
-        return HarmonicFitResult(TwoLayerNetwork((), "relu"), trace,
-                                 np.arange(n), m, gamma)
+    norm_scale = math.sqrt(n / y_sq) if y_sq > 0.0 else 1.0
 
-    norm_scale = math.sqrt(n / y_sq)
-    yn = y * norm_scale
-    trim_sq = n * gamma * gamma
+    def builder(r: np.ndarray, attempt_seed: int) -> StepProposal | None:
+        try:
+            step = single_neuron_step(ds, r, m, attempt_seed, gamma, candidates=candidates)
+        except SamplerFailureError:
+            return None
+        return StepProposal(neurons=(step.neuron,), values=step.values)
 
-    r = yn.copy()
-    active = np.ones(n, dtype=bool)
-    neurons: list[Neuron] = []
-    seed_root = np.random.SeedSequence(seed)
-    converged = False
-    for it in range(max_iters):
-        active &= (r * r) <= trim_sq * (1 + 1e-12)
-        r_trim = np.where(active, r, 0.0)
-        r_trim_sq = float(r_trim @ r_trim)
-        if r_trim_sq <= epsilon * n:
-            converged = True
-            break
-        step = None
-        for attempt in range(retry_budget):
-            attempt_seed = int(np.random.SeedSequence(
-                entropy=seed_root.entropy, spawn_key=(it, attempt)).generate_state(1)[0])
-            try:
-                cand = single_neuron_step(ds, r_trim, m, attempt_seed, gamma,
-                                          candidates=candidates)
-            except SamplerFailureError:
-                continue
-            f_trim = np.where(active, cand.values, 0.0)
-            corr = float(r_trim @ f_trim)
-            norm_sq = float(f_trim @ f_trim)
-            if corr > 0.0 and norm_sq > 0.0:
-                step = (cand, f_trim, corr, norm_sq)
-                break
-        if step is None:
-            trace.final_error_ratio = r_trim_sq / n
-            raise ConvergenceError(f"harmonic step retries exhausted at iteration {it}",
-                                   trace=trace)
-        cand, f_trim, corr, norm_sq = step
-        eta = corr / norm_sq
-        neurons.append(cand.neuron.scaled(eta))
-        r = r - eta * cand.values
-        trace.iterations.append(IterationRecord(
-            residual_sq=r_trim_sq, step_correlation_alpha=corr / r_trim_sq,
-            step_norm_beta=norm_sq / r_trim_sq, eta=eta, neurons_added=1,
-            active_set_size=int(active.sum())))
-
-    active &= (r * r) <= trim_sq * (1 + 1e-12)
-    r_trim = np.where(active, r, 0.0)
-    net = TwoLayerNetwork(tuple(nr.scaled(1.0 / norm_scale) for nr in neurons), "relu")
-    trace.final_error_ratio = float(r_trim @ r_trim) / n
+    notes = {"m": m, "gamma": gamma, "gamma_clamped": gamma != report.gamma}
+    try:
+        net, trace, active = boost_fit(builder, ds.with_labels(ds.labels * norm_scale),
+                                       epsilon, max_iters=max_iters, seed=seed,
+                                       retry_budget=retry_budget, trim_sq=n * gamma * gamma)
+    except ConvergenceError as err:
+        err.trace.notes.update(notes)
+        err.trace.total_weight /= norm_scale
+        raise
+    trace.notes.update(notes)
+    net = TwoLayerNetwork(tuple(nr.scaled(1.0 / norm_scale) for nr in net.neurons))
     trace.total_weight = total_weight(net)
     min_active = n - math.ceil(1.0 / (gamma * gamma))
     if int(active.sum()) < min_active:
         raise InvariantError(
             f"active set {int(active.sum())} below the guarantee {min_active}")
-    if not converged and trace.final_error_ratio > epsilon:
-        raise ConvergenceError(
-            f"harmonic_fit hit the iteration cap at ratio {trace.final_error_ratio:.3g}",
-            trace=trace)
     return HarmonicFitResult(network=net, trace=trace,
                              active_set=np.flatnonzero(active), m=m, gamma=gamma)
 

@@ -25,7 +25,7 @@ from .errors import ParameterError
 __all__ = [
     "HermiteBasis", "HermiteExpansion", "hermite_eval",
     "orthogonality_check", "expand_activation_derivative",
-    "gauss_expectation",
+    "gauss_expectation", "gl_grid",
 ]
 
 
@@ -75,12 +75,9 @@ class HermiteBasis:
 
     def eval_monomial(self, m: int, z):
         """Direct monomial (Horner) evaluation of H_m; supports complex z."""
-        coeffs = self._he_rows[m]
-        z = np.asarray(z)
-        acc = np.zeros_like(z, dtype=np.result_type(z.dtype, np.float64))
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc / math.sqrt(math.factorial(m))
+        coeffs = np.array(self._he_rows[m], dtype=np.float64)
+        value = np.polynomial.polynomial.polyval(np.asarray(z), coeffs)
+        return value / math.sqrt(math.factorial(m))
 
 
 def hermite_eval(m: int, z):
@@ -127,17 +124,31 @@ def orthogonality_check(m: int, m2: int, rho: float, samples: int, seed: int,
 
 # -- Gaussian quadrature ------------------------------------------------------
 
-def _composite_gl(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                  panels: int, order: int = 16) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+_leggauss_cache: dict[int, tuple] = {}
+
+
+def gl_grid(lo: float, hi: float, panels: int, order: int = 16
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights: ``panels`` equal panels on
+    [lo, hi] with ``order`` nodes each, panel by panel."""
+    if order not in _leggauss_cache:
+        _leggauss_cache[order] = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _leggauss_cache[order]
     edges = np.linspace(lo, hi, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
+    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    wts = (half[:, None] * weights[None, :]).ravel()
+    return pts, wts
+
+
+def _composite_gl(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                  panels: int, order: int = 16) -> float:
+    pts, wts = gl_grid(lo, hi, panels, order)
+    vals = f(pts)
     if not np.all(np.isfinite(vals)):
         raise ParameterError("non-finite function values on quadrature nodes")
-    return float(np.sum(vals @ weights * half))
+    return float(vals @ wts)
 
 
 def gauss_expectation(f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-8,

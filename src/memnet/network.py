@@ -5,7 +5,9 @@ A network computes ``x -> sum_l a_l * psi(w_l . x + b_l)`` and its total
 weight is ``sum_l |a_l| * sqrt(||w_l||^2 + b_l^2)``.  The boosting driver
 consumes a user-supplied one-step constructor that proposes a small network
 correlating with the current residual, and accumulates scaled copies of the
-proposals until the residual is small.
+proposals until the residual is small.  With a finite trimming threshold
+(harmonic construction) it drops points whose residual grew too large from
+an active set, which only shrinks, and fits the residual on that set.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConvergenceError, InvariantError, ParameterError
-from .hermite import hermite_eval
 
 
 def relu(t):
@@ -33,14 +34,11 @@ def threshold(t):
 
 
 def get_activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Resolve an activation by name: 'relu', 'threshold', or 'hermite:m'."""
+    """Resolve an activation by name: 'relu' or 'threshold'."""
     if name == "relu":
         return relu
     if name == "threshold":
         return threshold
-    if name.startswith("hermite:"):
-        m = int(name.split(":", 1)[1])
-        return lambda t: np.real(hermite_eval(m, t)) / math.sqrt(max(m, 1))
     raise ParameterError(f"unknown activation {name!r}")
 
 
@@ -140,8 +138,8 @@ class StepProposal:
     values: np.ndarray
 
 
-# A step builder maps (residual, attempt_seed) to a proposal, or None to
-# signal a degenerate draw that the driver should retry.
+# A step builder maps (residual, zero off the active set; attempt_seed) to a
+# proposal, or None to signal a degenerate draw that the driver should retry.
 StepBuilder = Callable[[np.ndarray, int], StepProposal | None]
 
 
@@ -175,55 +173,62 @@ class FitTrace:
 
 
 def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
-              max_iters: int, eta_mode: str | float = "adaptive",
-              activation: str = "relu", seed: int = 0,
-              retry_budget: int = 50,
-              labels: np.ndarray | None = None) -> tuple[TwoLayerNetwork, FitTrace]:
+              max_iters: int, seed: int = 0, retry_budget: int = 50,
+              trim_sq: float = math.inf
+              ) -> tuple[TwoLayerNetwork, FitTrace, np.ndarray]:
     """Greedy residual fitting: r <- r - eta * f for proposals f.
 
-    In adaptive mode eta is the exact line-search optimum (r.f)/||f||^2,
-    which never increases ||r||^2; passing a float runs the fixed-eta
-    variant.  Steps whose correlation with the residual is nonpositive are
-    resampled up to ``retry_budget`` times per iteration; exhausting the
-    budget raises ConvergenceError carrying the trace so far.
+    Returns the network, its trace and the active-set mask.  A point whose
+    r_i^2 exceeds ``trim_sq`` at the start of an iteration leaves the active
+    set A for good.  The builder, the line search eta = (r_A . f_A)/||f_A||^2
+    (which never increases ||r_A||^2) and the stop at ||r_A||^2 <=
+    epsilon ||y||^2 all use the residual restricted to A.  Steps with
+    nonpositive correlation are resampled up to ``retry_budget`` times;
+    exhausting them, or ``max_iters``, raises ConvergenceError with the trace.
     """
     if not (0.0 < epsilon < 1.0):
         raise ParameterError("epsilon must lie in (0, 1)")
-    y = ds.labels if labels is None else np.asarray(labels, dtype=np.float64)
+    y = ds.labels
     y_sq = float(y @ y)
     trace = FitTrace()
     neurons: list[Neuron] = []
+    active = np.ones(len(y), dtype=bool)
     if y_sq == 0.0:
         trace.final_error_ratio = 0.0
         trace.total_weight = 0.0
-        return TwoLayerNetwork((), activation), trace
+        return TwoLayerNetwork(()), trace, active
 
     r = y.copy()
     seed_root = np.random.SeedSequence(seed)
-    for it in range(max_iters):
-        r_sq = float(r @ r)
+    for it in range(max_iters + 1):
+        active &= r * r <= trim_sq * (1 + 1e-12)
+        r_act = np.where(active, r, 0.0)
+        r_sq = float(r_act @ r_act)
         if r_sq <= epsilon * y_sq:
             break
         proposal = None
-        corr = norm_sq = 0.0
-        for attempt in range(retry_budget):
+        # the pass after the last iteration only checks the stopping rule
+        for attempt in range(retry_budget if it < max_iters else 0):
             attempt_seed = int(np.random.SeedSequence(entropy=seed_root.entropy,
                                                       spawn_key=(it, attempt)).generate_state(1)[0])
-            cand = step_builder(r, attempt_seed)
+            cand = step_builder(r_act, attempt_seed)
             if cand is None:
                 continue
-            corr = float(r @ cand.values)
-            norm_sq = float(cand.values @ cand.values)
+            f_act = np.where(active, cand.values, 0.0)
+            corr = float(r_act @ f_act)
+            norm_sq = float(f_act @ f_act)
             if corr > 0.0 and norm_sq > 0.0:
                 proposal = cand
                 break
         if proposal is None:
             trace.final_error_ratio = r_sq / y_sq
-            trace.total_weight = total_weight(TwoLayerNetwork(tuple(neurons), activation))
-            raise ConvergenceError(
-                f"step retry budget exhausted at iteration {it}", trace=trace)
+            trace.total_weight = total_weight(TwoLayerNetwork(tuple(neurons)))
+            reason = ("step retry budget exhausted" if it < max_iters
+                      else "iteration cap reached")
+            raise ConvergenceError(f"{reason} at iteration {it} with error ratio "
+                                   f"{trace.final_error_ratio:.3g}", trace=trace)
 
-        eta = corr / norm_sq if eta_mode == "adaptive" else float(eta_mode)
+        eta = corr / norm_sq
         neurons.extend(nr.scaled(eta) for nr in proposal.neurons)
         r = r - eta * proposal.values
         trace.iterations.append(IterationRecord(
@@ -232,12 +237,13 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
             step_norm_beta=norm_sq / r_sq,
             eta=eta,
             neurons_added=len(proposal.neurons),
-            active_set_size=len(y),
+            active_set_size=int(active.sum()),
         ))
-        if eta_mode == "adaptive" and float(r @ r) > r_sq * (1 + 1e-12):
-            raise InvariantError("adaptive step increased the residual")
+        r_next = np.where(active, r, 0.0)
+        if float(r_next @ r_next) > r_sq * (1 + 1e-12):
+            raise InvariantError("line-search step increased the residual")
 
-    net = TwoLayerNetwork(tuple(neurons), activation)
-    trace.final_error_ratio = float(r @ r) / y_sq
+    net = TwoLayerNetwork(tuple(neurons))
+    trace.final_error_ratio = r_sq / y_sq
     trace.total_weight = total_weight(net)
-    return net, trace
+    return net, trace, active

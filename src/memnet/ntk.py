@@ -74,14 +74,12 @@ class NtkFitResult:
     kd_bound: float
     report: GenericityReport
 
-    def __iter__(self):
-        return iter((self.network, self.trace))
-
 
 def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
             max_iters: int = 100000, report: GenericityReport | None = None
             ) -> NtkFitResult:
-    """Boosted NTK fit with adaptive step size.
+    """Boosted NTK fit with adaptive step size; ConvergenceError when
+    ``max_iters`` steps leave the error ratio above ``epsilon``.
 
     ``kd_achieved`` (neuron count times d) is reported against the
     theoretical requirement evaluated at the measured (gamma, omega).
@@ -96,7 +94,7 @@ def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
         pair = step.pair
         return StepProposal(neurons=pair.neurons(), values=pair.values(ds.points))
 
-    net, trace = boost_fit(builder, ds, epsilon, max_iters=max_iters, seed=seed)
+    net, trace, _ = boost_fit(builder, ds, epsilon, max_iters=max_iters, seed=seed)
     return NtkFitResult(network=net, trace=trace,
                         kd_achieved=float(net.k * ds.d),
                         kd_bound=ntk_kd_bound(ds.n, epsilon, report),

@@ -111,6 +111,11 @@ def test_fit_trailing_bytes(tmp_path, capsys):
     _assert_data_error(["fit", "--method", "exact", path], capsys)
 
 
+@pytest.mark.parametrize("name", ["missing.bin", "missing.csv"])
+def test_fit_missing_dataset(tmp_path, capsys, name):
+    _assert_data_error(["fit", "--method", "exact", str(tmp_path / name)], capsys)
+
+
 def test_fit_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):
     path = _gen(tmp_path)
 
@@ -144,6 +149,33 @@ def test_config_file_defaults(tmp_path, capsys):
     summary = json.loads(open(str(tmp_path / "ds.summary.json")).read())
     assert summary["epsilon"] == 0.3
     capsys.readouterr()
+
+
+def _assert_config_error(tmp_path, capsys, config_path, needle):
+    path = _gen(tmp_path)
+    capsys.readouterr()
+    rc = main(["--config", str(config_path), "fit", "--method", "ntk",
+               "--epsilon", "0.3", path])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_config_missing_file(tmp_path, capsys):
+    _assert_config_error(tmp_path, capsys, tmp_path / "none.json", "none.json")
+
+
+def test_config_malformed_json(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epsilon": 0.3,')
+    _assert_config_error(tmp_path, capsys, cfg, "--config")
+    cfg.write_text("[0.3]")
+    _assert_config_error(tmp_path, capsys, cfg, "JSON object")
+
+
+def test_config_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metod": "ntk"}))
+    _assert_config_error(tmp_path, capsys, cfg, "'metod'")
 
 
 def test_sweep_csv_sorted_and_deterministic(tmp_path, capsys):

@@ -5,17 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from memnet.data import Dataset, genericity, rademacher_labels, sample_sphere
+from memnet.data import (Dataset, gaussian_labels, genericity, rademacher_labels,
+                         sample_sphere)
 import memnet.harmonic as harmonic
-from memnet.errors import InvariantError, ParameterError, SamplerFailureError
-from memnet.harmonic import (CONSTANTS, ComplexNeuron, DirectionalDecomposition,
-                             _breakpoint_argmax, _decomp_basis, choose_degree,
-                             decompose_directions, harmonic_fit, hermite_gram,
-                             perturbation_vector, projection_cutoff,
+from memnet.errors import (ConvergenceError, InvariantError, ParameterError,
+                           SamplerFailureError)
+from memnet.harmonic import (CONSTANTS, ComplexNeuron, _basis_second_derivatives,
+                             _breakpoint_argmax, _decomp_basis, bump_eval,
+                             choose_degree, decompose_directions, harmonic_fit,
+                             hermite_gram, perturbation_vector, projection_cutoff,
                              relu_mixture, sample_complex_neuron,
                              single_neuron_step, tail_diagnostic)
 from memnet.hermite import hermite_eval
-from memnet.network import Neuron, evaluate
+from memnet.network import TwoLayerNetwork, evaluate, total_weight
 
 
 def _fixture(n=100, d=50, seed=0):
@@ -25,7 +27,7 @@ def _fixture(n=100, d=50, seed=0):
 
 
 def test_constants_table_loaded():
-    assert {"cutoff_c", "corr_c", "var_c", "eta_c"} <= set(CONSTANTS)
+    assert {"cutoff_c", "corr_c", "var_c"} <= set(CONSTANTS)
     assert all(v > 0 for v in CONSTANTS.values())
 
 
@@ -286,27 +288,55 @@ def test_decompose_float_matches_exact_recombination():
             assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
+def _horner(coeffs, t):
+    acc = np.zeros_like(t)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _deriv(coeffs):
+    return coeffs[1:] * np.arange(1, len(coeffs)) if len(coeffs) > 1 else np.zeros(1)
+
+
+def test_polynomial_evaluations_bit_identical_to_horner():
+    """DirectionalDecomposition.evaluate and the mixture's (p chi)'' rows
+    equal textbook Horner loops bit for bit."""
+    rng = np.random.default_rng(5)
+    nodes = np.linspace(-3.0, 3.0, 301)
+    chi, chi1, chi2 = bump_eval(nodes, 1.5)
+    for m in range(1, 13):
+        theta = rng.uniform(0, 2 * math.pi)
+        dd = decompose_directions(complex(math.cos(theta), math.sin(theta)), m)
+        x, y = rng.uniform(-1, 1, size=(2, 30))
+        want = np.zeros(30)
+        for j in range(m + 1):
+            want += _horner(dd.poly_float(j), x + j * y)
+        assert np.array_equal(dd.evaluate(x, y), want)
+        got = _basis_second_derivatives(dd.polys, nodes, (chi, chi1, chi2))
+        for row, c in zip(got, dd.polys):
+            c1 = _deriv(c)
+            want = (_horner(_deriv(c1), nodes) * chi + 2.0 * _horner(c1, nodes) * chi1
+                    + _horner(c, nodes) * chi2)
+            assert np.array_equal(row, want)
+
+
 # -- ReLU mixture -------------------------------------------------------------
 
-def _monomial_dd(m, power):
-    polys = np.zeros((m + 1, m + 1))
-    polys[0, power] = 1.0
-    return DirectionalDecomposition(m=m, polys=polys, scale=1.0)
-
-
 def test_mixture_quadratic_reconstruction():
-    dd = _monomial_dd(2, 2)
+    # Re(phi(t)) = H_2(t) / sqrt(2) = (t^2 - 1) / 2 on the real axis
+    dd = decompose_directions(1, 2)
     mix = relu_mixture(dd, 1.0)
     t = np.linspace(-1, 1, 41)
     got = mix.expectation(t, np.zeros_like(t))
-    want = t * t * mix.scale
+    want = (t * t - 1.0) / 2.0 * mix.scale
     assert np.max(np.abs(got - want)) < 1e-3 * max(np.max(np.abs(want)), 1.0)
 
 
 def test_mixture_linear_reconstruction():
     """A linear p has f'' supported only in the bump transition bands, yet the
     mixture still reconstructs p on [-M, M]."""
-    dd = _monomial_dd(1, 1)
+    dd = decompose_directions(1, 1)
     mix = relu_mixture(dd, 2.0)
     for comp in mix.components:
         inside = np.abs(comp.nodes) <= 2.0 * (1 + 1e-12)
@@ -347,7 +377,7 @@ def test_mixture_probabilities_and_support():
 
 def test_mixture_rejects_bad_radius():
     with pytest.raises(ParameterError):
-        relu_mixture(_monomial_dd(1, 1), 0.0)
+        relu_mixture(decompose_directions(1, 1), 0.0)
 
 
 def test_bump_derivatives_match_symbolic_oracle():
@@ -507,28 +537,17 @@ def test_step_below_mixture_mean_raises_invariant_error(monkeypatch):
         single_neuron_step(ds, ds.labels, m, seed=0, gamma=gamma)
 
 
-class _DriftingStep:
-    """A step whose values change after the line search has read them
-    (one read: the trimmed copy the line search uses)."""
-
-    def __init__(self, neuron, searched, applied):
-        self.neuron = neuron
-        self._reads = [searched, applied]
-
-    @property
-    def values(self):
-        return self._reads.pop(0) if len(self._reads) > 1 else self._reads[0]
-
-
 def test_harmonic_fit_active_set_guarantee_raises_invariant_error(monkeypatch):
     ds = rademacher_labels(sample_sphere(40, 80, 0), 1)
+    real_boost_fit = harmonic.boost_fit
 
-    def drifting(ds_, r, m, seed, gamma, candidates):
-        # the update pushes every residual past the trimming threshold
-        return _DriftingStep(Neuron(1.0, np.zeros(ds_.d), 0.0), r.copy(),
-                             np.full(ds_.n, 1e3))
+    def too_small_mask(*args, **kwargs):
+        # the driver's residual check keeps real fits above the guarantee, so
+        # only a broken driver can hand back a mask below it
+        net, trace, active = real_boost_fit(*args, **kwargs)
+        return net, trace, np.zeros_like(active)
 
-    monkeypatch.setattr(harmonic, "single_neuron_step", drifting)
+    monkeypatch.setattr(harmonic, "boost_fit", too_small_mask)
     with pytest.raises(InvariantError, match="active set"):
         harmonic_fit(ds, epsilon=0.3, seed=0)
 
@@ -536,7 +555,7 @@ def test_harmonic_fit_active_set_guarantee_raises_invariant_error(monkeypatch):
 def test_harmonic_fit_small_instance():
     ds = rademacher_labels(sample_sphere(40, 80, 0), 1)
     res = harmonic_fit(ds, epsilon=0.3, seed=0)
-    net, trace, A = res
+    net, trace, A = res.network, res.trace, res.active_set
     assert trace.final_error_ratio <= 0.3
     # residual on the active set matches the reported ratio
     r = evaluate(net, ds) - ds.labels
@@ -550,6 +569,20 @@ def test_harmonic_fit_small_instance():
     assert all(b <= a for a, b in zip(sizes, sizes[1:]))
     assert res.m == choose_degree(ds.n, res.gamma)
     assert net.k == len(trace.iterations)
+
+
+def test_harmonic_fit_iteration_cap_raises_with_trace():
+    # Gaussian labels: the internal label normalization is not the identity
+    ds = gaussian_labels(sample_sphere(40, 80, 3), 4)
+    with pytest.raises(ConvergenceError, match="iteration cap") as err:
+        harmonic_fit(ds, epsilon=0.3, seed=3, max_iters=2)
+    trace = err.value.trace
+    assert len(trace.iterations) == 2 and trace.final_error_ratio > 0.3
+    full = harmonic_fit(ds, epsilon=0.3, seed=3)
+    assert trace.notes == full.trace.notes
+    # the weight is reported in label units, as for a finished fit
+    first_two = TwoLayerNetwork(full.network.neurons[:2])
+    assert trace.total_weight == pytest.approx(total_weight(first_two), rel=1e-12)
 
 
 def test_harmonic_fit_zero_labels():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from memnet.errors import ParameterError
-from memnet.hermite import (HermiteBasis, expand_activation_derivative,
-                            gauss_expectation, hermite_eval,
-                            orthogonality_check)
+from memnet.hermite import (HermiteBasis, _composite_gl,
+                            expand_activation_derivative, gauss_expectation,
+                            gl_grid, hermite_eval, orthogonality_check)
 
 
 def test_h0_and_h1():
@@ -53,6 +53,40 @@ def test_recursion_bit_identical_to_textbook():
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
         assert np.array_equal(z, before)
+
+
+def _horner(coeffs, z):
+    acc = np.zeros_like(z, dtype=np.result_type(z.dtype, np.float64))
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def test_monomial_evaluation_bit_identical_to_horner():
+    basis = HermiteBasis(20)
+    rng = np.random.default_rng(4)
+    real = rng.uniform(-6, 6, size=40)
+    for z in (real, real + 1j * rng.uniform(-3, 3, size=40)):
+        for m in range(21):
+            want = _horner(basis.he_coeffs(m), z) / math.sqrt(math.factorial(m))
+            assert np.array_equal(basis.eval_monomial(m, z), want)
+
+
+def test_gl_grid_matches_per_panel_rule():
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
+    for lo, hi, panels in ((-1.0, 1.0, 1), (-15.0, 15.0, 64), (-3.7, 8.2, 7)):
+        pts, wts = gl_grid(lo, hi, panels)
+        assert pts.shape == wts.shape == (16 * panels,)
+        edges = np.linspace(lo, hi, panels + 1)
+        for p in range(panels):
+            half = (edges[p + 1] - edges[p]) / 2.0
+            mid = (edges[p] + edges[p + 1]) / 2.0
+            assert np.array_equal(pts[16 * p:16 * (p + 1)], mid + half * ref_nodes)
+            assert np.array_equal(wts[16 * p:16 * (p + 1)], half * ref_weights)
+        # 16 nodes per panel integrate degree 31 exactly
+        exact = (hi ** 32 - lo ** 32) / 32.0
+        assert _composite_gl(lambda t: t ** 31, lo, hi, panels) == pytest.approx(
+            exact, rel=1e-12, abs=1e-12 * abs(hi) ** 32)
 
 
 def test_complex_argument():

@@ -101,7 +101,7 @@ def test_boost_oracle_step_one_iteration():
         # perfect step: f = r via a fake neuron (values carry the fit)
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=r.copy())
 
-    net, trace = boost_fit(builder, ds, epsilon=0.5, max_iters=10)
+    net, trace, _ = boost_fit(builder, ds, epsilon=0.5, max_iters=10)
     assert len(trace.iterations) == 1
     assert trace.final_error_ratio < 1e-20
     assert trace.iterations[0].eta == pytest.approx(1.0)
@@ -116,7 +116,7 @@ def test_boost_synthetic_contraction():
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)],
                             values=_synthetic_step(r, alpha, beta, seed))
 
-    net, trace = boost_fit(builder, ds, epsilon=0.01, max_iters=1000)
+    net, trace, _ = boost_fit(builder, ds, epsilon=0.01, max_iters=1000)
     factor = 1.0 - alpha * alpha / beta
     for i in range(1, len(trace.iterations)):
         ratio = trace.iterations[i].residual_sq / trace.iterations[i - 1].residual_sq
@@ -146,9 +146,8 @@ def test_boost_iteration_count_bound():
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)],
                             values=_synthetic_step(r, alpha, beta, seed))
 
-    # fixed eta = alpha/beta mirrors the proof's schedule
-    net, trace = boost_fit(builder, ds, epsilon=0.01, max_iters=1000,
-                           eta_mode=alpha / beta)
+    # the adaptive eta (r.f)/||f||^2 equals the proof's fixed alpha/beta here
+    net, trace, _ = boost_fit(builder, ds, epsilon=0.01, max_iters=1000)
     assert len(trace.iterations) <= math.ceil(beta / alpha ** 2 * math.log(100))
 
 
@@ -160,7 +159,7 @@ def test_boost_pythagoras_per_step():
         g = np.random.default_rng(seed).standard_normal(len(r))
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=g)
 
-    net, trace = boost_fit(builder, ds, epsilon=0.2, max_iters=200)
+    net, trace, _ = boost_fit(builder, ds, epsilon=0.2, max_iters=200)
     # ||r_next||^2 = ||r||^2 - (r.f)^2/||f||^2 for the adaptive step
     for i in range(1, len(trace.iterations)):
         rec = trace.iterations[i - 1]
@@ -176,18 +175,18 @@ def test_boost_adaptive_never_increases_residual():
         g = np.random.default_rng(seed).standard_normal(len(r))
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=g)
 
-    net, trace = boost_fit(builder, ds, epsilon=0.3, max_iters=500)
+    net, trace, _ = boost_fit(builder, ds, epsilon=0.3, max_iters=500)
     res = [rec.residual_sq for rec in trace.iterations]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(res, res[1:]))
 
 
 class _DriftingProposal:
     """A proposal whose values change after the line search has read them
-    (three reads: r . f and f . f)."""
+    (one read: the active-set copy that r . f and f . f use)."""
 
     def __init__(self, neurons, searched, applied):
         self.neurons = neurons
-        self._reads = [searched, searched, searched, applied]
+        self._reads = [searched, applied]
 
     @property
     def values(self):
@@ -217,7 +216,7 @@ def test_boost_weight_is_sum_of_scaled_steps():
         proposed[len(proposed)] = nr.weight  # unit outer coefficient
         return StepProposal(neurons=[nr], values=sign * vals)
 
-    net, trace = boost_fit(builder, ds, epsilon=0.5, max_iters=2000)
+    net, trace, _ = boost_fit(builder, ds, epsilon=0.5, max_iters=2000)
     unit_weights = [nr.weight / abs(nr.a) for nr in net.neurons]
     assert total_weight(net) == pytest.approx(
         sum(abs(rec.eta) * uw for rec, uw in zip(trace.iterations, unit_weights)),
@@ -238,9 +237,63 @@ def test_boost_retry_exhaustion_raises_with_trace():
     assert isinstance(err.value.trace, FitTrace)
 
 
+def test_boost_iteration_cap_raises_with_trace():
+    ds = _dataset()
+
+    def slow(r, seed):
+        # each step contracts ||r||^2 by 1 - alpha^2/beta = 0.99
+        return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)],
+                            values=_synthetic_step(r, 0.1, 1.0, seed))
+
+    with pytest.raises(ConvergenceError, match="iteration cap") as err:
+        boost_fit(slow, ds, epsilon=0.1, max_iters=3)
+    trace = err.value.trace
+    assert len(trace.iterations) == 3
+    assert trace.final_error_ratio == pytest.approx(0.99 ** 3, rel=1e-9)
+
+    def perfect(r, seed):
+        return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=r.copy())
+
+    # reaching the target on the last allowed step is not a failure
+    net, trace, _ = boost_fit(perfect, ds, epsilon=0.5, max_iters=1)
+    assert len(trace.iterations) == 1 and trace.final_error_ratio < 1e-20
+
+
+@pytest.mark.parametrize("n,d,seed,trim_sq,epsilon",
+                         [(40, 5, 2, 1.2, 0.3), (30, 4, 1, 1.1, 0.2), (40, 5, 2, 1.5, 0.2)])
+def test_boost_trimming(n, d, seed, trim_sq, epsilon):
+    """With a finite trim_sq the active set only shrinks, loses at most
+    ceil(||y||^2 / trim_sq) points, and the stop uses the trimmed residual."""
+    ds = _dataset(n, d, seed)
+    y_sq = float(ds.labels @ ds.labels)
+
+    def builder(r, attempt_seed):
+        rng = np.random.default_rng(attempt_seed)
+        w, b = rng.standard_normal(ds.d), rng.standard_normal()
+        vals = np.maximum(ds.points @ w + b, 0.0)
+        sign = 1.0 if float(r @ vals) >= 0 else -1.0
+        return StepProposal(neurons=[Neuron(sign, w, b)], values=sign * vals)
+
+    net, trace, active = boost_fit(builder, ds, epsilon=epsilon, max_iters=5000,
+                                   trim_sq=trim_sq)
+    sizes = [rec.active_set_size for rec in trace.iterations] + [int(active.sum())]
+    assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+    assert ds.n - sizes[-1] <= math.ceil(y_sq / trim_sq)
+    assert sizes[-1] < ds.n  # the fixture does trim
+    r = ds.labels - evaluate(net, ds)
+    assert np.all(r[active] ** 2 <= trim_sq * (1 + 1e-9))
+    r_act_sq = float(r[active] @ r[active])
+    assert r_act_sq <= epsilon * y_sq * (1 + 1e-9)
+    assert trace.final_error_ratio == pytest.approx(r_act_sq / y_sq, rel=1e-9)
+    # the untrimmed residual is above the target: only the trimmed one stopped
+    assert float(r @ r) > epsilon * y_sq
+    seq = [rec.residual_sq for rec in trace.iterations]
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(seq, seq[1:]))
+
+
 def test_boost_zero_labels():
     ds = sample_sphere(5, 3, 0)  # labels all zero
-    net, trace = boost_fit(lambda r, s: None, ds, epsilon=0.5, max_iters=5)
+    net, trace, _ = boost_fit(lambda r, s: None, ds, epsilon=0.5, max_iters=5)
     assert net.k == 0 and trace.final_error_ratio == 0.0
 
 
@@ -258,7 +311,7 @@ def test_trace_csv(tmp_path):
     def builder(r, seed):
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=r.copy())
 
-    net, trace = boost_fit(builder, ds, epsilon=0.5, max_iters=10)
+    net, trace, _ = boost_fit(builder, ds, epsilon=0.5, max_iters=10)
     path = tmp_path / "trace.csv"
     trace.to_csv(str(path))
     lines = path.read_text().strip().splitlines()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from memnet.data import Dataset, genericity, rademacher_labels, sample_sphere
-from memnet.errors import ParameterError, UninformativeBoundError
+from memnet.errors import ConvergenceError, ParameterError, UninformativeBoundError
 from memnet.hermite import expand_activation_derivative, hermite_eval
-from memnet.network import evaluate, total_weight
+from memnet.network import FitTrace, evaluate, total_weight
 from memnet.ntk import (arcsin_gram, general_ntk_bound, gram_lower_bound_check,
                         ntk_fit, ntk_kd_bound, ntk_step)
 
@@ -151,7 +151,7 @@ def test_ntk_fit_orthonormal_points():
 def test_ntk_fit_sphere():
     ds = _labeled(60, 20, 0)
     res = ntk_fit(ds, epsilon=0.25, seed=1)
-    net, trace = res
+    net, trace = res.network, res.trace
     resid_sq = float(np.sum((evaluate(net, ds) - ds.labels) ** 2))
     assert resid_sq <= 0.25 * float(ds.labels @ ds.labels)
     assert trace.final_error_ratio <= 0.25
@@ -174,6 +174,15 @@ def test_ntk_fit_deterministic():
     a = ntk_fit(ds, epsilon=0.3, seed=7)
     b = ntk_fit(ds, epsilon=0.3, seed=7)
     assert a.network.to_json() == b.network.to_json()
+
+
+def test_ntk_fit_iteration_cap_raises_with_trace():
+    ds = _labeled(200, 20, 0)
+    with pytest.raises(ConvergenceError, match="iteration cap") as err:
+        ntk_fit(ds, epsilon=0.25, seed=0, max_iters=3)
+    trace = err.value.trace
+    assert isinstance(trace, FitTrace) and len(trace.iterations) == 3
+    assert trace.final_error_ratio > 0.25
 
 
 def test_ntk_fit_zero_labels():
