@@ -1,8 +1,8 @@
 """memnet: two-layer network memorization constructions and the neuron
 count / total weight trade-offs between them."""
 
-from .data import (Dataset, GenericityReport, genericity, load_csv, load_dataset,
-                   rademacher_labels, sample_sphere, save_dataset)
+from .data import (Dataset, GenericityReport, general_position, genericity, load_csv,
+                   load_dataset, rademacher_labels, sample_sphere, save_dataset)
 from .network import (FitTrace, Neuron, StepProposal, TwoLayerNetwork, boost_fit,
                       evaluate, total_weight)
 from .hermite import (HermiteBasis, HermiteExpansion, expand_activation_derivative,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .network import TwoLayerNetwork, evaluate, total_weight
+from .network import TwoLayerNetwork, evaluate, relu, total_weight
 
 
 @dataclass
@@ -70,33 +70,30 @@ def _normalized_correlation(ds: Dataset, w: np.ndarray, b: float, psi) -> float:
     return float(ds.labels @ psi(ds.points @ w - b)) / denom
 
 
-def single_neuron_correlation_cap(ds: Dataset, trials: int, seed: int,
-                                  psi=None, refine_steps: int = 200) -> float:
-    """Empirical max of sum_i y_i psi(w.x_i - b) / sqrt(||w||^2 + b^2).
+def single_neuron_correlation_cap(ds: Dataset, trials: int, seed: int) -> float:
+    """Empirical max of sum_i y_i psi(w.x_i - b) / sqrt(||w||^2 + b^2), psi = ReLU.
 
-    Random restarts plus a perturbation refinement pass around the best
-    candidate.  This is a lower bound on the true max, used as a
+    Random restarts plus a 200-step perturbation refinement pass around the
+    best candidate.  This is a lower bound on the true max, used as a
     consistency probe against the 2 L sqrt(n) Rademacher ceiling.
     """
-    if psi is None:
-        psi = lambda t: np.maximum(t, 0.0)
     rng = np.random.default_rng(seed)
     best_val = -math.inf
     best = None
     for _ in range(trials):
         w = rng.standard_normal(ds.d)
         b = rng.standard_normal()
-        val = _normalized_correlation(ds, w, b, psi)
+        val = _normalized_correlation(ds, w, b, relu)
         if val > best_val:
             best_val, best = val, (w, b)
     if best is None:
         return best_val
     w, b = best
     step = 0.5
-    for i in range(refine_steps):
+    for _ in range(200):
         w2 = w + step * rng.standard_normal(ds.d)
         b2 = b + step * rng.standard_normal()
-        val = _normalized_correlation(ds, w2, b2, psi)
+        val = _normalized_correlation(ds, w2, b2, relu)
         if val > best_val:
             best_val, w, b = val, w2, b2
         else:

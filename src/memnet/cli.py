@@ -51,7 +51,7 @@ def cmd_gen_data(args) -> int:
     print(json.dumps({
         "n": ds.n, "d": ds.d, "output": args.output,
         "gamma": rep.gamma, "omega": rep.omega,
-        "min_norm": rep.min_norm, "general_position": rep.general_position,
+        "min_norm": rep.min_norm, "general_position": data_mod.general_position(ds),
     }, indent=2))
     return 0
 
@@ -159,7 +159,7 @@ def cmd_sweep(args) -> int:
         except ValueError:
             raise ParameterError(f"MEMNET_THREADS must be an integer, got {threads!r}") from None
         with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
-            rows = list(pool.map(_sweep_cell_star, cells))
+            rows = list(pool.map(_sweep_cell, *zip(*cells)))
     else:
         rows = [_sweep_cell(*cell) for cell in cells]
     rows.sort(key=lambda r: (r["method"], r["n"], r["d"], r["seed"]))
@@ -171,10 +171,6 @@ def cmd_sweep(args) -> int:
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
-
-
-def _sweep_cell_star(cell):
-    return _sweep_cell(*cell)
 
 
 def _int_list(text: str) -> list[int]:
@@ -215,28 +211,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser, args) -> None:
-    """Fill flags left at their defaults from the ``--config`` JSON object."""
+def _config_argv(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with the ``--config`` JSON object's flags put right after the
+    subcommand, where argparse converts and checks them like typed flags and
+    a flag typed later wins; a switch takes true or false."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    known = pre.parse_known_args(argv)[0]
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    if known.config is None or not known.rest or known.rest[0] not in commands:
+        return argv
     try:
-        with open(args.config) as fh:
+        with open(known.config) as fh:
             config = json.load(fh)
     except (OSError, ValueError) as err:
-        raise ParameterError(f"cannot read --config {args.config}: {err}") from None
+        raise ParameterError(f"cannot read --config {known.config}: {err}") from None
     if not isinstance(config, dict):
-        raise ParameterError(f"--config {args.config} must hold a JSON object")
+        raise ParameterError(f"--config {known.config} must hold a JSON object")
+    command = known.rest[0]
+    actions = {a.dest: a for a in commands[command]._actions if a.option_strings}
+    flags = []
     for key, value in config.items():
-        if key not in vars(args) or key in ("config", "command", "func"):
-            raise ParameterError(f"--config key {key!r} is not a flag of {args.command}")
-        if getattr(args, key) in (None, parser.get_default(key)):
-            setattr(args, key, value)
+        if key not in actions or key == "help":
+            raise ParameterError(f"--config key {key!r} is not a flag of {command}")
+        flag, switch = actions[key].option_strings[-1], actions[key].nargs == 0
+        if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+            raise ParameterError(f"--config key {key!r} has a bad value {value!r}")
+        if value is not False:  # a false switch keeps its default
+            flags.append(flag if switch else f"{flag}={value}")
+    at = len(argv) - len(known.rest) + 1
+    return argv[:at] + flags + argv[at:]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if args.config:
-            _apply_config(parser, args)
+        args = parser.parse_args(_config_argv(parser, argv))
         return args.func(args)
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)

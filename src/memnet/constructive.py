@@ -58,17 +58,17 @@ def safe_delta(points: np.ndarray, u: np.ndarray, v: np.ndarray, b: float) -> fl
     return float(0.5 * np.min(margins[keep] / slopes[keep]))
 
 
-def exact_fit_generic(ds: Dataset, activation: str = "relu", seed: int = 0,
-                      candidate_factor: int = 10) -> TwoLayerNetwork:
+def exact_fit_generic(ds: Dataset, activation: str = "relu",
+                      seed: int = 0) -> TwoLayerNetwork:
     """Exact fit with exactly n neurons via random features + column selection.
 
-    Samples random (w, b) pairs, selects n independent columns of the
+    Samples 10 n random (w, b) pairs, selects n independent columns of the
     evaluation matrix by pivoted QR, and solves for the outer coefficients.
     """
     psi = get_activation(activation)
     n, d = ds.n, ds.d
     rng = np.random.default_rng(seed)
-    K = candidate_factor * n
+    K = 10 * n
     W = rng.standard_normal((K, d))
     b = rng.standard_normal(K)
     A = psi(ds.points @ W.T + b)                      # (n, K)
@@ -116,23 +116,22 @@ def _slab_half_width(ds: Dataset, group: np.ndarray, u: np.ndarray, b: float) ->
     return tau
 
 
-def _retry_partitions(ds: Dataset, indices: np.ndarray, build, seed: int,
-                      retries: int, what: str):
+def _retry_partitions(ds: Dataset, indices: np.ndarray, build, seed: int, what: str):
     """``build(groups)`` over random partitions of ``indices`` into groups of
     at most d points, drawing a fresh partition while it raises
-    DegenerateDataError, at most ``retries`` times."""
+    DegenerateDataError, at most 20 times."""
     last_err: Exception | None = None
-    for attempt in range(retries):
+    for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         idx = indices[rng.permutation(len(indices))]
         try:
             return build([idx[i:i + ds.d] for i in range(0, len(idx), ds.d)])
         except DegenerateDataError as err:
             last_err = err
-    raise DegenerateDataError(f"{what} failed after {retries} partitions: {last_err}")
+    raise DegenerateDataError(f"{what} failed after 20 partitions: {last_err}")
 
 
-def baum_threshold_fit(ds: Dataset, seed: int = 0, retries: int = 20) -> TwoLayerNetwork:
+def baum_threshold_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     """Baum's combinatorial construction for binary {0,1} labels.
 
     Groups of at most d minority points are each captured by the indicator
@@ -151,7 +150,7 @@ def baum_threshold_fit(ds: Dataset, seed: int = 0, retries: int = 20) -> TwoLaye
     if len(minority_idx) > 0:
         neurons = _retry_partitions(ds, minority_idx,
                                     lambda groups: _indicator_slabs(ds, groups),
-                                    seed, retries, "indicator construction")
+                                    seed, "indicator construction")
     if minority_label == 0.0:
         # f = 1 - (indicator of 0-points): negate and add the constant neuron.
         neurons = [Neuron(-nr.a, nr.w, nr.b) for nr in neurons]
@@ -172,7 +171,7 @@ def _indicator_slabs(ds: Dataset, groups: list[np.ndarray]) -> list[Neuron]:
     return neurons
 
 
-def baum_relu_fit(ds: Dataset, seed: int = 0, retries: int = 20) -> TwoLayerNetwork:
+def baum_relu_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     """Exact ReLU fit of arbitrary real labels with at most 4*ceil(n/d) neurons.
 
     Per group of at most d points: a hyperplane through the group, a slope
@@ -187,7 +186,7 @@ def baum_relu_fit(ds: Dataset, seed: int = 0, retries: int = 20) -> TwoLayerNetw
             raise DegenerateDataError("construction failed to certify the fit")
         return net
 
-    return _retry_partitions(ds, np.arange(ds.n), build, seed, retries, "baum_relu_fit")
+    return _retry_partitions(ds, np.arange(ds.n), build, seed, "baum_relu_fit")
 
 
 def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:

@@ -4,8 +4,8 @@ A dataset is an immutable collection of ``n`` points in ``R^d`` with real
 labels.  The genericity report carries the coherence ``gamma`` (largest
 normalized inner product between distinct points), the spread parameter
 ``omega`` (``d`` times the top eigenvalue of the empirical second moment
-matrix), the minimal row norm, and a probabilistic general-position
-certificate.
+matrix) and the minimal row norm.  ``general_position`` is a separate,
+costlier probabilistic certificate that no fit needs.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class GenericityReport:
     gamma: float
     omega: float
     min_norm: float
-    general_position: bool
 
     def gamma_clamped(self, n: int) -> float:
         """Coherence clamped away from zero, for log(1/gamma) consumers."""
@@ -102,14 +101,11 @@ def gaussian_labels(ds: Dataset, seed: int) -> Dataset:
     return ds.with_labels(rng.standard_normal(ds.n))
 
 
-def genericity(ds: Dataset, subset_samples: int = 32, cond_threshold: float = 1e12,
-               seed: int = 0) -> GenericityReport:
-    """Measure (gamma, omega) and certify general position probabilistically.
+def genericity(ds: Dataset) -> GenericityReport:
+    """Measure (gamma, omega) and the minimal row norm.
 
     gamma is the exact max pairwise normalized coherence, omega is
-    ``d * lambda_max((1/n) sum x_i x_i^T)``.  General position is tested by
-    drawing ``subset_samples`` random d-subsets of rows and requiring each
-    d x d submatrix to have condition number below ``cond_threshold``.
+    ``d * lambda_max((1/n) sum x_i x_i^T)``.
     """
     X = ds.points
     n, d = X.shape
@@ -125,18 +121,17 @@ def genericity(ds: Dataset, subset_samples: int = 32, cond_threshold: float = 1e
     second_moment = (X.T @ X) / n
     lam_max = float(np.linalg.eigvalsh(second_moment)[-1])
     omega = d * lam_max
+    return GenericityReport(gamma=gamma, omega=omega, min_norm=float(np.min(norms)))
 
-    general = True
-    if n >= d:
-        rng = np.random.default_rng(seed)
-        for _ in range(subset_samples):
-            idx = rng.choice(n, size=d, replace=False)
-            if np.linalg.cond(X[idx]) >= cond_threshold:
-                general = False
-                break
-    return GenericityReport(gamma=gamma, omega=omega,
-                            min_norm=float(np.min(norms)),
-                            general_position=general)
+
+def general_position(ds: Dataset) -> bool:
+    """Probabilistic general-position certificate: 32 random d-subsets of
+    rows (seed 0) each give a d x d submatrix with condition number below
+    1e12.  Stops at the first failing subset; True when n < d."""
+    n, d = ds.points.shape
+    rng = np.random.default_rng(0)
+    draws = (rng.choice(n, size=d, replace=False) for _ in range(32))
+    return n < d or all(np.linalg.cond(ds.points[idx]) < 1e12 for idx in draws)
 
 
 def save_dataset(ds: Dataset, path: str, label_kind: str = "unknown") -> None:

@@ -6,9 +6,10 @@ Pipeline for one boosting step:
    residual-driven vector v(w), and keep the best complex neuron
    g(x) = Re(z * phi((w~ + i w~') . x)) with phi = H_m / sqrt(m);
 2. rewrite Re(z * phi(x + i y)) as a sum of univariate polynomials in the
-   directions x + j y, j = 0..m: the integer-node Vandermonde solves are
-   done once per degree in exact rationals for z = 1 and z = -i, and each
-   step combines their float copies linearly in (Re z, Im z);
+   directions x + j y, j = 0..m: the integer-node Vandermonde systems have
+   the closed-form Lagrange solution L_j(i), turned once per degree from
+   exact integers into two correctly rounded float bases, and each step
+   combines them linearly in (Re z, Im z);
 3. represent each truncated univariate polynomial as a signed mixture of
    ReLUs using psi'' = delta_0, with biases distributed as |f''| / int|f''|;
 4. return the single ReLU realization maximizing the correlation with the
@@ -27,12 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 
-from .data import Dataset, GenericityReport, genericity
+from .data import Dataset, genericity
 from .errors import (ConvergenceError, InvariantError, ParameterError,
                      QuadratureResolutionError, SamplerFailureError)
 from .hermite import HermiteBasis, gl_grid, hermite_eval
@@ -67,10 +67,11 @@ def choose_degree(n: int, gamma: float) -> int:
 
 def perturbation_vector(ds: Dataset, residual: np.ndarray, w: np.ndarray,
                         m: int, gamma: float) -> np.ndarray:
-    """v(w) = (n gamma^2)^(-1/2) sum_i r_i H_{m-1}(w . x_i) x_i."""
+    """v(w) = (n gamma^2)^(-1/2) sum_i r_i H_{m-1}(w . x_i) x_i for one w of
+    shape (d,), or one row per weight of a (C, d) batch."""
     r = np.asarray(residual, dtype=np.float64)
-    h = np.real(hermite_eval(m - 1, ds.points @ w))
-    return ((r * h) @ ds.points) / math.sqrt(ds.n * gamma * gamma)
+    h = np.real(hermite_eval(m - 1, w @ ds.points.T))
+    return ((h * r) @ ds.points) / math.sqrt(ds.n * gamma * gamma)
 
 
 def hermite_gram(ds: Dataset, m: int) -> np.ndarray:
@@ -130,9 +131,7 @@ def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     W = rng.standard_normal((candidates, ds.d))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=candidates)
-    # batched perturbation vectors: V[c] = v(W[c]) for the shared residual
-    H = np.real(hermite_eval(m - 1, W @ ds.points.T))            # (C, n)
-    V = ((H * r) @ ds.points) / math.sqrt(n * gamma * gamma)     # (C, d)
+    V = perturbation_vector(ds, r, W, m, gamma)                  # (C, d)
     ar, ai = np.cos(theta), np.sin(theta)
     re_proj = (W + ar[:, None] * V) @ ds.points.T                # (C, n)
     im_proj = (ai[:, None] * V) @ ds.points.T
@@ -155,22 +154,6 @@ def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int,
 
 # -- directional decomposition ------------------------------------------------
 
-def _solve_fraction(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination for small systems."""
-    k = len(b)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(k):
-        piv = next(i for i in range(col, k) if M[i][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for i in range(k):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
-    return [M[i][k] for i in range(k)]
-
-
 @dataclass(frozen=True)
 class DirectionalDecomposition:
     """Re(z * phi(x + i y)) = sum_j p_j(x + j y), polynomial coefficients
@@ -192,68 +175,44 @@ class DirectionalDecomposition:
         return sum(polyval(x + j * y, self.poly_float(j)) for j in range(self.m + 1))
 
 
-def _re_z_i_pow(zr: Fraction, zi: Fraction, s: int) -> Fraction:
-    # Re(z * i^s) for z = zr + i zi
-    return (zr, -zi, -zr, zi)[s % 4]
+_decomp_basis_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
 
 
-_decomp_basis_cache: dict[int, tuple] = {}
+def _decomp_basis(m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-degree bases (p_re, p_im) of He_m as (m+1, m+1) floats, row j = p_j,
+    and the scale 1/(sqrt(m!) sqrt(m)) of phi = He_m / (sqrt(m!) sqrt(m));
+    for a unit z, p_j = Re(z) p_re + Im(z) p_im.
 
-
-def _decomp_basis(m: int) -> tuple:
-    """Per-degree exact decomposition bases for z = 1 and z = -i.
-
-    The Vandermonde targets Re(z * i^s) are linear in (Re z, Im z), so the
-    (k+1)-node solves are done once per degree and combined per z.
-    Returns (polys_re, polys_im): p_{z,j} = Re(z) * p_re + Im(z) * p_im.
+    The Vandermonde system sum_j c_j j^s = i^s, s = 0..k, is solved by the
+    Lagrange basis at the nodes 0..k, c_j = L_j(i), so p_re[j, k] =
+    c_k Re L_j(i) and p_im[j, k] = -c_k Im L_j(i): an exact Gaussian integer
+    over an exact integer, divided once and so correctly rounded.
     """
     if m not in _decomp_basis_cache:
-        basis = HermiteBasis(m)
-        he = basis.he_coeffs_exact(m)
-        one, zero = Fraction(1), Fraction(0)
-        out = []
-        for zr, zi in ((one, zero), (zero, one)):
-            polys = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
-            for k, ck in enumerate(he):
-                if ck == 0:
-                    continue
-                if k == 0:
-                    polys[0][0] += zr * ck
-                    continue
-                targets = [ck * _re_z_i_pow(zr, zi, s) for s in range(k + 1)]
-                vander = [[Fraction(j ** s if s else 1) for j in range(k + 1)]
-                          for s in range(k + 1)]
-                sol = _solve_fraction(vander, targets)
-                for j in range(k + 1):
-                    polys[j][k] += sol[j]
-            out.append(tuple(tuple(p) for p in polys))
-        _decomp_basis_cache[m] = tuple(out)
+        p_re, p_im = np.zeros((m + 1, m + 1)), np.zeros((m + 1, m + 1))
+        for k, ck in enumerate(HermiteBasis(m).he_coeffs(m)):
+            for j in range(k + 1):
+                a, b, den = ck, 0, 1
+                for l in range(k + 1):
+                    if l != j:  # (a + i b) (i - l), den (j - l)
+                        a, b, den = -l * a - b, a - l * b, den * (j - l)
+                if den < 0:
+                    a, b, den = -a, -b, -den
+                p_re[j, k], p_im[j, k] = a / den, -b / den
+        scale = 1.0 / (math.sqrt(math.factorial(m)) * math.sqrt(m))
+        _decomp_basis_cache[m] = (p_re, p_im, scale)
     return _decomp_basis_cache[m]
-
-
-_decomp_float_cache: dict[int, tuple] = {}
-
-
-def _decomp_basis_float(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float copies of ``_decomp_basis(m)`` as two (m+1, m+1) arrays."""
-    if m not in _decomp_float_cache:
-        _decomp_float_cache[m] = tuple(
-            np.array([[float(c) for c in p] for p in polys])
-            for polys in _decomp_basis(m))
-    return _decomp_float_cache[m]
 
 
 def decompose_directions(z: complex, m: int) -> DirectionalDecomposition:
     """Directional decomposition of Re(z * phi(x + i y)).
 
     Each homogeneous degree k of He_m is expressed in the basis
-    {(x + j y)^k, j = 0..k} by solving the integer-node Vandermonde system
-    over exact rationals, once per degree for z = 1 and z = -i; the
-    coefficients for z are Re(z) * p_re + Im(z) * p_im in floats, within a
-    few units in the last place of the exact combination.
+    {(x + j y)^k, j = 0..k} through the cached closed-form bases of
+    ``_decomp_basis``; the coefficients for z are Re(z) p_re + Im(z) p_im in
+    floats, within a few units in the last place of the exact combination.
     """
-    basis_re, basis_im = _decomp_basis_float(m)
-    scale = 1.0 / (math.sqrt(math.factorial(m)) * math.sqrt(m))
+    basis_re, basis_im, scale = _decomp_basis(m)
     return DirectionalDecomposition(m=m, polys=z.real * basis_re + z.imag * basis_im,
                                     scale=scale, z=z)
 
@@ -351,14 +310,14 @@ def _basis_second_derivatives(coeffs: np.ndarray, nodes: np.ndarray,
                       + P.polyval(nodes, c) * chi2 for c in coeffs])
 
 
-def _mixture_basis(m: int, M: float, tol: float = 1e-6, max_panels: int = 4096) -> tuple:
+def _mixture_basis(m: int, M: float) -> tuple:
     """Quadrature grid plus (p * chi_M)'' values for the z = 1 and z = -i
     decomposition bases; any unit z combines them linearly.  The grid is
-    refined until every int |f''| is stable to ``tol`` relative."""
+    refined from 64 panels, doubling until every int |f''| is stable to 1e-6
+    relative, at most 4096 panels."""
     key = (m, round(M, 9))
     if key not in _mixture_basis_cache:
-        basis_re, basis_im = _decomp_basis_float(m)
-        scale = 1.0 / (math.sqrt(math.factorial(m)) * math.sqrt(m))
+        basis_re, basis_im, scale = _decomp_basis(m)
         cre, cim = basis_re * scale, basis_im * scale
         panels, prev = 64, None
         while True:
@@ -370,9 +329,9 @@ def _mixture_basis(m: int, M: float, tol: float = 1e-6, max_panels: int = 4096) 
             if prev is not None:
                 ref = max(float(masses.max()), 1e-300)
                 if np.all(np.abs(masses - prev)
-                          <= tol * np.maximum(np.abs(masses), ref * 1e-12)):
+                          <= 1e-6 * np.maximum(np.abs(masses), ref * 1e-12)):
                     break
-            if panels >= max_panels:
+            if panels >= 4096:
                 break
             prev = masses
             panels *= 2
@@ -449,9 +408,10 @@ def _breakpoint_argmax(P: np.ndarray, r: np.ndarray, M: float) -> tuple[int, flo
 
 
 def single_neuron_step(ds: Dataset, residual: np.ndarray, m: int, seed: int,
-                       gamma: float, candidates: int = 64) -> SingleNeuronStep:
+                       gamma: float) -> SingleNeuronStep:
     """One harmonic step: a single ReLU neuron correlating with the residual.
 
+    The complex neuron is the best of a pool of 64 sampler candidates.
     The returned neuron sigma * psi((w~ + j w~') . x - b) is the breakpoint
     argmax of |r . f| over directions j, signs, and biases b in the mixture's
     bias support [-2M, 2M]; every data projection lies in [-M, M].  The
@@ -459,7 +419,7 @@ def single_neuron_step(ds: Dataset, residual: np.ndarray, m: int, seed: int,
     first direction, then the smallest bias.
     """
     r = np.asarray(residual, dtype=np.float64)
-    cn, corr_g = sample_complex_neuron(ds, r, m, candidates, seed, gamma)
+    cn, corr_g = sample_complex_neuron(ds, r, m, 64, seed, gamma)
     M = 2.0 * m * projection_cutoff(ds.n, m)
     dd = decompose_directions(cn.z, m)
     mix = relu_mixture(dd, M)
@@ -487,21 +447,19 @@ class HarmonicFitResult:
 
 
 def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
-                 max_iters: int = 4000, candidates: int = 64,
-                 retry_budget: int = 20,
-                 report: GenericityReport | None = None) -> HarmonicFitResult:
+                 max_iters: int = 4000) -> HarmonicFitResult:
     """Trimmed iterative harmonic fit on the boosting driver.
 
     Labels are normalized to ||y||^2 = n internally (undone on output).
     Indices whose residual exceeds n gamma^2 are trimmed from the active
     set A, which only shrinks; the guarantee |A| >= n - ceil(1/gamma^2) is
     checked on exit (InvariantError).  The fit stops when the trimmed
-    residual reaches epsilon * ||y||^2.
+    residual reaches epsilon * ||y||^2; each step gets 20 attempts (a failed
+    sampler draw is one), else ConvergenceError.
     """
     n = ds.n
     y_sq = float(ds.labels @ ds.labels)
-    if report is None:
-        report = genericity(ds)
+    report = genericity(ds)
     gamma = report.gamma_clamped(n)
     if gamma >= 1.0:
         raise ParameterError("harmonic_fit requires coherence < 1")
@@ -510,7 +468,7 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
 
     def builder(r: np.ndarray, attempt_seed: int) -> StepProposal | None:
         try:
-            step = single_neuron_step(ds, r, m, attempt_seed, gamma, candidates=candidates)
+            step = single_neuron_step(ds, r, m, attempt_seed, gamma)
         except SamplerFailureError:
             return None
         return StepProposal(neurons=(step.neuron,), values=step.values)
@@ -519,7 +477,7 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     try:
         net, trace, active = boost_fit(builder, ds.with_labels(ds.labels * norm_scale),
                                        epsilon, max_iters=max_iters, seed=seed,
-                                       retry_budget=retry_budget, trim_sq=n * gamma * gamma)
+                                       retry_budget=20, trim_sq=n * gamma * gamma)
     except ConvergenceError as err:
         err.trace.notes.update(notes)
         err.trace.total_weight /= norm_scale
@@ -536,30 +494,24 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
 
 
 def tail_diagnostic(ds: Dataset, residual: np.ndarray, m: int, samples: int,
-                    seed: int, gamma: float, probe_points: int = 8,
+                    seed: int, gamma: float,
                     thresholds: np.ndarray | None = None) -> list[dict]:
     """Empirical exceedance table for the perturbed-weight projections.
 
     Draws (w, phase) pairs, forms W = w + Re(a) v(w), W' = Im(a) v(w), and
-    pools |W . x_i|, |W' . x_i| over a few probe points.  Rows carry the
-    threshold s and the exceedance frequencies of the real and imaginary
-    projections.
+    pools |W . x_i|, |W' . x_i| over 8 probe points (all points when n < 8).
+    Rows carry the threshold s and the exceedance frequencies of the real
+    and imaginary projections.
     """
-    r = np.asarray(residual, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    probes = rng.choice(ds.n, size=min(probe_points, ds.n), replace=False)
+    probes = rng.choice(ds.n, size=min(8, ds.n), replace=False)
     Xp = ds.points[probes]
     re_vals, im_vals = [], []
-    batch = 2048
-    left = samples
-    scale = 1.0 / math.sqrt(ds.n * gamma * gamma)
-    while left > 0:
-        b = min(batch, left)
-        left -= b
+    for start in range(0, samples, 2048):
+        b = min(2048, samples - start)
         W = rng.standard_normal((b, ds.d))
         theta = rng.uniform(0.0, 2.0 * math.pi, size=b)
-        H = np.real(hermite_eval(m - 1, W @ ds.points.T))       # (b, n)
-        V = (H * r) @ ds.points * scale                          # (b, d)
+        V = perturbation_vector(ds, residual, W, m, gamma)       # (b, d)
         re_vals.append(np.abs((W + np.cos(theta)[:, None] * V) @ Xp.T).ravel())
         im_vals.append(np.abs((np.sin(theta)[:, None] * V) @ Xp.T).ravel())
     re_all = np.concatenate(re_vals)

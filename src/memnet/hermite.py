@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -63,9 +62,6 @@ class HermiteBasis:
     def he_coeffs(self, m: int) -> list[int]:
         """Exact integer coefficients of the unnormalized He_m (constant first)."""
         return list(self._he_rows[m])
-
-    def he_coeffs_exact(self, m: int) -> list[Fraction]:
-        return [Fraction(c) for c in self._he_rows[m]]
 
     @property
     def monomial_coeffs(self) -> list[np.ndarray]:
@@ -124,16 +120,16 @@ def orthogonality_check(m: int, m2: int, rho: float, samples: int, seed: int,
 
 # -- Gaussian quadrature ------------------------------------------------------
 
-_leggauss_cache: dict[int, tuple] = {}
+# the 16-point rule, loaded on first use: memnet does not import numpy.polynomial
+_leggauss_cache: list[np.ndarray] = []
 
 
-def gl_grid(lo: float, hi: float, panels: int, order: int = 16
-            ) -> tuple[np.ndarray, np.ndarray]:
+def gl_grid(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights: ``panels`` equal panels on
-    [lo, hi] with ``order`` nodes each, panel by panel."""
-    if order not in _leggauss_cache:
-        _leggauss_cache[order] = np.polynomial.legendre.leggauss(order)
-    nodes, weights = _leggauss_cache[order]
+    [lo, hi] with 16 nodes each, panel by panel."""
+    if not _leggauss_cache:
+        _leggauss_cache.extend(np.polynomial.legendre.leggauss(16))
+    nodes, weights = _leggauss_cache
     edges = np.linspace(lo, hi, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
@@ -143,29 +139,29 @@ def gl_grid(lo: float, hi: float, panels: int, order: int = 16
 
 
 def _composite_gl(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                  panels: int, order: int = 16) -> float:
-    pts, wts = gl_grid(lo, hi, panels, order)
+                  panels: int) -> float:
+    pts, wts = gl_grid(lo, hi, panels)
     vals = f(pts)
     if not np.all(np.isfinite(vals)):
         raise ParameterError("non-finite function values on quadrature nodes")
     return float(vals @ wts)
 
 
-def gauss_expectation(f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-8,
-                      radius: float = 15.0, max_panels: int = 8192) -> float:
+def gauss_expectation(f: Callable[[np.ndarray], np.ndarray]) -> float:
     """E[f(X)] for X ~ N(0,1) by panel-doubling composite Gauss-Legendre.
 
-    Panels are doubled until the estimate moves by less than ``tol``; the
-    panel boundary at 0 makes this robust for piecewise-smooth integrands
-    with a kink or jump at the origin (e.g. the ReLU derivative).
+    The integral runs over [-15, 15]; panels are doubled from 8 until the
+    estimate moves by less than 1e-8, at most to 8192.  The panel boundary
+    at 0 makes this robust for piecewise-smooth integrands with a kink or
+    jump at the origin (e.g. the ReLU derivative).
     """
     gauss = lambda t: f(t) * np.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
     panels = 8
-    prev = _composite_gl(gauss, -radius, radius, panels)
-    while panels < max_panels:
+    prev = _composite_gl(gauss, -15.0, 15.0, panels)
+    while panels < 8192:
         panels *= 2
-        cur = _composite_gl(gauss, -radius, radius, panels)
-        if abs(cur - prev) < tol:
+        cur = _composite_gl(gauss, -15.0, 15.0, panels)
+        if abs(cur - prev) < 1e-8:
             return cur
         prev = cur
     return prev
@@ -190,20 +186,19 @@ class HermiteExpansion:
 
 
 def expand_activation_derivative(psi_prime: Callable[[np.ndarray], np.ndarray],
-                                 L: int, tol: float = 1e-8) -> HermiteExpansion:
+                                 L: int) -> HermiteExpansion:
     """Hermite coefficients a_l = E[psi'(X) H_l(X)], l = 0..L.
 
-    Quadrature is refined until each coefficient is stable to ``tol``.
+    Quadrature is refined until each coefficient is stable to 1e-8.
     ``tail_mass`` is the Parseval remainder E[psi'(X)^2] - sum a_l^2,
     clipped at zero.
     """
     if L < 0:
         raise ParameterError("truncation degree must be >= 0")
     coeffs = np.array([
-        gauss_expectation(lambda t, l=l: np.asarray(psi_prime(t)) * hermite_eval(l, t),
-                          tol=tol)
+        gauss_expectation(lambda t, l=l: np.asarray(psi_prime(t)) * hermite_eval(l, t))
         for l in range(L + 1)
     ])
-    energy = gauss_expectation(lambda t: np.asarray(psi_prime(t)) ** 2, tol=tol)
+    energy = gauss_expectation(lambda t: np.asarray(psi_prime(t)) ** 2)
     tail = max(0.0, energy - float(coeffs @ coeffs))
     return HermiteExpansion(coeffs=coeffs, truncation_degree=L, tail_mass=tail)

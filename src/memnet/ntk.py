@@ -33,18 +33,18 @@ class NtkStep:
         return DerivativeNeuronPair(self.u, self.v, 0.0, self.delta)
 
 
-def ntk_step(ds: Dataset, residual: np.ndarray, seed: int,
-             tie_retries: int = 16) -> NtkStep | None:
+def ntk_step(ds: Dataset, residual: np.ndarray, seed: int) -> NtkStep | None:
     """One NTK step for the given residual; None signals v = 0 (resample).
 
-    u is resampled on the (measure-zero) event that some u . x_i is exactly
-    zero, so the two-ReLU realization is exact on every data point.
+    u is resampled, at most 16 times, on the (measure-zero) event that some
+    u . x_i is exactly zero, so the two-ReLU realization is exact on every
+    data point.
     """
     r = np.asarray(residual, dtype=np.float64)
     if float(r @ r) == 0.0:
         raise ParameterError("residual must be nonzero")
     rng = np.random.default_rng(seed)
-    for _ in range(tie_retries):
+    for _ in range(16):
         u = rng.standard_normal(ds.d)
         margins = ds.points @ u
         if np.any(margins == 0.0):
@@ -76,16 +76,14 @@ class NtkFitResult:
 
 
 def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
-            max_iters: int = 100000, report: GenericityReport | None = None
-            ) -> NtkFitResult:
+            max_iters: int = 100000) -> NtkFitResult:
     """Boosted NTK fit with adaptive step size; ConvergenceError when
     ``max_iters`` steps leave the error ratio above ``epsilon``.
 
     ``kd_achieved`` (neuron count times d) is reported against the
     theoretical requirement evaluated at the measured (gamma, omega).
     """
-    if report is None:
-        report = genericity(ds)
+    report = genericity(ds)
 
     def builder(r: np.ndarray, attempt_seed: int) -> StepProposal | None:
         step = ntk_step(ds, r, attempt_seed)
@@ -117,12 +115,9 @@ def arcsin_gram(ds: Dataset) -> np.ndarray:
     return G * (0.25 + np.arcsin(rho) / (2.0 * math.pi))
 
 
-def gram_lower_bound_check(ds: Dataset, report: GenericityReport | None = None
-                           ) -> tuple[float, float]:
+def gram_lower_bound_check(ds: Dataset) -> tuple[float, float]:
     """lambda_min of the norm-scaled arcsin Gram vs (1/10) sqrt(log(1/g)/log(2n))."""
-    if report is None:
-        report = genericity(ds)
-    gamma = report.gamma_clamped(ds.n)
+    gamma = genericity(ds).gamma_clamped(ds.n)
     if gamma >= 1.0:
         raise ParameterError("requires gamma < 1")
     H = arcsin_gram(ds)
@@ -143,9 +138,8 @@ class GeneralNtkReport:
 
 
 def general_ntk_bound(ds: Dataset, expansion: HermiteExpansion, L: float,
-                      epsilon: float, psi_prime=None, labels: np.ndarray | None = None,
-                      step_seeds: int = 100, seed: int = 0,
-                      report: GenericityReport | None = None) -> GeneralNtkReport:
+                      epsilon: float, psi_prime=None, step_seeds: int = 100,
+                      seed: int = 0) -> GeneralNtkReport:
     """Size requirement for a general activation via its Hermite tail.
 
     required_kd evaluates 16 w L / (sum_{l >= l0} a_l^2) * n log(1/eps) with
@@ -154,8 +148,7 @@ def general_ntk_bound(ds: Dataset, expansion: HermiteExpansion, L: float,
     initializations and the mean correlation ||v||^2 is reported against the
     theoretical floor (1/4) * tail * ||y||^2.
     """
-    if report is None:
-        report = genericity(ds)
+    report = genericity(ds)
     n = ds.n
     gamma = report.gamma_clamped(n)
     threshold_index = math.ceil(math.log(2.0 * n) / (2.0 * math.log(1.0 / gamma)))
@@ -168,7 +161,7 @@ def general_ntk_bound(ds: Dataset, expansion: HermiteExpansion, L: float,
         raise UninformativeBoundError("Hermite tail sum is zero within tolerance")
     required_kd = (16.0 * report.omega * L / tail) * n * math.log(1.0 / epsilon)
 
-    y = ds.labels if labels is None else np.asarray(labels, dtype=np.float64)
+    y = ds.labels
     corr_bound = 0.25 * tail * float(y @ y)
     mean_corr = None
     if psi_prime is not None:

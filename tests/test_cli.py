@@ -21,6 +21,7 @@ def test_gen_data_writes_file_and_report(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["n"] == 30 and out["d"] == 10
     assert 0.0 < out["gamma"] < 1.0
+    assert out["general_position"] is True
     assert (tmp_path / "ds.bin").exists()
 
 
@@ -170,6 +171,56 @@ def test_config_malformed_json(tmp_path, capsys):
     _assert_config_error(tmp_path, capsys, cfg, "--config")
     cfg.write_text("[0.3]")
     _assert_config_error(tmp_path, capsys, cfg, "JSON object")
+
+
+def _fit_network(tmp_path, argv, name):
+    assert main(argv[:-1] + ["-o", str(tmp_path / name), argv[-1]]) == 0
+    return (tmp_path / f"{name}.network.json").read_text()
+
+
+def test_config_seed_matches_flag_and_typed_flag_wins(tmp_path, capsys):
+    path = _gen(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    fit = ["fit", "--method", "ntk", "--epsilon", "0.3"]
+    from_config = _fit_network(tmp_path, ["--config", str(cfg)] + fit + [path], "c")
+    assert from_config == _fit_network(tmp_path, fit + ["--seed", "5", path], "f")
+    assert from_config != _fit_network(tmp_path, fit + [path], "d")
+    typed = _fit_network(tmp_path, ["--config", str(cfg)] + fit + ["--seed", "7", path], "t")
+    assert typed == _fit_network(tmp_path, fit + ["--seed", "7", path], "s")
+    capsys.readouterr()
+
+
+def test_config_values_are_converted(tmp_path, capsys):
+    path = _gen(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epsilon": "0.3"}))
+    assert main(["--config", str(cfg), "fit", "--method", "ntk", path]) == 0
+    summary = json.loads(open(str(tmp_path / "ds.summary.json")).read())
+    assert summary["epsilon"] == 0.3
+    capsys.readouterr()
+
+
+def test_config_supplies_required_flag(tmp_path, capsys):
+    path = _gen(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "ntk", "epsilon": 0.3}))
+    assert main(["--config", str(cfg), "fit", path]) == 0
+    summary = json.loads(open(str(tmp_path / "ds.summary.json")).read())
+    assert summary["method"] == "ntk" and summary["epsilon"] == 0.3
+    capsys.readouterr()
+
+
+def test_config_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": None}))
+    _assert_config_error(tmp_path, capsys, cfg, "'seed'")
+    cfg.write_text(json.dumps({"epsilon": "abc"}))
+    path = _gen(tmp_path)
+    with pytest.raises(SystemExit) as exc:  # argparse's own error exit
+        main(["--config", str(cfg), "fit", "--method", "ntk", path])
+    assert exc.value.code == 2
+    assert "error: argument --epsilon" in capsys.readouterr().err
 
 
 def test_config_unknown_key(tmp_path, capsys):

@@ -4,8 +4,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from memnet.data import (Dataset, gamma_floor, gaussian_labels, genericity,
-                         load_csv, load_dataset, rademacher_labels,
+from memnet.data import (Dataset, gamma_floor, gaussian_labels, general_position,
+                         genericity, load_csv, load_dataset, rademacher_labels,
                          sample_sphere, save_dataset)
 from memnet.errors import DataError, ParameterError
 
@@ -125,6 +125,14 @@ def test_genericity_rotation_and_sign_invariant():
     rep2 = genericity(Dataset((signs[:, None] * ds.points) @ Q, ds.labels))
     assert abs(rep.gamma - rep2.gamma) < 1e-10
     assert abs(rep.omega - rep2.omega) < 1e-10
+
+
+def test_general_position_certificate():
+    assert general_position(sample_sphere(60, 10, 0))
+    assert general_position(sample_sphere(3, 10, 0))  # n < d: nothing to test
+    pts = sample_sphere(5, 5, 1).points.copy()
+    pts[4] = pts[0]  # n = d: the only d-subset holds both copies
+    assert not general_position(Dataset(pts, np.zeros(5)))
 
 
 def test_gamma_clamp():

@@ -16,7 +16,7 @@ from memnet.harmonic import (CONSTANTS, ComplexNeuron, _basis_second_derivatives
                              hermite_gram, perturbation_vector, projection_cutoff,
                              relu_mixture, sample_complex_neuron,
                              single_neuron_step, tail_diagnostic)
-from memnet.hermite import hermite_eval
+from memnet.hermite import HermiteBasis, hermite_eval
 from memnet.network import TwoLayerNetwork, evaluate, total_weight
 
 
@@ -72,6 +72,18 @@ def test_perturbation_matches_naive_loop():
         naive += r[i] * float(hermite_eval(m - 1, float(ds.points[i] @ w))) * ds.points[i]
     naive /= math.sqrt(30 * gamma * gamma)
     assert np.max(np.abs(v - naive)) < 1e-12
+
+
+def test_perturbation_batch_rows_match_single_calls():
+    ds, gamma = _fixture(30, 12, 4)
+    rng = np.random.default_rng(5)
+    r = rng.standard_normal(30)
+    W = rng.standard_normal((7, 12))
+    V = perturbation_vector(ds, r, W, 5, gamma)
+    assert V.shape == (7, 12)
+    for w, v in zip(W, V):
+        single = perturbation_vector(ds, r, w, 5, gamma)
+        assert np.max(np.abs(v - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 # -- Hermite Gram -------------------------------------------------------------
@@ -272,12 +284,45 @@ def test_decompose_any_degree_reconstruction():
         assert np.max(np.abs(dd.evaluate(x, y) - target)) / scale < 1e-8
 
 
+def _vandermonde_fraction(k: int, targets: list[int]) -> list[Fraction]:
+    """Exact Gauss-Jordan solve of sum_j c_j j^s = targets[s], s = 0..k."""
+    rows = [[Fraction(j ** s) for j in range(k + 1)] + [Fraction(targets[s])]
+            for s in range(k + 1)]
+    for col in range(k + 1):
+        piv = next(i for i in range(col, k + 1) if rows[i][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(k + 1):
+            if i != col and rows[i][col] != 0:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[col])]
+    return [row[k + 1] for row in rows]
+
+
+def _exact_decomp_basis(m: int) -> tuple[list, list]:
+    """Exact per-degree bases of He_m for z = 1 and z = i: p[j][k] = c_k x_j
+    with x the Vandermonde solution for the targets Re(z i^s)."""
+    he = HermiteBasis(m).he_coeffs(m)
+    out = []
+    for re_z_i_pow in ((1, 0, -1, 0), (0, -1, 0, 1)):
+        polys = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
+        for k, ck in enumerate(he):
+            sol = _vandermonde_fraction(k, [re_z_i_pow[s % 4] for s in range(k + 1)])
+            for j in range(k + 1):
+                polys[j][k] = ck * sol[j]
+        out.append(polys)
+    return out[0], out[1]
+
+
 def test_decompose_float_matches_exact_recombination():
-    """The float combination of the cached basis stays within 1e-14 of the
+    """The closed-form basis is the correctly rounded exact Vandermonde
+    solution, and the float combination for z stays within 1e-14 of the
     exact Fraction combination Re(z) p_re + Im(z) p_im."""
     rng = np.random.default_rng(2)
-    for m in range(3, 13):
-        polys_re, polys_im = _decomp_basis(m)
+    for m in range(1, 21):
+        polys_re, polys_im = _exact_decomp_basis(m)
+        basis_re, basis_im, _ = _decomp_basis(m)
+        assert np.array_equal(basis_re, np.array(polys_re, dtype=np.float64))
+        assert np.array_equal(basis_im, np.array(polys_im, dtype=np.float64))
         for theta in rng.uniform(0, 2 * math.pi, size=3):
             z = complex(math.cos(theta), math.sin(theta))
             zr, zi = Fraction(z.real), Fraction(z.imag)
