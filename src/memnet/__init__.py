@@ -11,10 +11,10 @@ from .constructive import (DerivativeNeuronPair, baum_relu_fit, baum_threshold_f
                            exact_fit_generic, measure_baum_weight_scaling)
 from .ntk import (arcsin_gram, general_ntk_bound, gram_lower_bound_check,
                   ntk_fit, ntk_step)
-from .harmonic import (ComplexNeuron, DirectionalDecomposition, ReluMixture,
-                       choose_degree, decompose_directions, harmonic_fit,
-                       hermite_gram, perturbation_vector, relu_mixture,
-                       sample_complex_neuron, single_neuron_step, tail_diagnostic)
+from .harmonic import (ComplexNeuron, DirectionalDecomposition, choose_degree,
+                       decompose_directions, harmonic_fit, hermite_gram,
+                       mixture_expectation, perturbation_vector, relu_mixture,
+                       sample_complex_neuron, single_neuron_step)
 from .bounds import (WeightBoundReport, single_neuron_correlation_cap,
                      verify_weight_bound)
 

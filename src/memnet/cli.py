@@ -105,13 +105,19 @@ def _summary(method: str, ds, net, epsilon, extras: dict) -> dict:
     return out
 
 
-def cmd_fit(args) -> int:
+def _check_method(args) -> None:
+    """The method must be known; --epsilon is required for the iterative
+    methods and forbidden for the exact ones."""
     if args.method not in METHODS:
         raise ParameterError(f"unknown method {args.method!r}")
     if args.method in ITER_METHODS and args.epsilon is None:
         raise ParameterError(f"--epsilon is required for {args.method}")
     if args.method in EXACT_METHODS and args.epsilon is not None:
         raise ParameterError(f"--epsilon is forbidden for {args.method}")
+
+
+def cmd_fit(args) -> int:
+    _check_method(args)
     ds = _load_any(args.dataset)
     net, trace, extras = _run_method(args.method, ds, args.epsilon, args.seed)
     prefix = args.output or os.path.splitext(args.dataset)[0]
@@ -143,12 +149,9 @@ def _sweep_cell(method, n, d, seed, epsilon, labels):
 
 
 def cmd_sweep(args) -> int:
-    if args.method not in METHODS:
-        raise ParameterError(f"unknown method {args.method!r}")
-    if not args.n_list:
-        raise ParameterError("n-list must be nonempty")
-    if args.method in ITER_METHODS and args.epsilon is None:
-        raise ParameterError(f"--epsilon is required for {args.method}")
+    _check_method(args)
+    if not args.n_list or not args.seeds:
+        raise ParameterError("n-list and seeds must be nonempty")
     cells = [(args.method, n, args.d, seed, args.epsilon, args.labels)
              for n in args.n_list for seed in args.seeds]
     if args.parallel:

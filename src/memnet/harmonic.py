@@ -12,6 +12,8 @@ Pipeline for one boosting step:
    combines them linearly in (Re z, Im z);
 3. represent each truncated univariate polynomial as a signed mixture of
    ReLUs using psi'' = delta_0, with biases distributed as |f''| / int|f''|;
+   ``relu_mixture`` returns the masses int |f_j''|, and the mixture's mean
+   correlation is scale * corr with scale = 1 / sum_j int |f_j''|;
 4. return the single ReLU realization maximizing the correlation with the
    residual by a breakpoint argmax: for a fixed direction the correlation is
    piecewise linear in the bias, with breakpoints at the data projections,
@@ -261,41 +263,6 @@ def bump_eval(t: np.ndarray, M: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return chi, d1, d2
 
 
-@dataclass(frozen=True)
-class MixtureComponent:
-    j: int
-    prob: float
-    nodes: np.ndarray           # quadrature nodes on [-2M, 2M]
-    quad_f2: np.ndarray         # quadrature weight * f_j''(node)
-    mass: float                 # int |f_j''|
-
-    @property
-    def density_weights(self) -> np.ndarray:
-        return np.abs(self.quad_f2) / self.mass
-
-    @property
-    def signs(self) -> np.ndarray:
-        return np.sign(self.quad_f2)
-
-
-@dataclass(frozen=True)
-class ReluMixture:
-    components: tuple
-    M: float
-    scale: float                # c_{z,m} / M^m = 1 / sum_j int |f_j''|
-
-    def expectation(self, x_proj, y_proj) -> np.ndarray:
-        """E[S psi(W-projection - B)] at scalar projections (x, y) = (w~.x, w~'.x)."""
-        x_proj = np.atleast_1d(np.asarray(x_proj, dtype=np.float64))
-        y_proj = np.atleast_1d(np.asarray(y_proj, dtype=np.float64))
-        acc = np.zeros(np.broadcast(x_proj, y_proj).shape)
-        for comp in self.components:
-            t = x_proj + comp.j * y_proj
-            vals = np.maximum(t[:, None] - comp.nodes[None, :], 0.0) @ comp.quad_f2
-            acc += vals
-        return acc * self.scale
-
-
 _mixture_basis_cache: dict[tuple, tuple] = {}
 
 
@@ -339,34 +306,49 @@ def _mixture_basis(m: int, M: float) -> tuple:
     return _mixture_basis_cache[key]
 
 
-def relu_mixture(dd: DirectionalDecomposition, M: float) -> ReluMixture:
-    """Signed ReLU mixture realizing scale * sum_j p_j(x + j y) on [-M, M].
-
-    Each f_j = p_j * chi_M is compactly supported and C^2, so
-    f_j(t) = int psi(t - y) f_j''(y) dy exactly; biases follow |f_j''|,
-    signs follow sign(f_j'').  f'' is linear in (Re z, Im z), so it combines
-    the cached per-degree quadrature of ``_mixture_basis``.  Components with
-    p_j = 0 are left out.
-    """
+def _mixture_quadrature(dd: DirectionalDecomposition, M: float
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes on [-2M, 2M] and the (m+1, nodes) array of
+    weight * f_j''(node) for dd's z: f'' is linear in (Re z, Im z), so it
+    combines the cached per-degree quadrature of ``_mixture_basis``."""
     if M <= 0.0:
         raise ParameterError("M must be positive")
     nodes, wts, f2_re, f2_im = _mixture_basis(dd.m, M)
     quad = dd.z.real * f2_re
     quad += dd.z.imag * f2_im
     quad *= wts
-    masses = np.abs(quad).sum(axis=1)
-    present = [j for j in range(dd.m + 1) if np.max(np.abs(dd.poly_float(j))) > 0.0]
-    for j in present:
-        if masses[j] <= 0.0:
+    return nodes, quad
+
+
+def relu_mixture(dd: DirectionalDecomposition, M: float) -> np.ndarray:
+    """Masses int |f_j''|, j = 0..m, of the signed ReLU mixture realizing
+    scale * sum_j p_j(x + j y) on [-M, M], with scale = 1 / sum_j int |f_j''|.
+
+    Each f_j = p_j * chi_M is compactly supported and C^2, so
+    f_j(t) = int psi(t - y) f_j''(y) dy exactly; biases follow |f_j''| and
+    signs follow sign(f_j'').  Every direction with a nonzero p_j must have
+    a positive mass.
+    """
+    masses = np.abs(_mixture_quadrature(dd, M)[1]).sum(axis=1)
+    for j in range(dd.m + 1):
+        if np.max(np.abs(dd.poly_float(j))) > 0.0 and masses[j] <= 0.0:
             raise QuadratureResolutionError(f"int |f_{j}''| vanished for a nonzero p_{j}")
-    total = float(masses.sum())
-    if total <= 0.0:
+    if masses.sum() <= 0.0:
         raise QuadratureResolutionError("all mixture components are zero")
-    components = tuple(
-        MixtureComponent(j=j, prob=float(masses[j]) / total, nodes=nodes,
-                         quad_f2=quad[j], mass=float(masses[j]))
-        for j in present)
-    return ReluMixture(components=components, M=M, scale=1.0 / total)
+    return masses
+
+
+def mixture_expectation(dd: DirectionalDecomposition, M: float, x, y) -> np.ndarray:
+    """E[S psi(W-projection - B)] of the ReLU mixture at scalar projections
+    (x, y) = (w~.x, w~'.x): scale * Re(z * phi(x + i y)) on [-M, M], up to
+    quadrature error."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    nodes, quad = _mixture_quadrature(dd, M)
+    acc = np.zeros(np.broadcast(x, y).shape)
+    for j in range(dd.m + 1):
+        acc += np.maximum((x + j * y)[:, None] - nodes[None, :], 0.0) @ quad[j]
+    return acc / relu_mixture(dd, M).sum()
 
 
 # -- single-neuron step and the trimmed iterative fit -------------------------
@@ -422,8 +404,7 @@ def single_neuron_step(ds: Dataset, residual: np.ndarray, m: int, seed: int,
     cn, corr_g = sample_complex_neuron(ds, r, m, 64, seed, gamma)
     M = 2.0 * m * projection_cutoff(ds.n, m)
     dd = decompose_directions(cn.z, m)
-    mix = relu_mixture(dd, M)
-    mean_corr = mix.scale * corr_g
+    mean_corr = corr_g / relu_mixture(dd, M).sum()
 
     directions = cn.w_re[:, None] + np.arange(m + 1) * cn.w_im[:, None]  # (d, m+1)
     j, bias, corr = _breakpoint_argmax(ds.points @ directions, r, M)
@@ -491,36 +472,3 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
             f"active set {int(active.sum())} below the guarantee {min_active}")
     return HarmonicFitResult(network=net, trace=trace,
                              active_set=np.flatnonzero(active), m=m, gamma=gamma)
-
-
-def tail_diagnostic(ds: Dataset, residual: np.ndarray, m: int, samples: int,
-                    seed: int, gamma: float,
-                    thresholds: np.ndarray | None = None) -> list[dict]:
-    """Empirical exceedance table for the perturbed-weight projections.
-
-    Draws (w, phase) pairs, forms W = w + Re(a) v(w), W' = Im(a) v(w), and
-    pools |W . x_i|, |W' . x_i| over 8 probe points (all points when n < 8).
-    Rows carry the threshold s and the exceedance frequencies of the real
-    and imaginary projections.
-    """
-    rng = np.random.default_rng(seed)
-    probes = rng.choice(ds.n, size=min(8, ds.n), replace=False)
-    Xp = ds.points[probes]
-    re_vals, im_vals = [], []
-    for start in range(0, samples, 2048):
-        b = min(2048, samples - start)
-        W = rng.standard_normal((b, ds.d))
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=b)
-        V = perturbation_vector(ds, residual, W, m, gamma)       # (b, d)
-        re_vals.append(np.abs((W + np.cos(theta)[:, None] * V) @ Xp.T).ravel())
-        im_vals.append(np.abs((np.sin(theta)[:, None] * V) @ Xp.T).ravel())
-    re_all = np.concatenate(re_vals)
-    im_all = np.concatenate(im_vals)
-    if thresholds is None:
-        hi = max(np.max(re_all), np.max(im_all))
-        lo = max(np.median(re_all) * 0.5, hi * 1e-6)
-        thresholds = np.geomspace(lo, hi, 24)
-    return [{"s": float(s),
-             "freq_re": float(np.mean(re_all > s)),
-             "freq_im": float(np.mean(im_all > s))}
-            for s in thresholds]

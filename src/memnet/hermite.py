@@ -96,9 +96,10 @@ def hermite_eval(m: int, z):
     return h
 
 
-def orthogonality_check(m: int, m2: int, rho: float, samples: int, seed: int,
-                        return_stderr: bool = False):
-    """Monte Carlo estimate of E[H_m(X) H_m2(Y)] with corr(X, Y) = rho.
+def orthogonality_check(m: int, m2: int, rho: float, samples: int,
+                        seed: int) -> tuple[float, float]:
+    """Monte Carlo estimate of E[H_m(X) H_m2(Y)] with corr(X, Y) = rho, and
+    its standard error.
 
     The exact value is delta_{m,m2} * rho^m.
     """
@@ -112,10 +113,7 @@ def orthogonality_check(m: int, m2: int, rho: float, samples: int, seed: int,
     x = z1
     y = rho * z1 + math.sqrt(max(0.0, 1.0 - rho * rho)) * z2
     prod = hermite_eval(m, x) * hermite_eval(m2, y)
-    est = float(np.mean(prod))
-    if return_stderr:
-        return est, float(np.std(prod) / math.sqrt(samples))
-    return est
+    return float(np.mean(prod)), float(np.std(prod) / math.sqrt(samples))
 
 
 # -- Gaussian quadrature ------------------------------------------------------

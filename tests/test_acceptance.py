@@ -25,7 +25,7 @@ from memnet.constructive import (baum_relu_fit, baum_threshold_fit,
 from memnet.data import (Dataset, gaussian_labels, genericity,
                          rademacher_labels, sample_sphere)
 from memnet.harmonic import (choose_degree, decompose_directions, harmonic_fit,
-                             hermite_gram, relu_mixture)
+                             hermite_gram, mixture_expectation, relu_mixture)
 from memnet.hermite import (HermiteBasis, expand_activation_derivative,
                             hermite_eval, orthogonality_check)
 from memnet.network import evaluate, total_weight
@@ -168,7 +168,7 @@ def test_criterion_04_kernel_step_correlation():
         step = ntk_step(ds, y, seed)
         if step is None:
             continue
-        f = step.pair.linearized_values(ds.points)
+        f = step.linearized_values(ds.points)
         ratios.append(float(y @ f) / y_sq)
     mean = float(np.mean(ratios))
     lo95 = mean - 1.645 * float(np.std(ratios)) / math.sqrt(len(ratios))
@@ -251,15 +251,15 @@ def test_criterion_07_harmonic_identities():
     # (c) mixture reconstruction on admissible points, deterministic quadrature
     dd = decompose_directions(1.0 + 0.0j, 3)
     M = 5.0
-    mix = relu_mixture(dd, M)
+    scale = 1.0 / relu_mixture(dd, M).sum()
     pts = []
     while len(pts) < 20:
         x, y = rng.uniform(-1.5, 1.5, size=2)
         if 3 * (abs(x) + abs(y)) <= M:
             pts.append((x, y))
     x, y = np.array(pts).T
-    target = np.real(hermite_eval(3, x + 1j * y)) / math.sqrt(3) * mix.scale
-    rel = float(np.max(np.abs(mix.expectation(x, y) - target))
+    target = np.real(hermite_eval(3, x + 1j * y)) / math.sqrt(3) * scale
+    rel = float(np.max(np.abs(mixture_expectation(dd, M, x, y) - target))
                 / np.max(np.abs(target)))
     mix_ok = rel <= 2e-3
     ok = phase_ok and recon_ok and mix_ok
@@ -338,8 +338,7 @@ def test_criterion_10_hermite_suite():
     for m in range(4):
         for m2 in range(4):
             for rho in (-0.6, 0.3):
-                est, se = orthogonality_check(m, m2, rho, 100000, 10 * m + m2,
-                                              return_stderr=True)
+                est, se = orthogonality_check(m, m2, rho, 100000, 10 * m + m2)
                 exact = rho ** m if m == m2 else 0.0
                 mc_ok = mc_ok and abs(est - exact) <= 3 * se + 1e-12
     # step-function expansion coefficients

@@ -276,6 +276,24 @@ def test_sweep_empty_n_list(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_empty_seeds(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--method", "baum-relu", "--d", "10",
+               "--n-list", "20", "--seeds", "", "-o", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_sweep_epsilon_forbidden_for_exact(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--method", "baum-relu", "--d", "10",
+               "--n-list", "20", "--epsilon", "0.1", "-o", str(out)])
+    assert rc == 2
+    assert "forbidden" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_requires_epsilon_for_iterative(tmp_path, capsys):
     rc = main(["sweep", "--method", "harmonic", "--d", "10",
                "--n-list", "20", "-o", str(tmp_path / "x.csv")])

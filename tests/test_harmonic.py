@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,11 +10,11 @@ import memnet.harmonic as harmonic
 from memnet.errors import (ConvergenceError, InvariantError, ParameterError,
                            SamplerFailureError)
 from memnet.harmonic import (CONSTANTS, ComplexNeuron, _basis_second_derivatives,
-                             _breakpoint_argmax, _decomp_basis, bump_eval,
-                             choose_degree, decompose_directions, harmonic_fit,
-                             hermite_gram, perturbation_vector, projection_cutoff,
-                             relu_mixture, sample_complex_neuron,
-                             single_neuron_step, tail_diagnostic)
+                             _breakpoint_argmax, _decomp_basis, _mixture_quadrature,
+                             bump_eval, choose_degree, decompose_directions,
+                             harmonic_fit, hermite_gram, mixture_expectation,
+                             perturbation_vector, projection_cutoff, relu_mixture,
+                             sample_complex_neuron, single_neuron_step)
 from memnet.hermite import HermiteBasis, hermite_eval
 from memnet.network import TwoLayerNetwork, evaluate, total_weight
 
@@ -371,10 +370,10 @@ def test_polynomial_evaluations_bit_identical_to_horner():
 def test_mixture_quadratic_reconstruction():
     # Re(phi(t)) = H_2(t) / sqrt(2) = (t^2 - 1) / 2 on the real axis
     dd = decompose_directions(1, 2)
-    mix = relu_mixture(dd, 1.0)
+    scale = 1.0 / relu_mixture(dd, 1.0).sum()
     t = np.linspace(-1, 1, 41)
-    got = mix.expectation(t, np.zeros_like(t))
-    want = (t * t - 1.0) / 2.0 * mix.scale
+    got = mixture_expectation(dd, 1.0, t, np.zeros_like(t))
+    want = (t * t - 1.0) / 2.0 * scale
     assert np.max(np.abs(got - want)) < 1e-3 * max(np.max(np.abs(want)), 1.0)
 
 
@@ -382,19 +381,19 @@ def test_mixture_linear_reconstruction():
     """A linear p has f'' supported only in the bump transition bands, yet the
     mixture still reconstructs p on [-M, M]."""
     dd = decompose_directions(1, 1)
-    mix = relu_mixture(dd, 2.0)
-    for comp in mix.components:
-        inside = np.abs(comp.nodes) <= 2.0 * (1 + 1e-12)
-        assert np.all(np.abs(comp.quad_f2[inside]) < 1e-9)
+    scale = 1.0 / relu_mixture(dd, 2.0).sum()
+    nodes, quad = _mixture_quadrature(dd, 2.0)
+    inside = np.abs(nodes) <= 2.0 * (1 + 1e-12)
+    assert np.all(np.abs(quad[:, inside]) < 1e-9)
     t = np.linspace(-2, 2, 41)
-    got = mix.expectation(t, np.zeros_like(t))
-    assert np.max(np.abs(got - t * mix.scale)) < 1e-3 * 2.0 * mix.scale
+    got = mixture_expectation(dd, 2.0, t, np.zeros_like(t))
+    assert np.max(np.abs(got - t * scale)) < 1e-3 * 2.0 * scale
 
 
 def test_mixture_full_pipeline_degree_three():
     dd = decompose_directions(1.0 + 0.0j, 3)
     M = 5.0
-    mix = relu_mixture(dd, M)
+    scale = 1.0 / relu_mixture(dd, M).sum()
     rng = np.random.default_rng(0)
     pts = []
     while len(pts) < 20:
@@ -402,21 +401,22 @@ def test_mixture_full_pipeline_degree_three():
         if 3 * (abs(x) + abs(y)) <= M:
             pts.append((x, y))
     x, y = np.array(pts).T
-    target = np.real(hermite_eval(3, x + 1j * y)) / math.sqrt(3) * mix.scale
-    got = mix.expectation(x, y)
+    target = np.real(hermite_eval(3, x + 1j * y)) / math.sqrt(3) * scale
+    got = mixture_expectation(dd, M, x, y)
     assert np.max(np.abs(got - target) / (1e-12 + np.max(np.abs(target)))) < 2e-3
 
 
 def test_mixture_probabilities_and_support():
     dd = decompose_directions(complex(math.cos(1.0), math.sin(1.0)), 4)
     M = 3.0
-    mix = relu_mixture(dd, M)
-    probs = [c.prob for c in mix.components]
-    assert sum(probs) == pytest.approx(1.0, abs=1e-12)
-    for comp in mix.components:
-        assert float(comp.density_weights.sum()) == pytest.approx(1.0, abs=1e-6)
-        assert np.max(np.abs(comp.nodes)) <= 2.0 * M
-        nz = comp.signs[comp.quad_f2 != 0.0]
+    masses = relu_mixture(dd, M)
+    assert masses.shape == (5,)
+    assert float((masses / masses.sum()).sum()) == pytest.approx(1.0, abs=1e-12)
+    nodes, quad = _mixture_quadrature(dd, M)
+    assert np.max(np.abs(nodes)) <= 2.0 * M
+    for j in range(5):
+        assert float((np.abs(quad[j]) / masses[j]).sum()) == pytest.approx(1.0, abs=1e-6)
+        nz = np.sign(quad[j][quad[j] != 0.0])
         assert set(np.unique(nz)) <= {-1.0, 1.0}
 
 
@@ -542,17 +542,17 @@ def test_breakpoint_argmax_ties():
 def _old_grid_score(ds, r, step, m):
     """The argmax over the former per-direction bias grid: 512 quantiles of
     |f_j''| plus a 128-point cover of the projection range."""
-    mix = relu_mixture(decompose_directions(step.complex_neuron.z, m), step.M)
-    comps = {c.j: c for c in mix.components}
+    dd = decompose_directions(step.complex_neuron.z, m)
+    nodes, quad = _mixture_quadrature(dd, step.M)
     q = (np.arange(512) + 0.5) / 512
     cn = step.complex_neuron
     best = 0.0
     for j in range(m + 1):
         proj = ds.points @ (cn.w_re + j * cn.w_im)
         grids = []
-        if j in comps:
-            cdf = np.cumsum(np.abs(comps[j].quad_f2))
-            grids.append(comps[j].nodes[np.searchsorted(cdf / cdf[-1], q)])
+        if np.max(np.abs(dd.poly_float(j))) > 0.0:
+            cdf = np.cumsum(np.abs(quad[j]))
+            grids.append(nodes[np.searchsorted(cdf / cdf[-1], q)])
         span = max(np.max(np.abs(proj)), 1e-6)
         grids.append(np.linspace(-1.5 * span, 1.5 * span, 128))
         biases = np.unique(np.concatenate(grids))
@@ -572,10 +572,9 @@ def test_step_dominates_old_bias_grid():
 def test_step_below_mixture_mean_raises_invariant_error(monkeypatch):
     ds, gamma = _fixture()
     m = choose_degree(ds.n, gamma)
-    real_mixture = harmonic.relu_mixture
 
-    def inflated(dd, M):
-        return dataclasses.replace(real_mixture(dd, M), scale=1e12)
+    def inflated(dd, M):  # masses summing to 1e-12, a mixture scale of 1e12
+        return np.full(dd.m + 1, 1e-12 / (dd.m + 1))
 
     monkeypatch.setattr(harmonic, "relu_mixture", inflated)
     with pytest.raises(InvariantError, match="mixture mean"):
@@ -641,42 +640,3 @@ def test_harmonic_fit_epsilon_validation():
     ds, _ = _fixture(10, 20, 0)
     with pytest.raises(ParameterError):
         harmonic_fit(ds, epsilon=0.0)
-
-
-# -- tail diagnostic ----------------------------------------------------------
-
-def test_tail_diagnostic_shape():
-    ds, gamma = _fixture()
-    m = choose_degree(ds.n, gamma)
-    table = tail_diagnostic(ds, ds.labels, m, samples=20000, seed=0, gamma=gamma)
-    s = np.array([row["s"] for row in table])
-    fr = np.array([row["freq_re"] for row in table])
-    fi = np.array([row["freq_im"] for row in table])
-    assert np.all(np.diff(s) > 0)
-    assert np.all(np.diff(fr) <= 0) and np.all(np.diff(fi) <= 0)
-
-
-def test_tail_diagnostic_median_threshold():
-    ds, gamma = _fixture(50, 25, 3)
-    m = choose_degree(ds.n, gamma)
-    table = tail_diagnostic(ds, ds.labels, m, samples=5000, seed=1, gamma=gamma,
-                            thresholds=np.array([1e-6, 1e6]))
-    assert table[0]["freq_re"] >= 0.5
-    assert table[1]["freq_re"] == 0.0
-
-
-def test_tail_diagnostic_subgaussian_degree_shape():
-    """log frequency vs s^(2/m) is near-linear with negative slope, skipping
-    the smallest decade of s where the bound has no content."""
-    ds, gamma = _fixture()
-    m = choose_degree(ds.n, gamma)
-    table = tail_diagnostic(ds, ds.labels, m, samples=100000, seed=0, gamma=gamma)
-    s = np.array([row["s"] for row in table])
-    fr = np.array([row["freq_re"] for row in table])
-    keep = (s >= 10.0 * s.min()) & (fr > 0.0)
-    u = s[keep] ** (2.0 / m)
-    v = np.log(fr[keep])
-    slope, icpt = np.polyfit(u, v, 1)
-    r2 = 1.0 - np.sum((v - (slope * u + icpt)) ** 2) / np.sum((v - v.mean()) ** 2)
-    assert slope < 0.0
-    assert r2 >= 0.9

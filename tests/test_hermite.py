@@ -142,15 +142,15 @@ def test_generating_function():
 
 
 def test_orthogonality_diagonal():
-    est, se = orthogonality_check(1, 1, 0.5, 200000, 0, return_stderr=True)
+    est, se = orthogonality_check(1, 1, 0.5, 200000, 0)
     assert abs(est - 0.5) <= 3 * se
-    est, se = orthogonality_check(3, 3, 1.0, 200000, 1, return_stderr=True)
+    est, se = orthogonality_check(3, 3, 1.0, 200000, 1)
     assert abs(est - 1.0) <= 3 * se
 
 
 def test_orthogonality_offdiagonal():
     for rho in (-0.7, 0.2, 0.9):
-        est, se = orthogonality_check(2, 3, rho, 200000, 2, return_stderr=True)
+        est, se = orthogonality_check(2, 3, rho, 200000, 2)
         assert abs(est) <= 3 * se + 1e-12
 
 
@@ -159,8 +159,7 @@ def test_orthogonality_grid():
     for m in range(4):
         for m2 in range(4):
             for rho in (-0.6, 0.3):
-                est, se = orthogonality_check(m, m2, rho, 100000, 10 * m + m2,
-                                              return_stderr=True)
+                est, se = orthogonality_check(m, m2, rho, 100000, 10 * m + m2)
                 exact = rho ** m if m == m2 else 0.0
                 assert abs(est - exact) <= 3 * se + 1e-12
 

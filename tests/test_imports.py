@@ -1,6 +1,6 @@
-"""Static checks over the package sources: every imported name is used, and
+"""Static checks over the package sources: every imported name is used,
 every module-level ``_private`` function or class is referenced somewhere in
-the package.
+the package, and every name the benchmark tracer wraps exists.
 
 No linter is a dependency, so the checks parse each module with ``ast``.
 ``__init__.py`` is skipped by the import check because its imports are the
@@ -8,11 +8,14 @@ package's exports.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "memnet"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "memnet"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -74,3 +77,32 @@ def test_orphan_private_detector():
 def test_no_orphan_privates():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert orphan_privates(sources) == []
+
+
+def missing_targets(targets) -> list[str]:
+    """``module.name`` of each (module, name, label) target whose name is not a
+    callable attribute of that module."""
+    return [f"{module}.{name}" for module, name, _label in targets
+            if not callable(getattr(importlib.import_module(module), name, None))]
+
+
+def test_missing_target_detector():
+    targets = (("memnet.harmonic", "relu_mixture", "a"),
+               ("memnet.harmonic", "no_such_layer", "b"),
+               ("memnet.harmonic", "CONSTANTS", "c"))
+    assert missing_targets(targets) == ["memnet.harmonic.no_such_layer",
+                                        "memnet.harmonic.CONSTANTS"]
+
+
+def test_traced_names_exist(monkeypatch):
+    """The benchmark's ``--trace 1`` wraps the names in bench/tracing.py's
+    TARGETS; a refactor that drops or renames one fails here, not only in a
+    benchmark run.  The module is loaded from its path without writing a
+    bytecode cache next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.TARGETS) > 0
+    assert missing_targets(tracing.TARGETS) == []

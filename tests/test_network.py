@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from memnet.data import Dataset, rademacher_labels, sample_sphere
 from memnet.errors import ConvergenceError, InvariantError, ParameterError
@@ -81,6 +84,35 @@ def test_network_json_roundtrip():
     assert back.activation == "threshold"
     pts = rng.standard_normal((6, 3))
     assert np.max(np.abs(back(pts) - net(pts))) < 1e-15
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _networks(draw):
+    d = draw(st.integers(1, 5))
+    neurons = [Neuron(draw(_FINITE), draw(hnp.arrays(np.float64, d, elements=_FINITE)),
+                      draw(_FINITE)) for _ in range(draw(st.integers(0, 6)))]
+    return TwoLayerNetwork(tuple(neurons), draw(st.sampled_from(["relu", "threshold"])))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(net=_networks())
+def test_network_json_roundtrip_property(net):
+    """Bit-exact round trip of every a, w and b (signed zeros, subnormals,
+    extreme magnitudes) and of the activation name."""
+    back = TwoLayerNetwork.from_json(net.to_json())
+    assert back.activation == net.activation
+    assert back.k == net.k
+    for got, want in zip(back.neurons, net.neurons):
+        assert _bits(got.a) == _bits(want.a)
+        assert _bits(got.w) == _bits(want.w)
+        assert _bits(got.b) == _bits(want.b)
 
 
 def test_neuron_rejects_nonfinite():

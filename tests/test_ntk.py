@@ -23,14 +23,13 @@ def test_step_correlation_is_v_norm_squared():
     r = ds.labels
     for seed in range(10):
         step = ntk_step(ds, r, seed)
-        f = step.pair.linearized_values(ds.points)
+        f = step.linearized_values(ds.points)
         assert float(r @ f) == pytest.approx(float(step.v @ step.v), rel=1e-9)
 
 
 def test_step_two_relu_realization_exact():
     ds = _labeled(30, 8, 2)
-    step = ntk_step(ds, ds.labels, 0)
-    pair = step.pair
+    pair = ntk_step(ds, ds.labels, 0)
     assert np.max(np.abs(pair.values(ds.points)
                          - pair.linearized_values(ds.points))) < 1e-9
 
@@ -41,7 +40,7 @@ def test_step_norm_controlled_by_covariance():
     rep = genericity(ds)
     for seed in range(5):
         step = ntk_step(ds, ds.labels, seed)
-        f = step.pair.linearized_values(ds.points)
+        f = step.linearized_values(ds.points)
         cap = ds.n * rep.omega / ds.d * float(step.v @ step.v)
         assert float(f @ f) <= cap * (1 + 1e-9)
 
@@ -219,8 +218,7 @@ def test_general_bound_mean_correlation_floor():
     ds = _labeled(80, 30, 3)
     exp = expand_activation_derivative(lambda t: (t >= 0).astype(float), 20)
     rep = general_ntk_bound(ds, exp, L=1.0, epsilon=0.25,
-                            psi_prime=lambda t: (t >= 0).astype(float),
-                            step_seeds=200, seed=0)
+                            psi_prime=lambda t: (t >= 0).astype(float))
     assert rep.mean_correlation is not None
     assert rep.mean_correlation >= rep.correlation_bound
 
