@@ -12,8 +12,8 @@ Pipeline for one boosting step:
    combines them linearly in (Re z, Im z);
 3. represent each truncated univariate polynomial as a signed mixture of
    ReLUs using psi'' = delta_0, with biases distributed as |f''| / int|f''|;
-   ``relu_mixture`` returns the masses int |f_j''|, and the mixture's mean
-   correlation is scale * corr with scale = 1 / sum_j int |f_j''|;
+   ``relu_mixture`` reads the masses int |f_j''| off a half-period table (z
+   folded to Re z >= 0, 1e-10 relative); the mean correlation is corr / sum;
 4. return the single ReLU realization maximizing the correlation with the
    residual by a breakpoint argmax: for a fixed direction the correlation is
    piecewise linear in the bias, with breakpoints at the data projections,
@@ -277,22 +277,31 @@ def _basis_second_derivatives(coeffs: np.ndarray, nodes: np.ndarray,
                       + P.polyval(nodes, c) * chi2 for c in coeffs])
 
 
+def _mixture_f2(m: int, M: float, panels: int) -> tuple:
+    """Nodes, weights and (p * chi_M)'' rows of the z = 1 and z = i bases on
+    ``panels`` Gauss-Legendre panels of [-2M, 2M]; f'' is linear in z."""
+    basis_re, basis_im, scale = _decomp_basis(m)
+    nodes, wts = gl_grid(-2.0 * M, 2.0 * M, panels)
+    chis = bump_eval(nodes, M)
+    return (nodes, wts, _basis_second_derivatives(basis_re * scale, nodes, chis),
+            _basis_second_derivatives(basis_im * scale, nodes, chis))
+
+
 def _mixture_basis(m: int, M: float) -> tuple:
-    """Quadrature grid plus (p * chi_M)'' values for the z = 1 and z = -i
-    decomposition bases; any unit z combines them linearly.  The grid is
-    refined from 64 panels, doubling until every int |f''| is stable to 1e-6
-    relative, at most 4096 panels."""
+    """(panels, (keys, shifts, S)): panels double from 64 until each int |f''|
+    is stable to 1e-6 relative (at most 4096).  Node k of row j adds |Re z A_k +
+    Im z B_k| (A = f2_re wts, B = f2_im wts); on Re z >= 0 it flips sign only
+    at the angle of (|B_k|, -c_k A_k), c_k = copysign(1, B_k).  Row j: keys =
+    4j (shifts) + (sorted angles, 2); S = sum_{i<k} - sum_{i>=k} of (c_i A_i, |B_i|)."""
+    if M <= 0.0:
+        raise ParameterError("M must be positive")
     key = (m, round(M, 9))
     if key not in _mixture_basis_cache:
-        basis_re, basis_im, scale = _decomp_basis(m)
-        cre, cim = basis_re * scale, basis_im * scale
         panels, prev = 64, None
         while True:
-            nodes, wts = gl_grid(-2.0 * M, 2.0 * M, panels)
-            chis = bump_eval(nodes, M)
-            f2_re = _basis_second_derivatives(cre, nodes, chis)
-            f2_im = _basis_second_derivatives(cim, nodes, chis)
-            masses = np.abs(np.vstack([f2_re, f2_im]) * wts).sum(axis=1)
+            _, wts, f2_re, f2_im = _mixture_f2(m, M, panels)
+            AB = np.vstack([f2_re, f2_im]) * wts
+            masses = np.abs(AB).sum(axis=1)
             if prev is not None:
                 ref = max(float(masses.max()), 1e-300)
                 if np.all(np.abs(masses - prev)
@@ -302,18 +311,27 @@ def _mixture_basis(m: int, M: float) -> tuple:
                 break
             prev = masses
             panels *= 2
-        _mixture_basis_cache[key] = (nodes, wts, f2_re, f2_im)
+        del f2_re, f2_im  # A and B live on in AB: peak memory stays the grid's
+        keys, S = np.empty((m + 1, wts.size + 1)), np.zeros((2, m + 1, wts.size + 1))
+        for j in range(m + 1):  # one row of temporaries at a time
+            cA, aB = np.copysign(1.0, AB[m + 1 + j]) * AB[j], np.abs(AB[m + 1 + j])
+            angle = np.arctan2(-cA, aB)
+            order = np.argsort(angle, kind="stable")
+            keys[j] = np.append(angle[order], 2.0) + 4.0 * j  # 2 > pi/2 pads the row
+            np.cumsum(np.vstack((cA, aB))[:, order], axis=1, out=S[:, j, 1:])
+        S *= 2.0  # sum_{i<k} - sum_{i>=k} = 2 sum_{i<k} - sum_i
+        S -= S[:, :, -1:] / 2.0
+        _mixture_basis_cache[key] = (panels, (keys.ravel(), 4.0 * np.arange(m + 1),
+                                              S.reshape(2, -1)))
     return _mixture_basis_cache[key]
 
 
 def _mixture_quadrature(dd: DirectionalDecomposition, M: float
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes on [-2M, 2M] and the (m+1, nodes) array of
-    weight * f_j''(node) for dd's z: f'' is linear in (Re z, Im z), so it
-    combines the cached per-degree quadrature of ``_mixture_basis``."""
-    if M <= 0.0:
-        raise ParameterError("M must be positive")
-    nodes, wts, f2_re, f2_im = _mixture_basis(dd.m, M)
+    weight * f_j''(node) for dd's z at the panel count of ``_mixture_basis``,
+    recomputed on each call (only the step's table is cached)."""
+    nodes, wts, f2_re, f2_im = _mixture_f2(dd.m, M, _mixture_basis(dd.m, M)[0])
     quad = dd.z.real * f2_re
     quad += dd.z.imag * f2_im
     quad *= wts
@@ -328,13 +346,21 @@ def relu_mixture(dd: DirectionalDecomposition, M: float) -> np.ndarray:
     f_j(t) = int psi(t - y) f_j''(y) dy exactly; biases follow |f_j''| and
     signs follow sign(f_j'').  Every direction with a nonzero p_j must have
     a positive mass.
+
+    The masses come off the table of ``_mixture_basis``: z folds to Re z >= 0,
+    one ``searchsorted`` of arg z + 4j finds row j's k flipped nodes, and the
+    mass Re z S[0] + Im z S[1] there is the direct sum of |(Re z f2_re + Im z
+    f2_im) wts| within a few N u sum_k (|A_k| + |B_k|), u the unit roundoff.
     """
-    masses = np.abs(_mixture_quadrature(dd, M)[1]).sum(axis=1)
-    for j in range(dd.m + 1):
-        if np.max(np.abs(dd.poly_float(j))) > 0.0 and masses[j] <= 0.0:
+    keys, shifts, S = _mixture_basis(dd.m, M)[1]
+    z = dd.z if dd.z.real >= 0.0 else -dd.z
+    at = np.searchsorted(keys, math.atan2(z.imag, z.real) + shifts)
+    masses = z.real * S[0, at] + z.imag * S[1, at]
+    if masses.min() <= 0.0:
+        for j in np.flatnonzero((dd.polys * dd.scale).any(axis=1) & (masses <= 0.0))[:1]:
             raise QuadratureResolutionError(f"int |f_{j}''| vanished for a nonzero p_{j}")
-    if masses.sum() <= 0.0:
-        raise QuadratureResolutionError("all mixture components are zero")
+        if masses.sum() <= 0.0:
+            raise QuadratureResolutionError("all mixture components are zero")
     return masses
 
 

@@ -84,16 +84,16 @@ def hermite_eval(m: int, z):
     one = np.ones_like(z, dtype=np.result_type(z.dtype, np.float64))
     if m == 0:
         return one
-    h_prev, h = one, z * one
+    h_prev, h, nxt = one, np.asarray(z * one), np.empty_like(one)
     for k in range(2, m + 1):
         # (z h - sqrt(k-1) h_prev) / sqrt(k) with the same operations in the
-        # same order, reusing h_prev (never the caller's z) as scratch
+        # same order, in three buffers that rotate (never the caller's z)
         h_prev *= math.sqrt(k - 1)
-        nxt = z * h
+        np.multiply(z, h, out=nxt)
         nxt -= h_prev
         nxt /= math.sqrt(k)
-        h_prev, h = h, nxt
-    return h
+        h_prev, h, nxt = h, nxt, h_prev
+    return h[()]  # a numpy scalar for a 0-d z, as numpy arithmetic returns
 
 
 def orthogonality_check(m: int, m2: int, rho: float, samples: int,

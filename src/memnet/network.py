@@ -185,6 +185,7 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
     epsilon ||y||^2 all use the residual restricted to A.  Steps with
     nonpositive correlation are resampled up to ``retry_budget`` times;
     exhausting them, or ``max_iters``, raises ConvergenceError with the trace.
+    ``trace.notes["stop_reason"]`` is "epsilon reached" or the error's reason.
     """
     if not (0.0 < epsilon < 1.0):
         raise ParameterError("epsilon must lie in (0, 1)")
@@ -194,6 +195,7 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
     neurons: list[Neuron] = []
     active = np.ones(len(y), dtype=bool)
     if y_sq == 0.0:
+        trace.notes["stop_reason"] = "epsilon reached"
         trace.final_error_ratio = 0.0
         trace.total_weight = 0.0
         return TwoLayerNetwork(()), trace, active
@@ -225,6 +227,7 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
             trace.total_weight = total_weight(TwoLayerNetwork(tuple(neurons)))
             reason = ("step retry budget exhausted" if it < max_iters
                       else "iteration cap reached")
+            trace.notes["stop_reason"] = reason
             raise ConvergenceError(f"{reason} at iteration {it} with error ratio "
                                    f"{trace.final_error_ratio:.3g}", trace=trace)
 
@@ -244,6 +247,7 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
             raise InvariantError("line-search step increased the residual")
 
     net = TwoLayerNetwork(tuple(neurons))
+    trace.notes["stop_reason"] = "epsilon reached"
     trace.final_error_ratio = r_sq / y_sq
     trace.total_weight = total_weight(net)
     return net, trace, active

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memnet.constructive import (DerivativeNeuronPair, _hyperplane_through,
                                  baum_relu_fit, baum_threshold_fit,
@@ -158,6 +160,17 @@ def test_baum_relu_many_seeds():
         net = baum_relu_fit(ds, seed=seed)
         assert net.k == 40
         assert np.max(np.abs(evaluate(net, ds) - ds.labels)) < 1e-6
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 120), d=st.integers(2, 20), seed=st.integers(0, 2 ** 32 - 2))
+def test_baum_relu_exact_property(n, d, seed):
+    """On sphere points (general position almost surely) with Gaussian labels,
+    baum_relu_fit interpolates within 1e-6 with at most 4 ceil(n/d) neurons."""
+    ds = _sphere(n, d, seed)
+    net = baum_relu_fit(ds, seed=seed)
+    assert net.k <= 4 * math.ceil(n / d)
+    assert np.max(np.abs(evaluate(net, ds) - ds.labels)) <= 1e-6
 
 
 def test_hyperplane_through_points():

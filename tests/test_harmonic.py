@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +10,10 @@ from memnet.data import (Dataset, gaussian_labels, genericity, rademacher_labels
                          sample_sphere)
 import memnet.harmonic as harmonic
 from memnet.errors import (ConvergenceError, InvariantError, ParameterError,
-                           SamplerFailureError)
+                           QuadratureResolutionError, SamplerFailureError)
 from memnet.harmonic import (CONSTANTS, ComplexNeuron, _basis_second_derivatives,
-                             _breakpoint_argmax, _decomp_basis, _mixture_quadrature,
+                             _breakpoint_argmax, _decomp_basis, _mixture_basis,
+                             _mixture_f2, _mixture_quadrature,
                              bump_eval, choose_degree, decompose_directions,
                              harmonic_fit, hermite_gram, mixture_expectation,
                              perturbation_vector, projection_cutoff, relu_mixture,
@@ -420,6 +423,70 @@ def test_mixture_probabilities_and_support():
         assert set(np.unique(nz)) <= {-1.0, 1.0}
 
 
+@functools.lru_cache(maxsize=None)
+def _quadrature_rows(m, M):
+    """Weights and the z = 1 / z = i rows of f'' at the panel count of the
+    mixture table, the arrays ``_mixture_quadrature`` combines for one z."""
+    _, wts, f2_re, f2_im = _mixture_f2(m, M, _mixture_basis(m, M)[0])
+    return wts, f2_re, f2_im
+
+
+def _direct_masses(dd, M):
+    """Direct-sum oracle for relu_mixture: sum_k |Re z f2_re + Im z f2_im| wts."""
+    wts, f2_re, f2_im = _quadrature_rows(dd.m, M)
+    return (np.abs(dd.z.real * f2_re + dd.z.imag * f2_im) * wts).sum(axis=1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 9, 12])
+def test_mass_table_matches_direct_sum(m):
+    """The half-period table agrees with the direct sum over the quadrature
+    nodes within 1e-10 relative: on the axes, on a breakpoint, on Re z < 0
+    (the fold) and at 200 random z."""
+    M = 2.0 * m * projection_cutoff(100, m)
+    wts, f2_re, f2_im = _quadrature_rows(m, M)
+    # a breakpoint: the z orthogonal to the heaviest node's (A, B) in row 0
+    A, B = f2_re[0] * wts, f2_im[0] * wts
+    k = int(np.argmax(np.hypot(A, B)))
+    on_break = complex(abs(B[k]), -math.copysign(1.0, B[k]) * A[k]) / math.hypot(A[k], B[k])
+    rng = np.random.default_rng(m)
+    zs = [1.0 + 0.0j, -1.0 + 0.0j, 1j, -1j, on_break, -on_break,
+          complex(math.cos(2.5), math.sin(2.5))]
+    zs += list(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=200)))
+    dd = decompose_directions(on_break, m)
+    assert np.array_equal(_direct_masses(dd, M),
+                          np.abs(_mixture_quadrature(dd, M)[1]).sum(axis=1))
+    for z in zs:
+        dd = decompose_directions(complex(z), m)
+        got, want = relu_mixture(dd, M), _direct_masses(dd, M)
+        assert np.all(np.abs(got - want) <= 1e-10 * want), z
+
+
+def test_mass_table_degree_one_builds_without_warnings(monkeypatch):
+    """At m = 1, f'' vanishes on [-M, M], so A = B = 0 there: the breakpoint
+    angles must come out without a division by zero or a NaN."""
+    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keys, shifts, S = _mixture_basis(1, 2.0)[1]
+        masses = relu_mixture(decompose_directions(1j, 1), 2.0)
+    assert np.all(np.isfinite(keys)) and np.all(np.isfinite(S))
+    assert np.all(masses > 0.0)
+
+
+def test_mass_table_zero_row_raises(monkeypatch):
+    m, M = 4, 3.0
+    panels, (keys, shifts, S) = _mixture_basis(m, M)
+    dd = decompose_directions(complex(math.cos(1.0), math.sin(1.0)), m)
+    assert np.any(dd.polys[2] != 0.0)  # so direction 2 needs a positive mass
+    S = S.copy()
+    width = S.shape[1] // (m + 1)
+    S[:, 2 * width:3 * width] = 0.0
+    monkeypatch.setitem(harmonic._mixture_basis_cache, (m, round(M, 9)),
+                        (panels, (keys, shifts, S)))
+    with pytest.raises(QuadratureResolutionError, match="f_2"):
+        relu_mixture(dd, M)
+
+
 def test_mixture_rejects_bad_radius():
     with pytest.raises(ParameterError):
         relu_mixture(decompose_directions(1, 1), 0.0)
@@ -569,6 +636,34 @@ def test_step_dominates_old_bias_grid():
         assert step.correlation >= step.mixture_mean_correlation
 
 
+def test_step_calls_traced_names(monkeypatch):
+    """bench/tracing.py times the mixture and the Hermite recurrence through
+    the names ``harmonic.relu_mixture`` and ``harmonic.hermite_eval``: one
+    step calls the first exactly once and the second at least twice."""
+    ds, gamma = _fixture()
+    m = choose_degree(ds.n, gamma)
+    calls = {"relu_mixture": 0, "hermite_eval": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(harmonic, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(harmonic, name, spy)
+    single_neuron_step(ds, ds.labels, m, seed=0, gamma=gamma)
+    assert calls["relu_mixture"] == 1
+    assert calls["hermite_eval"] >= 2
+
+
+def test_fit_identical_with_direct_sum_masses(monkeypatch):
+    """The masses feed only the mixture-mean check, so a fit whose masses
+    come from the direct sum builds the same network and trace."""
+    ds = rademacher_labels(sample_sphere(60, 80, 0), 1)
+    table = harmonic_fit(ds, epsilon=0.3, seed=0)
+    monkeypatch.setattr(harmonic, "relu_mixture", _direct_masses)
+    direct = harmonic_fit(ds, epsilon=0.3, seed=0)
+    assert table.network.to_json() == direct.network.to_json()
+    assert table.trace.iterations == direct.trace.iterations
+
+
 def test_step_below_mixture_mean_raises_invariant_error(monkeypatch):
     ds, gamma = _fixture()
     m = choose_degree(ds.n, gamma)
@@ -623,6 +718,8 @@ def test_harmonic_fit_iteration_cap_raises_with_trace():
     trace = err.value.trace
     assert len(trace.iterations) == 2 and trace.final_error_ratio > 0.3
     full = harmonic_fit(ds, epsilon=0.3, seed=3)
+    assert trace.notes.pop("stop_reason") == "iteration cap reached"
+    assert full.trace.notes.pop("stop_reason") == "epsilon reached"
     assert trace.notes == full.trace.notes
     # the weight is reported in label units, as for a finished fit
     first_two = TwoLayerNetwork(full.network.neurons[:2])

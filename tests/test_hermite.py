@@ -55,6 +55,14 @@ def test_recursion_bit_identical_to_textbook():
         assert np.array_equal(z, before)
 
 
+def test_scalar_input_gives_numpy_scalar():
+    # the recurrence's rotating buffers are 0-d arrays for a scalar z
+    for z, kind in ((2.5, np.float64), (np.array(1.7), np.float64), (3, np.float64),
+                    (-1.25 + 0.5j, np.complex128)):
+        for m in range(1, 6):
+            assert type(hermite_eval(m, z)) is kind
+
+
 def _horner(coeffs, z):
     acc = np.zeros_like(z, dtype=np.result_type(z.dtype, np.float64))
     for c in reversed(coeffs):

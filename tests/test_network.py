@@ -267,6 +267,7 @@ def test_boost_retry_exhaustion_raises_with_trace():
     with pytest.raises(ConvergenceError) as err:
         boost_fit(builder, ds, epsilon=0.1, max_iters=5, retry_budget=3)
     assert isinstance(err.value.trace, FitTrace)
+    assert err.value.trace.notes["stop_reason"] == "step retry budget exhausted"
 
 
 def test_boost_iteration_cap_raises_with_trace():
@@ -282,6 +283,7 @@ def test_boost_iteration_cap_raises_with_trace():
     trace = err.value.trace
     assert len(trace.iterations) == 3
     assert trace.final_error_ratio == pytest.approx(0.99 ** 3, rel=1e-9)
+    assert trace.notes["stop_reason"] == "iteration cap reached"
 
     def perfect(r, seed):
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=r.copy())
@@ -289,6 +291,7 @@ def test_boost_iteration_cap_raises_with_trace():
     # reaching the target on the last allowed step is not a failure
     net, trace, _ = boost_fit(perfect, ds, epsilon=0.5, max_iters=1)
     assert len(trace.iterations) == 1 and trace.final_error_ratio < 1e-20
+    assert trace.notes["stop_reason"] == "epsilon reached"
 
 
 @pytest.mark.parametrize("n,d,seed,trim_sq,epsilon",

@@ -182,6 +182,7 @@ def test_ntk_fit_iteration_cap_raises_with_trace():
     trace = err.value.trace
     assert isinstance(trace, FitTrace) and len(trace.iterations) == 3
     assert trace.final_error_ratio > 0.25
+    assert trace.notes["stop_reason"] == "iteration cap reached"
 
 
 def test_ntk_fit_zero_labels():
