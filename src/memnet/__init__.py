@@ -5,10 +5,10 @@ from .data import (Dataset, GenericityReport, general_position, genericity, load
                    load_dataset, rademacher_labels, sample_sphere, save_dataset)
 from .network import (FitTrace, Neuron, StepProposal, TwoLayerNetwork, boost_fit,
                       evaluate, total_weight)
-from .hermite import (HermiteBasis, HermiteExpansion, expand_activation_derivative,
-                      hermite_eval, orthogonality_check)
+from .hermite import (HermiteExpansion, eval_monomial, expand_activation_derivative,
+                      he_coeffs, hermite_eval, orthogonality_check)
 from .constructive import (DerivativeNeuronPair, baum_relu_fit, baum_threshold_fit,
-                           exact_fit_generic, measure_baum_weight_scaling)
+                           exact_fit_generic)
 from .ntk import (arcsin_gram, general_ntk_bound, gram_lower_bound_check,
                   ntk_fit, ntk_step)
 from .harmonic import (ComplexNeuron, DirectionalDecomposition, choose_degree,

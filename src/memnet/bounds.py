@@ -1,14 +1,13 @@
 """Empirical verification of the sqrt(n)/(8L) total-weight lower bound.
 
-Any 1-Lipschitz-activation network that fits Rademacher labels to half
-error must carry total weight at least sqrt(n)/(8L); a constructed network
-below that line would falsify the implementation (of the evaluation or of
-the weight measure), never the bound.
+Any network with an L-Lipschitz activation that fits Rademacher labels to
+half error carries total weight at least sqrt(n)/(8L), sqrt(n)/8 for the
+ReLU; a network below that line would falsify the implementation (of the
+evaluation or of the weight measure), never the bound.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +21,6 @@ from .network import TwoLayerNetwork, evaluate, relu, total_weight
 @dataclass
 class WeightBoundReport:
     n: int
-    L: float
     bound: float
     measured_weights: dict = field(default_factory=dict)
     error_ratios: dict = field(default_factory=dict)
@@ -32,18 +30,10 @@ class WeightBoundReport:
     def falsified(self) -> bool:
         return bool(self.falsifications)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "L": self.L, "bound": self.bound,
-            "measured_weights": self.measured_weights,
-            "error_ratios": self.error_ratios,
-            "falsifications": self.falsifications,
-        }, indent=2)
 
-
-def verify_weight_bound(ds: Dataset, nets: list[tuple[str, TwoLayerNetwork]],
-                        L: float = 1.0) -> WeightBoundReport:
-    """Check every half-fitting network against the sqrt(n)/(8L) floor.
+def verify_weight_bound(ds: Dataset, nets: list[tuple[str, TwoLayerNetwork]]
+                        ) -> WeightBoundReport:
+    """Check every half-fitting network against the ReLU floor sqrt(n)/8.
 
     Networks with error ratio above 1/2 are reported but exempt.  A
     FALSIFICATION entry indicates an implementation bug, not new math.
@@ -52,7 +42,7 @@ def verify_weight_bound(ds: Dataset, nets: list[tuple[str, TwoLayerNetwork]],
     if not np.all(np.abs(y) == 1.0):
         raise DataError("verify_weight_bound requires +-1 labels")
     y_sq = float(y @ y)
-    report = WeightBoundReport(n=ds.n, L=L, bound=math.sqrt(ds.n) / (8.0 * L))
+    report = WeightBoundReport(n=ds.n, bound=math.sqrt(ds.n) / 8.0)
     for name, net in nets:
         ratio = float(np.sum((evaluate(net, ds) - y) ** 2)) / y_sq
         weight = total_weight(net)

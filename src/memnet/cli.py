@@ -71,7 +71,7 @@ def _run_method(method: str, ds, epsilon, seed: int):
         res = ntk_fit(ds, epsilon, seed=seed)
         return res.network, res.trace, {
             "kd_achieved": res.kd_achieved, "kd_bound": res.kd_bound,
-            "kd_hypothesis_met": res.kd_achieved <= res.kd_bound,
+            "kd_hypothesis_met": res.kd_bound is not None and res.kd_achieved <= res.kd_bound,
             "gamma": res.report.gamma, "omega": res.report.omega,
         }
     if method == "harmonic":
@@ -131,7 +131,9 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _sweep_cell(method, n, d, seed, epsilon, labels):
+def sweep_cell(method, n, d, seed, epsilon, labels):
+    """One sweep row: ``method`` fitted with ``seed`` on ``sample_sphere(n, d,
+    seed)`` with ``labels`` drawn from seed + 1 (made 0/1 for baum-threshold)."""
     ds = data_mod.sample_sphere(n, d, seed)
     ds = _make_labels(ds, labels, seed + 1)
     if method == "baum-threshold":
@@ -162,9 +164,9 @@ def cmd_sweep(args) -> int:
         except ValueError:
             raise ParameterError(f"MEMNET_THREADS must be an integer, got {threads!r}") from None
         with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
-            rows = list(pool.map(_sweep_cell, *zip(*cells)))
+            rows = list(pool.map(sweep_cell, *zip(*cells)))
     else:
-        rows = [_sweep_cell(*cell) for cell in cells]
+        rows = [sweep_cell(*cell) for cell in cells]
     rows.sort(key=lambda r: (r["method"], r["n"], r["d"], r["seed"]))
     cols = ["method", "n", "d", "seed", "epsilon", "k", "total_weight",
             "error_ratio", "max_residual", "trimmed_out"]

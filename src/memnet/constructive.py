@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, sample_sphere, rademacher_labels
-from .errors import DataError, DegenerateDataError, ParameterError, RankDeficiencyError
-from .network import Neuron, TwoLayerNetwork, evaluate, get_activation, total_weight
+from .data import Dataset
+from .errors import DataError, DegenerateDataError, RankDeficiencyError
+from .network import Neuron, TwoLayerNetwork, evaluate, get_activation
 
 _SLOPE_EPS = 1e-14
 
@@ -207,27 +207,3 @@ def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
         pair = DerivativeNeuronPair(u, v, bias, safe_delta(ds.points, u, v, bias))
         out.extend(pair.neurons(sign))
     return out
-
-
-def measure_baum_weight_scaling(d: int, n_list: list[int], seeds: list[int]
-                                ) -> tuple[list[dict], dict[int, float]]:
-    """Total weight of the Baum ReLU fit on sphere data with +-1 labels.
-
-    Returns per-run rows (n, d, seed, k, total_weight, max_residual) and the
-    median weight per n.
-    """
-    if not n_list:
-        raise ParameterError("n_list must be nonempty")
-    rows = []
-    for n in n_list:
-        for seed in seeds:
-            ds = rademacher_labels(sample_sphere(n, d, seed), seed + 1)
-            net = baum_relu_fit(ds, seed=seed)
-            rows.append({
-                "n": n, "d": d, "seed": seed, "k": net.k,
-                "total_weight": total_weight(net),
-                "max_residual": float(np.max(np.abs(evaluate(net, ds) - ds.labels))),
-            })
-    medians = {n: float(np.median([r["total_weight"] for r in rows if r["n"] == n]))
-               for n in n_list}
-    return rows, medians

@@ -19,11 +19,6 @@ from .errors import DataError, ParameterError
 
 _MAGIC = b"MEMNETDS"
 
-#: Coherence below this is clamped by consumers that need log(1/gamma) finite.
-def gamma_floor(n: int) -> float:
-    return 1.0 / (2.0 * n)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """n points in R^d (rows of ``points``) with real labels."""
@@ -66,8 +61,8 @@ class GenericityReport:
     min_norm: float
 
     def gamma_clamped(self, n: int) -> float:
-        """Coherence clamped away from zero, for log(1/gamma) consumers."""
-        return max(self.gamma, gamma_floor(n))
+        """Coherence clamped below at 1/(2n), for log(1/gamma) consumers."""
+        return max(self.gamma, 1.0 / (2.0 * n))
 
 
 def sample_sphere(n: int, d: int, seed: int) -> Dataset:
@@ -110,8 +105,6 @@ def genericity(ds: Dataset) -> GenericityReport:
     X = ds.points
     n, d = X.shape
     norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
-        raise DataError("zero row in dataset")
     if n == 1:
         gamma = 0.0
     else:

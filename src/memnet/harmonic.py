@@ -22,39 +22,28 @@ Pipeline for one boosting step:
    projections and suffix sums give the correlation at every breakpoint.
 
 The tuning constants (cutoff, correlation floor, variance cap) are
-calibrated once on a reference fixture and frozen in
-``calibrated_constants.txt``.
+calibrated once on a reference fixture and frozen in ``CONSTANTS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from .data import Dataset, genericity
-from .errors import (ConvergenceError, InvariantError, ParameterError,
-                     QuadratureResolutionError, SamplerFailureError)
-from .hermite import HermiteBasis, gl_grid, hermite_eval
+from .errors import (ConvergenceError, DegenerateDataError, InvariantError,
+                     ParameterError, QuadratureResolutionError, SamplerFailureError)
+from .hermite import gl_grid, he_coeffs, hermite_eval
 from .network import (FitTrace, Neuron, StepProposal, TwoLayerNetwork, boost_fit,
                       total_weight)
 
 
-def _load_constants() -> dict[str, float]:
-    table = {}
-    text = resources.files("memnet").joinpath("calibrated_constants.txt").read_text()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, value = line.split()[:2]
-        table[name] = float(value)
-    return table
-
-
-CONSTANTS = _load_constants()
+# Frozen on 2026-08-25 from pilot Monte Carlo on the reference fixture
+# sphere-n100-d50-seed0 (unit-sphere data, n=100, d=50, seed 0, Rademacher
+# labels) at degree m=10; see README.
+CONSTANTS = {"cutoff_c": 0.076, "corr_c": 4.0, "var_c": 1.0e9}
 
 
 def choose_degree(n: int, gamma: float) -> int:
@@ -192,7 +181,7 @@ def _decomp_basis(m: int) -> tuple[np.ndarray, np.ndarray, float]:
     """
     if m not in _decomp_basis_cache:
         p_re, p_im = np.zeros((m + 1, m + 1)), np.zeros((m + 1, m + 1))
-        for k, ck in enumerate(HermiteBasis(m).he_coeffs(m)):
+        for k, ck in enumerate(he_coeffs(m)):
             for j in range(k + 1):
                 a, b, den = ck, 0, 1
                 for l in range(k + 1):
@@ -469,7 +458,7 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     report = genericity(ds)
     gamma = report.gamma_clamped(n)
     if gamma >= 1.0:
-        raise ParameterError("harmonic_fit requires coherence < 1")
+        raise DegenerateDataError("harmonic_fit requires coherence < 1")
     m = choose_degree(n, gamma)
     norm_scale = math.sqrt(n / y_sq) if y_sq > 0.0 else 1.0
 

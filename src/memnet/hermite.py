@@ -22,58 +22,31 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "HermiteBasis", "HermiteExpansion", "hermite_eval",
+    "HermiteExpansion", "eval_monomial", "he_coeffs", "hermite_eval",
     "orthogonality_check", "expand_activation_derivative",
     "gauss_expectation", "gl_grid",
 ]
 
 
-def _he_integer_coeffs(max_degree: int) -> list[list[int]]:
-    """Monomial coefficients of the unnormalized He_m, exact integers.
-
-    Row m has m+1 entries, constant term first.  Recursion:
-    He_m = x He_{m-1} - (m-1) He_{m-2}.
-    """
-    rows = [[1]]
-    if max_degree >= 1:
-        rows.append([0, 1])
-    for m in range(2, max_degree + 1):
-        prev, prev2 = rows[m - 1], rows[m - 2]
-        row = [0] * (m + 1)
-        for k, c in enumerate(prev):
-            row[k + 1] += c
-        for k, c in enumerate(prev2):
-            row[k] -= (m - 1) * c
-        rows.append(row)
-    return rows
+def he_coeffs(m: int) -> list[int]:
+    """Exact integer monomial coefficients of the unnormalized He_m, constant
+    term first, by He_m = x He_{m-1} - (m-1) He_{m-2}."""
+    if m < 0:
+        raise ParameterError("degree must be >= 0")
+    prev, row = [], [1]  # He_{-1} = 0, He_0 = 1
+    for k in range(1, m + 1):
+        nxt = [0] + row
+        for i, c in enumerate(prev):
+            nxt[i] -= (k - 1) * c
+        prev, row = row, nxt
+    return row
 
 
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Monomial coefficient table for H_0 .. H_max_degree."""
-
-    max_degree: int
-
-    def __post_init__(self):
-        if self.max_degree < 0:
-            raise ParameterError("max_degree must be >= 0")
-        object.__setattr__(self, "_he_rows", _he_integer_coeffs(self.max_degree))
-
-    def he_coeffs(self, m: int) -> list[int]:
-        """Exact integer coefficients of the unnormalized He_m (constant first)."""
-        return list(self._he_rows[m])
-
-    @property
-    def monomial_coeffs(self) -> list[np.ndarray]:
-        """Float coefficients of the normalized H_m = He_m / sqrt(m!)."""
-        return [np.array(row, dtype=np.float64) / math.sqrt(math.factorial(m))
-                for m, row in enumerate(self._he_rows)]
-
-    def eval_monomial(self, m: int, z):
-        """Direct monomial (Horner) evaluation of H_m; supports complex z."""
-        coeffs = np.array(self._he_rows[m], dtype=np.float64)
-        value = np.polynomial.polynomial.polyval(np.asarray(z), coeffs)
-        return value / math.sqrt(math.factorial(m))
+def eval_monomial(m: int, z):
+    """H_m(z) by Horner's rule on the exact coefficients of He_m; supports
+    complex z.  The reference that ``hermite_eval`` is tested against."""
+    coeffs = np.array(he_coeffs(m), dtype=np.float64)
+    return np.polynomial.polynomial.polyval(np.asarray(z), coeffs) / math.sqrt(math.factorial(m))
 
 
 def hermite_eval(m: int, z):

@@ -86,14 +86,6 @@ class TwoLayerNetwork:
     def d(self):
         return self.neurons[0].w.shape[0] if self.neurons else None
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return evaluate_points(self, points)
-
-    def concat(self, other: "TwoLayerNetwork") -> "TwoLayerNetwork":
-        if other.activation != self.activation:
-            raise ParameterError("cannot concatenate networks with different activations")
-        return TwoLayerNetwork(self.neurons + other.neurons, self.activation)
-
     def to_json(self) -> str:
         return json.dumps({
             "activation": self.activation,

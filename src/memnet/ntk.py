@@ -62,7 +62,7 @@ class NtkFitResult:
     network: TwoLayerNetwork
     trace: FitTrace
     kd_achieved: float
-    kd_bound: float
+    kd_bound: float | None  # None when coherence 1 makes the size bound vacuous
     report: GenericityReport
 
 
@@ -72,7 +72,8 @@ def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
     ``max_iters`` steps leave the error ratio above ``epsilon``.
 
     ``kd_achieved`` (neuron count times d) is reported against the
-    theoretical requirement evaluated at the measured (gamma, omega).
+    theoretical requirement evaluated at the measured (gamma, omega), which
+    is None when the bound is vacuous (gamma >= 1); the fit itself stands.
     """
     report = genericity(ds)
 
@@ -83,10 +84,12 @@ def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
         return StepProposal(neurons=pair.neurons(), values=pair.values(ds.points))
 
     net, trace, _ = boost_fit(builder, ds, epsilon, max_iters=max_iters, seed=seed)
-    return NtkFitResult(network=net, trace=trace,
-                        kd_achieved=float(net.k * ds.d),
-                        kd_bound=ntk_kd_bound(ds.n, epsilon, report),
-                        report=report)
+    try:
+        kd_bound = ntk_kd_bound(ds.n, epsilon, report)
+    except UninformativeBoundError:
+        kd_bound = None
+    return NtkFitResult(network=net, trace=trace, kd_achieved=float(net.k * ds.d),
+                        kd_bound=kd_bound, report=report)
 
 
 def arcsin_gram(ds: Dataset) -> np.ndarray:
@@ -98,8 +101,6 @@ def arcsin_gram(ds: Dataset) -> np.ndarray:
     """
     X = ds.points
     norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
-        raise DataError("zero row in dataset")
     G = X @ X.T
     rho = np.clip(G / np.outer(norms, norms), -1.0, 1.0)
     return G * (0.25 + np.arcsin(rho) / (2.0 * math.pi))

@@ -20,13 +20,13 @@ import numpy as np
 import pytest
 
 from memnet.bounds import verify_weight_bound
-from memnet.constructive import (baum_relu_fit, baum_threshold_fit,
-                                 exact_fit_generic, measure_baum_weight_scaling)
+from memnet.cli import sweep_cell
+from memnet.constructive import baum_relu_fit, baum_threshold_fit, exact_fit_generic
 from memnet.data import (Dataset, gaussian_labels, genericity,
                          rademacher_labels, sample_sphere)
 from memnet.harmonic import (choose_degree, decompose_directions, harmonic_fit,
                              hermite_gram, mixture_expectation, relu_mixture)
-from memnet.hermite import (HermiteBasis, expand_activation_derivative,
+from memnet.hermite import (eval_monomial, expand_activation_derivative, he_coeffs,
                             hermite_eval, orthogonality_check)
 from memnet.network import evaluate, total_weight
 from memnet.ntk import (arcsin_gram, gram_lower_bound_check, ntk_fit,
@@ -286,9 +286,10 @@ def test_criterion_08_harmonic_fit(harmonic_fits):
 def test_criterion_09_weight_scaling(ntk_sweep_fits, harmonic_sweep_fits):
     t0 = time.monotonic()
     ns = [100, 200, 400, 800]
-    # combinatorial construction, d=20
-    _, baum_medians = measure_baum_weight_scaling(20, ns, [0, 1, 2])
-    baum_slope = _slope(ns, [baum_medians[n] for n in ns])
+    # combinatorial construction, d=20, 3 seeds per n, from the sweep's cells
+    baum_ws = [sweep_cell("baum-relu", n, 20, seed, None, "rademacher")["total_weight"]
+               for n in ns for seed in range(3)]
+    baum_slope = _slope(ns, [float(np.median(baum_ws[i:i + 3])) for i in range(0, 12, 3)])
     # kernel-step construction, d=20, 7 seeds per n
     ws = [total_weight(net) for _, _, net, _ in ntk_sweep_fits.rows]
     ntk_medians = [float(np.median(ws[i:i + 7])) for i in range(0, len(ws), 7)]
@@ -311,21 +312,22 @@ def test_criterion_09_weight_scaling(ntk_sweep_fits, harmonic_sweep_fits):
 
 
 def test_criterion_10_hermite_suite():
-    basis = HermiteBasis(20)
     rng = np.random.default_rng(0)
     # recursion vs exact monomial evaluation
     rec_ok = True
     for m in range(21):
         z = rng.uniform(-8, 8, size=30)
-        err = np.max(np.abs(hermite_eval(m, z) - basis.eval_monomial(m, z))
-                     / (1.0 + np.abs(basis.eval_monomial(m, z))))
+        err = np.max(np.abs(hermite_eval(m, z) - eval_monomial(m, z))
+                     / (1.0 + np.abs(eval_monomial(m, z))))
         rec_ok = rec_ok and err < 1e-10
-    # derivative identity, coefficient-wise
+    # derivative identity, coefficient-wise on H_m = He_m / sqrt(m!)
+    coeffs = [np.array(he_coeffs(m), dtype=np.float64) / math.sqrt(math.factorial(m))
+              for m in range(21)]
     der_ok = True
     for m in range(1, 21):
-        d = basis.monomial_coeffs[m][1:] * np.arange(1, m + 1)
+        d = coeffs[m][1:] * np.arange(1, m + 1)
         der_ok = der_ok and float(np.max(np.abs(
-            d - math.sqrt(m) * basis.monomial_coeffs[m - 1]))) < 1e-10
+            d - math.sqrt(m) * coeffs[m - 1]))) < 1e-10
     # generating function
     gen_ok = True
     for t in (-0.5, 0.4):

@@ -1,8 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memnet.bounds import (WeightBoundReport, _normalized_correlation,
                            single_neuron_correlation_cap, verify_weight_bound)
@@ -10,6 +11,7 @@ from memnet.constructive import baum_relu_fit
 from memnet.data import Dataset, rademacher_labels, sample_sphere
 from memnet.errors import DataError
 from memnet.network import TwoLayerNetwork
+from memnet.ntk import ntk_fit
 
 
 def _rademacher(n, d, seed=0):
@@ -46,17 +48,24 @@ def test_half_fitting_exemption():
     assert not report.falsified
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.integers(1, 60), d=st.integers(3, 20), seed=st.integers(0, 2 ** 16),
+       epsilon=st.floats(0.05, 0.5))
+def test_no_half_fit_below_the_floor_property(n, d, seed, epsilon):
+    """Baum ReLU and NTK fits of random sphere data with +-1 labels fit to half
+    error, so each must carry at least sqrt(n)/8 total weight."""
+    ds = _rademacher(n, d, seed)
+    nets = [("baum-relu", baum_relu_fit(ds, seed=seed)),
+            ("ntk", ntk_fit(ds, epsilon, seed=seed).network)]
+    report = verify_weight_bound(ds, nets)
+    assert max(report.error_ratios.values()) <= 0.5
+    assert not report.falsified
+
+
 def test_requires_sign_labels():
     ds = sample_sphere(10, 4, 0)
     with pytest.raises(DataError):
         verify_weight_bound(ds, [])
-
-
-def test_report_json():
-    ds = _rademacher(20, 5)
-    report = verify_weight_bound(ds, [("empty", TwoLayerNetwork((), "relu"))])
-    blob = json.loads(report.to_json())
-    assert blob["n"] == 20 and blob["falsifications"] == []
 
 
 def test_correlation_cap_rademacher_ceiling():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memnet.cli import main
+from memnet.data import Dataset, rademacher_labels, sample_sphere, save_dataset
 from memnet.errors import ConvergenceError, InvariantError
 from memnet.network import FitTrace
 
@@ -115,6 +116,34 @@ def test_fit_trailing_bytes(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["missing.bin", "missing.csv"])
 def test_fit_missing_dataset(tmp_path, capsys, name):
     _assert_data_error(["fit", "--method", "exact", str(tmp_path / name)], capsys)
+
+
+def _coherence_one(tmp_path):
+    """sample_sphere(40, 10, 0) with Rademacher labels and row 1 = -row 0."""
+    ds = rademacher_labels(sample_sphere(40, 10, 0), 1)
+    points = ds.points.copy()
+    points[1] = -points[0]
+    path = str(tmp_path / "coh.bin")
+    save_dataset(Dataset(points, ds.labels), path)
+    return path
+
+
+def test_fit_ntk_coherence_one_keeps_the_fit(tmp_path, capsys):
+    """Coherence 1 makes the k*d size bound vacuous, not the converged fit."""
+    path = _coherence_one(tmp_path)
+    assert main(["fit", "--method", "ntk", "--epsilon", "0.3", path]) == 0
+    for suffix in ("network.json", "trace.csv", "summary.json"):
+        assert (tmp_path / f"coh.{suffix}").exists()
+    summary = json.loads((tmp_path / "coh.summary.json").read_text())
+    assert summary["kd_bound"] is None and summary["kd_hypothesis_met"] is False
+    assert summary["error_ratio"] <= 0.3
+    capsys.readouterr()
+
+
+def test_fit_harmonic_coherence_one_is_a_data_error(tmp_path, capsys):
+    path = _coherence_one(tmp_path)
+    _assert_data_error(["fit", "--method", "harmonic", "--epsilon", "0.3", path], capsys)
+    assert not (tmp_path / "coh.network.json").exists()
 
 
 def test_fit_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):

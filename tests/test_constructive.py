@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memnet.cli import sweep_cell
 from memnet.constructive import (DerivativeNeuronPair, _hyperplane_through,
                                  baum_relu_fit, baum_threshold_fit,
-                                 exact_fit_generic, measure_baum_weight_scaling,
-                                 safe_delta)
+                                 exact_fit_generic, safe_delta)
 from memnet.data import Dataset, gaussian_labels, rademacher_labels, sample_sphere
-from memnet.errors import DataError, ParameterError, RankDeficiencyError
+from memnet.errors import DataError, RankDeficiencyError
 from memnet.network import TwoLayerNetwork, evaluate
 
 
@@ -182,16 +182,10 @@ def test_hyperplane_through_points():
 
 
 def test_weight_scaling_table():
-    rows, medians = measure_baum_weight_scaling(10, [20, 40], [0, 1, 2])
-    assert len(rows) == 6
-    assert set(medians) == {20, 40}
-    assert all(r["max_residual"] < 1e-6 for r in rows)
+    """The sweep cells that acceptance criterion 9 reads its Baum weights from."""
+    rows = [sweep_cell("baum-relu", n, 10, seed, None, "rademacher")
+            for n in (20, 40) for seed in range(3)]
+    assert [(r["n"], r["seed"]) for r in rows] == [(n, s) for n in (20, 40) for s in range(3)]
+    assert all(r["max_residual"] < 1e-6 and r["total_weight"] > 0.0 for r in rows)
     # one-group additivity spot check: n=d gives a single 4-neuron group
-    rows1, med1 = measure_baum_weight_scaling(10, [10], [0])
-    assert rows1[0]["k"] == 4
-    assert med1[10] == rows1[0]["total_weight"]
-
-
-def test_weight_scaling_validation():
-    with pytest.raises(ParameterError):
-        measure_baum_weight_scaling(10, [], [0])
+    assert sweep_cell("baum-relu", 10, 10, 0, None, "rademacher")["k"] == 4

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from memnet.data import (Dataset, gamma_floor, gaussian_labels, general_position,
+from memnet.data import (Dataset, gaussian_labels, general_position,
                          genericity, load_csv, load_dataset, rademacher_labels,
                          sample_sphere, save_dataset)
 from memnet.errors import DataError, ParameterError
@@ -137,7 +137,7 @@ def test_general_position_certificate():
 
 def test_gamma_clamp():
     rep = genericity(Dataset(np.eye(4), np.zeros(4)))
-    assert rep.gamma_clamped(4) == gamma_floor(4) == 1.0 / 8.0
+    assert rep.gamma_clamped(4) == 1.0 / 8.0
 
 
 def test_dataset_validation():

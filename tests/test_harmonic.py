@@ -18,7 +18,7 @@ from memnet.harmonic import (CONSTANTS, ComplexNeuron, _basis_second_derivatives
                              harmonic_fit, hermite_gram, mixture_expectation,
                              perturbation_vector, projection_cutoff, relu_mixture,
                              sample_complex_neuron, single_neuron_step)
-from memnet.hermite import HermiteBasis, hermite_eval
+from memnet.hermite import he_coeffs, hermite_eval
 from memnet.network import TwoLayerNetwork, evaluate, total_weight
 
 
@@ -303,7 +303,7 @@ def _vandermonde_fraction(k: int, targets: list[int]) -> list[Fraction]:
 def _exact_decomp_basis(m: int) -> tuple[list, list]:
     """Exact per-degree bases of He_m for z = 1 and z = i: p[j][k] = c_k x_j
     with x the Vandermonde solution for the targets Re(z i^s)."""
-    he = HermiteBasis(m).he_coeffs(m)
+    he = he_coeffs(m)
     out = []
     for re_z_i_pow in ((1, 0, -1, 0), (0, -1, 0, 1)):
         polys = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from memnet.errors import ParameterError
-from memnet.hermite import (HermiteBasis, _composite_gl,
+from memnet.hermite import (_composite_gl, eval_monomial,
                             expand_activation_derivative, gauss_expectation,
-                            gl_grid, hermite_eval, orthogonality_check)
+                            gl_grid, he_coeffs, hermite_eval, orthogonality_check)
 
 
 def test_h0_and_h1():
@@ -20,12 +20,11 @@ def test_h2_at_zero():
 
 
 def test_recursion_matches_monomial_oracle():
-    basis = HermiteBasis(20)
     rng = np.random.default_rng(0)
     for m in range(21):
         z = rng.uniform(-10, 10, size=50)
         a = hermite_eval(m, z)
-        b = basis.eval_monomial(m, z)
+        b = eval_monomial(m, z)
         assert np.max(np.abs(a - b) / (1.0 + np.abs(b))) < 1e-10
 
 
@@ -71,13 +70,12 @@ def _horner(coeffs, z):
 
 
 def test_monomial_evaluation_bit_identical_to_horner():
-    basis = HermiteBasis(20)
     rng = np.random.default_rng(4)
     real = rng.uniform(-6, 6, size=40)
     for z in (real, real + 1j * rng.uniform(-3, 3, size=40)):
         for m in range(21):
-            want = _horner(basis.he_coeffs(m), z) / math.sqrt(math.factorial(m))
-            assert np.array_equal(basis.eval_monomial(m, z), want)
+            want = _horner(he_coeffs(m), z) / math.sqrt(math.factorial(m))
+            assert np.array_equal(eval_monomial(m, z), want)
 
 
 def test_gl_grid_matches_per_panel_rule():
@@ -99,20 +97,20 @@ def test_gl_grid_matches_per_panel_rule():
 
 def test_complex_argument():
     z = 1.5 + 0.5j
-    assert hermite_eval(4, z) == pytest.approx(HermiteBasis(4).eval_monomial(4, z),
-                                               rel=1e-12)
+    assert hermite_eval(4, z) == pytest.approx(eval_monomial(4, z), rel=1e-12)
 
 
 def test_negative_degree_rejected():
     with pytest.raises(ParameterError):
         hermite_eval(-1, 0.0)
+    with pytest.raises(ParameterError):
+        he_coeffs(-1)
 
 
 def test_basis_recursion_exact_integers():
     """He_m = x He_{m-1} - (m-1) He_{m-2} coefficient-wise, exactly."""
-    basis = HermiteBasis(15)
     for m in range(2, 16):
-        he, p1, p2 = (basis.he_coeffs(k) for k in (m, m - 1, m - 2))
+        he, p1, p2 = (he_coeffs(k) for k in (m, m - 1, m - 2))
         rebuilt = [0] * (m + 1)
         for k, c in enumerate(p1):
             rebuilt[k + 1] += c
@@ -123,8 +121,8 @@ def test_basis_recursion_exact_integers():
 
 def test_derivative_identity_coefficientwise():
     """H'_m = sqrt(m) H_{m-1} after formal differentiation."""
-    basis = HermiteBasis(12)
-    coeffs = basis.monomial_coeffs
+    coeffs = [np.array(he_coeffs(m), dtype=np.float64) / math.sqrt(math.factorial(m))
+              for m in range(13)]
     for m in range(1, 13):
         d = coeffs[m][1:] * np.arange(1, m + 1)
         target = math.sqrt(m) * coeffs[m - 1]

@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 from memnet.data import Dataset, rademacher_labels, sample_sphere
 from memnet.errors import ConvergenceError, InvariantError, ParameterError
 from memnet.network import (FitTrace, Neuron, StepProposal, TwoLayerNetwork,
-                            boost_fit, evaluate, get_activation, relu,
-                            threshold, total_weight)
+                            boost_fit, evaluate, evaluate_points, get_activation,
+                            relu, threshold, total_weight)
 
 
 def _net(neurons, activation="relu"):
@@ -71,7 +71,7 @@ def test_total_weight_additive_under_concat():
                      rng.standard_normal()) for _ in range(4)])
     b = _net([Neuron(rng.standard_normal(), rng.standard_normal(3),
                      rng.standard_normal()) for _ in range(2)])
-    both = a.concat(b)
+    both = TwoLayerNetwork(a.neurons + b.neurons)
     assert both.k == 6
     assert abs(total_weight(both) - total_weight(a) - total_weight(b)) < 1e-10
 
@@ -83,7 +83,7 @@ def test_network_json_roundtrip():
     back = TwoLayerNetwork.from_json(net.to_json())
     assert back.activation == "threshold"
     pts = rng.standard_normal((6, 3))
-    assert np.max(np.abs(back(pts) - net(pts))) < 1e-15
+    assert np.max(np.abs(evaluate_points(back, pts) - evaluate_points(net, pts))) < 1e-15
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -324,6 +324,39 @@ def test_boost_trimming(n, d, seed, trim_sq, epsilon):
     assert float(r @ r) > epsilon * y_sq
     seq = [rec.residual_sq for rec in trace.iterations]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(seq, seq[1:]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(2, 30), d=st.integers(2, 6), data_seed=st.integers(0, 2 ** 16),
+       fit_seed=st.integers(0, 2 ** 16), trim_sq=st.floats(1.0, 2.0),
+       epsilon=st.floats(0.01, 0.5), kind=st.sampled_from(["relu", "noise", "flaky"]))
+def test_boost_monotone_property(n, d, data_seed, fit_seed, trim_sq, epsilon, kind):
+    """With a finite trim_sq and any builder, each iteration's active residual
+    is no larger than the last and the active set never grows, also in the
+    trace of a fit that stops with ConvergenceError.  Builders: a random ReLU
+    neuron, values that are pure noise, or a ReLU neuron or None at random.
+    With +-1 labels and trim_sq >= 1 every point starts active, and most
+    examples trim some during the fit."""
+    ds = _dataset(n, d, data_seed)
+
+    def builder(r, attempt_seed):
+        rng = np.random.default_rng(attempt_seed)
+        if kind == "flaky" and rng.random() < 0.3:
+            return None
+        w, b, sign = rng.standard_normal(d), rng.standard_normal(), rng.choice([-1.0, 1.0])
+        vals = rng.standard_normal(n) if kind == "noise" else relu(ds.points @ w + b)
+        return StepProposal(neurons=[Neuron(sign, w, b)], values=sign * vals)
+
+    try:
+        _, trace, active = boost_fit(builder, ds, epsilon, max_iters=40, seed=fit_seed,
+                                     retry_budget=8, trim_sq=trim_sq)
+        final = [int(active.sum())]
+    except ConvergenceError as err:
+        trace, final = err.trace, []
+    res = [rec.residual_sq for rec in trace.iterations]
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(res, res[1:]))
+    sizes = [rec.active_set_size for rec in trace.iterations] + final
+    assert all(b <= a for a, b in zip(sizes, sizes[1:]))
 
 
 def test_boost_zero_labels():
