@@ -73,7 +73,7 @@ def exact_fit_generic(ds: Dataset, activation: str = "relu",
     b = rng.standard_normal(K)
     A = psi(ds.points @ W.T + b)                      # (n, K)
     from scipy.linalg import qr
-    _, R, piv = qr(A, mode="economic", pivoting=True)
+    R, piv = qr(A, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag.size < n or diag[n - 1] <= 1e-10 * max(diag[0], 1.0):
         raise RankDeficiencyError(

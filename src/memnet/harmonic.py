@@ -126,8 +126,10 @@ def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int,
     ar, ai = np.cos(theta), np.sin(theta)
     re_proj = (W + ar[:, None] * V) @ ds.points.T                # (C, n)
     im_proj = (ai[:, None] * V) @ ds.points.T
+    proj = np.empty(re_proj.shape, dtype=np.complex128)
+    proj.real, proj.imag = re_proj, im_proj
     z = ar - 1j * ai
-    vals = np.real(z[:, None] * hermite_eval(m, re_proj + 1j * im_proj))
+    vals = np.real(z[:, None] * hermite_eval(m, proj))
     F = (vals @ r) / math.sqrt(m)
     ok = np.maximum(np.max(np.abs(re_proj), axis=1),
                     np.max(np.abs(im_proj), axis=1)) <= cutoff

@@ -58,13 +58,24 @@ def hermite_eval(m: int, z):
     if m == 0:
         return one
     h_prev, h, nxt = one, np.asarray(z * one), np.empty_like(one)
+    # numpy divides a complex a + bj by a real c as by c + 0j, with Smith's
+    # method: rat = 0/c, scl = 1/(c + 0*rat) = 1/c, and the parts become
+    # (a + b*rat)*scl and (b - a*rat)*scl.  Multiplying by 1/c + 0j gives
+    # a*scl - b*0 and a*0 + b*scl: the same values with NaNs in the same
+    # places, only the sign of a zero or a NaN may differ, at a fraction of
+    # the cost.  For a real array x/c and x*(1/c) differ in the last bit, so
+    # the real branch divides.
+    complex_branch = np.iscomplexobj(one)
     for k in range(2, m + 1):
-        # (z h - sqrt(k-1) h_prev) / sqrt(k) with the same operations in the
-        # same order, in three buffers that rotate (never the caller's z)
+        # (z h - sqrt(k-1) h_prev) / sqrt(k) in three buffers that rotate
+        # (never the caller's z)
         h_prev *= math.sqrt(k - 1)
         np.multiply(z, h, out=nxt)
         nxt -= h_prev
-        nxt /= math.sqrt(k)
+        if complex_branch:
+            nxt *= 1.0 / math.sqrt(k)
+        else:
+            nxt /= math.sqrt(k)
         h_prev, h, nxt = h, nxt, h_prev
     return h[()]  # a numpy scalar for a 0-d z, as numpy arithmetic returns
 

@@ -22,15 +22,13 @@ import pytest
 from memnet.bounds import verify_weight_bound
 from memnet.cli import sweep_cell
 from memnet.constructive import baum_relu_fit, baum_threshold_fit, exact_fit_generic
-from memnet.data import (Dataset, gaussian_labels, genericity,
-                         rademacher_labels, sample_sphere)
+from memnet.data import gaussian_labels, genericity, rademacher_labels, sample_sphere
 from memnet.harmonic import (choose_degree, decompose_directions, harmonic_fit,
                              hermite_gram, mixture_expectation, relu_mixture)
 from memnet.hermite import (eval_monomial, expand_activation_derivative, he_coeffs,
                             hermite_eval, orthogonality_check)
 from memnet.network import evaluate, total_weight
-from memnet.ntk import (arcsin_gram, gram_lower_bound_check, ntk_fit,
-                        ntk_kd_bound, ntk_step)
+from memnet.ntk import arcsin_gram, gram_lower_bound_check, ntk_fit, ntk_step
 
 _CAPTURE = None
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memnet.bounds import (WeightBoundReport, _normalized_correlation,
-                           single_neuron_correlation_cap, verify_weight_bound)
+from memnet.bounds import (_normalized_correlation, single_neuron_correlation_cap,
+                           verify_weight_bound)
 from memnet.constructive import baum_relu_fit
-from memnet.data import Dataset, rademacher_labels, sample_sphere
+from memnet.data import rademacher_labels, sample_sphere
 from memnet.errors import DataError
 from memnet.network import TwoLayerNetwork
 from memnet.ntk import ntk_fit

@@ -11,7 +11,7 @@ from memnet.constructive import (DerivativeNeuronPair, _hyperplane_through,
                                  exact_fit_generic, safe_delta)
 from memnet.data import Dataset, gaussian_labels, rademacher_labels, sample_sphere
 from memnet.errors import DataError, RankDeficiencyError
-from memnet.network import TwoLayerNetwork, evaluate
+from memnet.network import evaluate
 
 
 def _sphere(n, d, seed, labels="gaussian"):

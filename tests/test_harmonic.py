@@ -664,6 +664,35 @@ def test_fit_identical_with_direct_sum_masses(monkeypatch):
     assert table.trace.iterations == direct.trace.iterations
 
 
+def _hermite_by_division(m, z):
+    z = np.asarray(z)
+    one = np.ones_like(z, dtype=np.result_type(z.dtype, np.float64))
+    if m == 0:
+        return one
+    h_prev, h = one, z * one
+    for k in range(2, m + 1):
+        h_prev, h = h, (z * h - math.sqrt(k - 1) * h_prev) / math.sqrt(k)
+    return h[()]
+
+
+def test_fit_identical_with_division_recurrence(monkeypatch):
+    """The complex recurrence scales by 1/sqrt(k) where the textbook divides
+    by sqrt(k); a fit on the dividing recurrence builds the same network and
+    trace.  The fit reads the recurrence only through the sampler's argmax, so
+    the sampler's correlation is compared too: it carries every bit."""
+    ds = rademacher_labels(sample_sphere(60, 80, 0), 1)
+    gamma = genericity(ds).gamma_clamped(ds.n)
+    m = choose_degree(ds.n, gamma)
+    fast = harmonic_fit(ds, epsilon=0.3, seed=0)
+    fast_corr = sample_complex_neuron(ds, ds.labels, m, 64, seed=3, gamma=gamma)[1]
+    monkeypatch.setattr(harmonic, "hermite_eval", _hermite_by_division)
+    divided = harmonic_fit(ds, epsilon=0.3, seed=0)
+    assert fast.network.to_json() == divided.network.to_json()
+    assert fast.trace.iterations == divided.trace.iterations
+    assert fast_corr == sample_complex_neuron(ds, ds.labels, m, 64, seed=3,
+                                              gamma=gamma)[1]
+
+
 def test_step_below_mixture_mean_raises_invariant_error(monkeypatch):
     ds, gamma = _fixture()
     m = choose_degree(ds.n, gamma)

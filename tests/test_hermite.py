@@ -54,6 +54,21 @@ def test_recursion_bit_identical_to_textbook():
         assert np.array_equal(z, before)
 
 
+def test_complex_reciprocal_scaling_equals_division_on_special_values():
+    """The complex branch multiplies by 1/sqrt(k) where the textbook divides:
+    numpy's complex division by a real c scales by the same 1/c, so the two
+    agree on every component, up to the sign of a zero or a NaN."""
+    parts = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324,
+             -5e-324, 1e200, -1e200, 1e-170, 0.5]
+    re, im = np.meshgrid(parts, parts)
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real, z.imag = re, im
+    with np.errstate(all="ignore"):
+        for m in range(13):
+            assert np.array_equal(hermite_eval(m, z), _hermite_textbook(m, z),
+                                  equal_nan=True)
+
+
 def test_scalar_input_gives_numpy_scalar():
     # the recurrence's rotating buffers are 0-d arrays for a scalar z
     for z, kind in ((2.5, np.float64), (np.array(1.7), np.float64), (3, np.float64),

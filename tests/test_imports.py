@@ -1,6 +1,7 @@
-"""Static checks over the package sources: every imported name is used,
-every module-level ``_private`` function or class is referenced somewhere in
-the package, and every name the benchmark tracer wraps exists.
+"""Static checks over the package sources: every imported name is used (in
+the tests too), every module-level ``_private`` function or class is
+referenced somewhere in the package, and every name the benchmark tracer
+wraps exists.
 
 No linter is a dependency, so the checks parse each module with ``ast``.
 ``__init__.py`` is skipped by the import check because its imports are the
@@ -16,6 +17,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "memnet"
+# package modules by file name, test modules as tests/<file name>
+MODULES = {p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"}
+MODULES.update({f"tests/{p.name}": p for p in (ROOT / "tests").glob("*.py")})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,10 +44,9 @@ def test_unused_import_detector():
     assert unused_imports(src) == ["c", "math"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
-                                          if p.name != "__init__.py"))
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text()) == []
+    assert unused_imports(MODULES[module].read_text()) == []
 
 
 def orphan_privates(sources: dict[str, str]) -> list[str]:
