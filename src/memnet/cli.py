@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 parameter error, 3 data error, 4 convergence
 failure.  All commands are deterministic given their flags, including
 ``sweep --parallel`` (rows are sorted before writing).  MEMNET_THREADS
-caps sweep parallelism.
+caps sweep parallelism, which never exceeds the number of cells.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ def cmd_sweep(args) -> int:
             workers = int(threads)
         except ValueError:
             raise ParameterError(f"MEMNET_THREADS must be an integer, got {threads!r}") from None
-        with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
+        # fork starts every worker up front: no more workers than cells
+        with ProcessPoolExecutor(max_workers=max(1, min(workers, len(cells)))) as pool:
             rows = list(pool.map(sweep_cell, *zip(*cells)))
     else:
         rows = [sweep_cell(*cell) for cell in cells]

@@ -58,12 +58,26 @@ def safe_delta(points: np.ndarray, u: np.ndarray, v: np.ndarray, b: float) -> fl
     return float(0.5 * np.min(margins[keep] / slopes[keep]))
 
 
+def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray, psi) -> np.ndarray:
+    """psi(x_i . w_j + b_j) as a column-major (n, len(W)) array, n rows of W at a time."""
+    n = len(points)
+    A = np.empty((len(W), n))
+    for s in range(0, len(W), n):
+        A[s:s + n] = psi(W[s:s + n] @ points.T + b[s:s + n, None])
+    return A.T
+
+
 def exact_fit_generic(ds: Dataset, activation: str = "relu",
                       seed: int = 0) -> TwoLayerNetwork:
     """Exact fit with exactly n neurons via random features + column selection.
 
     Samples 10 n random (w, b) pairs, selects n independent columns of the
     evaluation matrix by pivoted QR, and solves for the outer coefficients.
+
+    One n x 10n float64 array is alive at a time (320 MB at n=2000), which
+    LAPACK dgeqp3 factors in place; the n selected columns are rebuilt for
+    the solve. The workspace query passes overwrite_a too (without it the
+    wrapper copies the matrix), and its lwork selects the blocked algorithm.
     """
     psi = get_activation(activation)
     n, d = ds.n, ds.d
@@ -71,16 +85,18 @@ def exact_fit_generic(ds: Dataset, activation: str = "relu",
     K = 10 * n
     W = rng.standard_normal((K, d))
     b = rng.standard_normal(K)
-    A = psi(ds.points @ W.T + b)                      # (n, K)
-    from scipy.linalg import qr
-    R, piv = qr(A, mode="r", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size < n or diag[n - 1] <= 1e-10 * max(diag[0], 1.0):
+    from scipy.linalg.lapack import dgeqp3
+    A = _features(ds.points, W, b, psi)
+    lwork = int(dgeqp3(A, lwork=-1, overwrite_a=1)[3][0])
+    A, piv = dgeqp3(A, lwork=lwork, overwrite_a=1)[:2]
+    diag = np.abs(np.diagonal(A))
+    del A
+    if diag[n - 1] <= 1e-10 * max(diag[0], 1.0):
         raise RankDeficiencyError(
             f"rank {int(np.sum(diag > 1e-10 * max(diag[0], 1.0)))} < n={n} "
             f"within {K} candidates")
-    cols = piv[:n]
-    a = np.linalg.solve(A[:, cols], ds.labels)
+    cols = piv[:n] - 1                                # dgeqp3 pivots are 1-based
+    a = np.linalg.solve(_features(ds.points, W[cols], b[cols], psi), ds.labels)
     net = TwoLayerNetwork(
         tuple(Neuron(a[j], W[cols[j]], b[cols[j]]) for j in range(n)), activation)
     resid = np.linalg.norm(evaluate(net, ds) - ds.labels)

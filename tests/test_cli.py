@@ -283,6 +283,34 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_sweep_pool_capped_at_cell_count(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size and maps in this process; starts no worker."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    for threads, n_list in (("4096", "20"), ("4096", "20,10"), ("0", "20"), ("1", "20,10")):
+        monkeypatch.setenv("MEMNET_THREADS", threads)
+        assert main(["sweep", "--method", "baum-relu", "--d", "10", "--n-list", n_list,
+                     "--parallel", "-o", str(tmp_path / "x.csv")]) == 0
+    assert sizes == [1, 2, 1, 1]
+    capsys.readouterr()
+
+
 def test_sweep_bad_thread_count(tmp_path, capsys, monkeypatch):
     import concurrent.futures
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from memnet.constructive import (DerivativeNeuronPair, _hyperplane_through,
                                  exact_fit_generic, safe_delta)
 from memnet.data import Dataset, gaussian_labels, rademacher_labels, sample_sphere
 from memnet.errors import DataError, RankDeficiencyError
-from memnet.network import evaluate
+from memnet.network import Neuron, TwoLayerNetwork, evaluate, get_activation
 
 
 def _sphere(n, d, seed, labels="gaussian"):
@@ -82,6 +83,52 @@ def test_exact_fit_conflicting_duplicate():
     ds = Dataset(pts, np.array([1.0, -1.0]))
     with pytest.raises(RankDeficiencyError):
         exact_fit_generic(ds)
+
+
+def _exact_fit_scipy_qr(ds, activation, seed):
+    """Reference for exact_fit_generic: the same draws, the features as one
+    row-major product, ``scipy.linalg.qr(mode="r", pivoting=True)`` and a
+    solve on the selected columns of that matrix."""
+    from scipy.linalg import qr
+    psi = get_activation(activation)
+    rng = np.random.default_rng(seed)
+    K = 10 * ds.n
+    W = rng.standard_normal((K, ds.d))
+    b = rng.standard_normal(K)
+    A = psi(ds.points @ W.T + b)
+    cols = qr(A, mode="r", pivoting=True)[1][:ds.n]
+    a = np.linalg.solve(A[:, cols], ds.labels)
+    return TwoLayerNetwork(tuple(Neuron(a[j], W[cols[j]], b[cols[j]])
+                                 for j in range(ds.n)), activation)
+
+
+@pytest.mark.parametrize("activation", ["relu", "threshold"])
+@pytest.mark.parametrize("n, d", [(37, 5), (120, 10), (100, 20), (200, 20)])
+def test_exact_fit_matches_scipy_qr_reference(n, d, activation):
+    """The in-place dgeqp3 selects the reference's (w, b) in its order. At
+    d=20 the blocked and the full product also sum each feature in the same
+    order, so the networks are equal; on other shapes, such as n=250, d=40,
+    the outer coefficients may differ in the last bits."""
+    ds = _sphere(n, d, 2, labels="rademacher")
+    net = exact_fit_generic(ds, activation, seed=4)
+    ref = _exact_fit_scipy_qr(ds, activation, seed=4)
+    assert ([(nr.w.tobytes(), nr.b) for nr in net.neurons]
+            == [(nr.w.tobytes(), nr.b) for nr in ref.neurons])
+    if d == 20:
+        assert net.to_json() == ref.to_json()
+
+
+def test_exact_fit_holds_one_feature_matrix():
+    """Peak traced memory stays within 1.5 copies of the n x 10n matrix."""
+    ds = _sphere(200, 20, 1, labels="rademacher")
+    exact_fit_generic(ds)                 # imports scipy outside the trace
+    tracemalloc.start()
+    try:
+        exact_fit_generic(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * 200 * 2000
 
 
 # -- Baum threshold -----------------------------------------------------------

@@ -10,6 +10,7 @@ package's exports.
 
 import ast
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -109,3 +110,14 @@ def test_traced_names_exist(monkeypatch):
     spec.loader.exec_module(tracing)
     assert len(tracing.TARGETS) > 0
     assert missing_targets(tracing.TARGETS) == []
+
+
+def test_import_leaves_scipy_unloaded():
+    """``import memnet`` does not import scipy: only ``exact_fit_generic``
+    needs it and imports it inside, so a process that never runs the exact
+    fit (a harmonic fit) pays neither its import time nor its memory."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import memnet; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

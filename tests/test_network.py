@@ -63,6 +63,9 @@ def test_total_weight():
     assert total_weight(_net([])) == 0.0
     net = _net([Neuron(2.0, np.array([3.0, 4.0]), 0.0)])
     assert abs(total_weight(net) - 10.0) < 1e-12
+    # W(f) = sum |a| sqrt(||w||^2 + b^2): the bias counts
+    net = _net([Neuron(2.0, np.array([3.0, 4.0]), 12.0)])
+    assert abs(total_weight(net) - 26.0) < 1e-12
 
 
 def test_total_weight_additive_under_concat():
