@@ -3,7 +3,8 @@
 Any network with an L-Lipschitz activation that fits Rademacher labels to
 half error carries total weight at least sqrt(n)/(8L), sqrt(n)/8 for the
 ReLU; a network below that line would falsify the implementation (of the
-evaluation or of the weight measure), never the bound.
+evaluation or of the weight measure), never the bound.  The single-neuron
+correlation cap behind the bound is probed in ``tests/test_bounds.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .network import TwoLayerNetwork, evaluate, relu, total_weight
+from .network import TwoLayerNetwork, evaluate, total_weight
 
 
 @dataclass
@@ -51,41 +52,3 @@ def verify_weight_bound(ds: Dataset, nets: list[tuple[str, TwoLayerNetwork]]
         if ratio <= 0.5 and weight < report.bound:
             report.falsifications.append(name)
     return report
-
-
-def _normalized_correlation(ds: Dataset, w: np.ndarray, b: float, psi) -> float:
-    denom = math.sqrt(float(w @ w) + b * b)
-    if denom == 0.0:
-        return 0.0
-    return float(ds.labels @ psi(ds.points @ w - b)) / denom
-
-
-def single_neuron_correlation_cap(ds: Dataset, trials: int, seed: int) -> float:
-    """Empirical max of sum_i y_i psi(w.x_i - b) / sqrt(||w||^2 + b^2), psi = ReLU.
-
-    Random restarts plus a 200-step perturbation refinement pass around the
-    best candidate.  This is a lower bound on the true max, used as a
-    consistency probe against the 2 L sqrt(n) Rademacher ceiling.
-    """
-    rng = np.random.default_rng(seed)
-    best_val = -math.inf
-    best = None
-    for _ in range(trials):
-        w = rng.standard_normal(ds.d)
-        b = rng.standard_normal()
-        val = _normalized_correlation(ds, w, b, relu)
-        if val > best_val:
-            best_val, best = val, (w, b)
-    if best is None:
-        return best_val
-    w, b = best
-    step = 0.5
-    for _ in range(200):
-        w2 = w + step * rng.standard_normal(ds.d)
-        b2 = b + step * rng.standard_normal()
-        val = _normalized_correlation(ds, w2, b2, relu)
-        if val > best_val:
-            best_val, w, b = val, w2, b2
-        else:
-            step *= 0.97
-    return best_val

@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 2 parameter error, 3 data error, 4 convergence
 failure.  All commands are deterministic given their flags, including
-``sweep --parallel`` (rows are sorted before writing).  MEMNET_THREADS
-caps sweep parallelism, which never exceeds the number of cells.
+``sweep --parallel`` (rows are sorted before writing), except that the
+outer weights of ``exact`` come from a LAPACK solve whose last bits depend
+on the BLAS thread count (pin it with OPENBLAS_NUM_THREADS); its hidden
+layer does not.  MEMNET_THREADS caps sweep parallelism, which never
+exceeds the number of cells.
 """
 
 from __future__ import annotations

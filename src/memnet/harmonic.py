@@ -65,14 +65,6 @@ def perturbation_vector(ds: Dataset, residual: np.ndarray, w: np.ndarray,
     return ((h * r) @ ds.points) / math.sqrt(ds.n * gamma * gamma)
 
 
-def hermite_gram(ds: Dataset, m: int) -> np.ndarray:
-    """H_ij = E_w[phi'(w.x_i) phi'(w.x_j) x_i.x_j] = (x_i . x_j)^m (unit rows)."""
-    norms = np.linalg.norm(ds.points, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
-        raise ParameterError("hermite_gram requires unit-norm rows")
-    return (ds.points @ ds.points.T) ** m
-
-
 @dataclass(frozen=True)
 class ComplexNeuron:
     """g(x) = Re(z * phi((w_re + i w_im) . x)), phi = H_m / sqrt(m)."""
@@ -85,10 +77,6 @@ class ComplexNeuron:
     def __post_init__(self):
         if abs(abs(self.z) - 1.0) > 1e-12:
             raise ParameterError("z must have unit modulus")
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        t = points @ self.w_re + 1j * (points @ self.w_im)
-        return np.real(self.z * hermite_eval(self.m, t)) / math.sqrt(self.m)
 
 
 def projection_cutoff(n: int, m: int) -> float:
@@ -150,22 +138,12 @@ def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int,
 @dataclass(frozen=True)
 class DirectionalDecomposition:
     """Re(z * phi(x + i y)) = sum_j p_j(x + j y), polynomial coefficients
-    up to the common irrational factor ``scale`` = 1/(sqrt(m!) sqrt(m))."""
+    up to the common irrational factor 1/(sqrt(m!) sqrt(m))."""
 
     m: int
     polys: np.ndarray       # (m+1, m+1) floats, row j = p_j, constant term first
-    scale: float
     z: complex              # the unit z; the mixture combines its per-degree
                             # quadrature linearly in (Re z, Im z)
-
-    def poly_float(self, j: int) -> np.ndarray:
-        return self.polys[j] * self.scale
-
-    def evaluate(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        polyval = np.polynomial.polynomial.polyval
-        return sum(polyval(x + j * y, self.poly_float(j)) for j in range(self.m + 1))
 
 
 _decomp_basis_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
@@ -205,9 +183,8 @@ def decompose_directions(z: complex, m: int) -> DirectionalDecomposition:
     ``_decomp_basis``; the coefficients for z are Re(z) p_re + Im(z) p_im in
     floats, within a few units in the last place of the exact combination.
     """
-    basis_re, basis_im, scale = _decomp_basis(m)
-    return DirectionalDecomposition(m=m, polys=z.real * basis_re + z.imag * basis_im,
-                                    scale=scale, z=z)
+    basis_re, basis_im, _ = _decomp_basis(m)
+    return DirectionalDecomposition(m=m, polys=z.real * basis_re + z.imag * basis_im, z=z)
 
 
 # -- smooth bump and ReLU mixture ---------------------------------------------
@@ -317,18 +294,6 @@ def _mixture_basis(m: int, M: float) -> tuple:
     return _mixture_basis_cache[key]
 
 
-def _mixture_quadrature(dd: DirectionalDecomposition, M: float
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes on [-2M, 2M] and the (m+1, nodes) array of
-    weight * f_j''(node) for dd's z at the panel count of ``_mixture_basis``,
-    recomputed on each call (only the step's table is cached)."""
-    nodes, wts, f2_re, f2_im = _mixture_f2(dd.m, M, _mixture_basis(dd.m, M)[0])
-    quad = dd.z.real * f2_re
-    quad += dd.z.imag * f2_im
-    quad *= wts
-    return nodes, quad
-
-
 def relu_mixture(dd: DirectionalDecomposition, M: float) -> np.ndarray:
     """Masses int |f_j''|, j = 0..m, of the signed ReLU mixture realizing
     scale * sum_j p_j(x + j y) on [-M, M], with scale = 1 / sum_j int |f_j''|.
@@ -348,24 +313,11 @@ def relu_mixture(dd: DirectionalDecomposition, M: float) -> np.ndarray:
     at = np.searchsorted(keys, math.atan2(z.imag, z.real) + shifts)
     masses = z.real * S[0, at] + z.imag * S[1, at]
     if masses.min() <= 0.0:
-        for j in np.flatnonzero((dd.polys * dd.scale).any(axis=1) & (masses <= 0.0))[:1]:
+        for j in np.flatnonzero(dd.polys.any(axis=1) & (masses <= 0.0))[:1]:
             raise QuadratureResolutionError(f"int |f_{j}''| vanished for a nonzero p_{j}")
         if masses.sum() <= 0.0:
             raise QuadratureResolutionError("all mixture components are zero")
     return masses
-
-
-def mixture_expectation(dd: DirectionalDecomposition, M: float, x, y) -> np.ndarray:
-    """E[S psi(W-projection - B)] of the ReLU mixture at scalar projections
-    (x, y) = (w~.x, w~'.x): scale * Re(z * phi(x + i y)) on [-M, M], up to
-    quadrature error."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    nodes, quad = _mixture_quadrature(dd, M)
-    acc = np.zeros(np.broadcast(x, y).shape)
-    for j in range(dd.m + 1):
-        acc += np.maximum((x + j * y)[:, None] - nodes[None, :], 0.0) @ quad[j]
-    return acc / relu_mixture(dd, M).sum()
 
 
 # -- single-neuron step and the trimmed iterative fit -------------------------
@@ -445,8 +397,9 @@ class HarmonicFitResult:
 
 
 def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
-                 max_iters: int = 4000) -> HarmonicFitResult:
-    """Trimmed iterative harmonic fit on the boosting driver.
+                 max_iters: int | None = None) -> HarmonicFitResult:
+    """Trimmed iterative harmonic fit on the boosting driver; ``max_iters``
+    defaults to max(4000, 20 n) steps (a fit takes about 5-6 n at d = 100).
 
     Labels are normalized to ||y||^2 = n internally (undone on output).
     Indices whose residual exceeds n gamma^2 are trimmed from the active
@@ -462,6 +415,8 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     if gamma >= 1.0:
         raise DegenerateDataError("harmonic_fit requires coherence < 1")
     m = choose_degree(n, gamma)
+    if max_iters is None:
+        max_iters = max(4000, 20 * n)
     norm_scale = math.sqrt(n / y_sq) if y_sq > 0.0 else 1.0
 
     def builder(r: np.ndarray, attempt_seed: int) -> StepProposal | None:

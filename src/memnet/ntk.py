@@ -1,11 +1,13 @@
 """NTK-style construction: random-initialization derivative-neuron steps,
-the arcsin Gram matrix with its Hadamard-power lower bound, the boosted
-fit, and the Hermite-expansion generalization to other activations.
+the size bound at the measured coherence, and the boosted fit.
 
 One step draws u ~ N(0, I_d), sets v to the residual-weighted sum of points
 in the active halfspace {u . x >= 0}, and realizes psi'(u . x) (v . x) as
 two ReLU neurons via a small finite difference.  The step's correlation
-with the residual is exactly ||v||^2.
+with the residual is exactly ||v||^2.  The lemmas behind the size bound (the
+arcsin Gram matrix and its eigenvalue floor, and the Hermite-tail bound for
+other activations) are checked by test code, in ``tests/probes.py`` and
+``tests/test_ntk.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .constructive import DerivativeNeuronPair, safe_delta
 from .data import Dataset, GenericityReport, genericity
 from .errors import DataError, ParameterError, UninformativeBoundError
-from .hermite import HermiteExpansion
 from .network import FitTrace, StepProposal, TwoLayerNetwork, boost_fit
 
 
@@ -90,79 +91,3 @@ def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
         kd_bound = None
     return NtkFitResult(network=net, trace=trace, kd_achieved=float(net.k * ds.d),
                         kd_bound=kd_bound, report=report)
-
-
-def arcsin_gram(ds: Dataset) -> np.ndarray:
-    """H_ij = E_u[x_i . x_j 1{u.x_i >= 0} 1{u.x_j >= 0}] in closed form.
-
-    The joint halfspace probability for Gaussian u is 1/4 + arcsin(rho)/(2 pi)
-    with rho the normalized inner product, so
-    H_ij = (x_i . x_j) (1/4 + arcsin(rho_ij) / (2 pi)).
-    """
-    X = ds.points
-    norms = np.linalg.norm(X, axis=1)
-    G = X @ X.T
-    rho = np.clip(G / np.outer(norms, norms), -1.0, 1.0)
-    return G * (0.25 + np.arcsin(rho) / (2.0 * math.pi))
-
-
-def gram_lower_bound_check(ds: Dataset) -> tuple[float, float]:
-    """lambda_min of the norm-scaled arcsin Gram vs (1/10) sqrt(log(1/g)/log(2n))."""
-    gamma = genericity(ds).gamma_clamped(ds.n)
-    if gamma >= 1.0:
-        raise ParameterError("requires gamma < 1")
-    H = arcsin_gram(ds)
-    norms = np.linalg.norm(ds.points, axis=1)
-    Hn = H / np.outer(norms, norms)
-    lam_min = float(np.linalg.eigvalsh(Hn)[0])
-    bound = 0.1 * math.sqrt(math.log(1.0 / gamma) / math.log(2.0 * ds.n))
-    return lam_min, bound
-
-
-@dataclass
-class GeneralNtkReport:
-    required_kd: float
-    threshold_index: int
-    tail_sum: float
-    correlation_bound: float
-    mean_correlation: float | None
-
-
-def general_ntk_bound(ds: Dataset, expansion: HermiteExpansion, L: float,
-                      epsilon: float, psi_prime=None) -> GeneralNtkReport:
-    """Size requirement for a general activation via its Hermite tail.
-
-    required_kd evaluates 16 w L / (sum_{l >= l0} a_l^2) * n log(1/eps) with
-    l0 = ceil(log(2n) / (2 log(1/gamma))).  When ``psi_prime`` is supplied the
-    generalized step v = sum_i psi'(u . x_i) y_i x_i is run over 200 seed-0
-    initializations and the mean correlation ||v||^2 is reported against the
-    theoretical floor (1/4) * tail * ||y||^2.
-    """
-    report = genericity(ds)
-    n = ds.n
-    gamma = report.gamma_clamped(n)
-    threshold_index = math.ceil(math.log(2.0 * n) / (2.0 * math.log(1.0 / gamma)))
-    if expansion.truncation_degree < threshold_index:
-        raise ParameterError(
-            f"expansion truncated at {expansion.truncation_degree}, below the "
-            f"threshold index {threshold_index}")
-    tail = expansion.tail_sum(threshold_index)
-    if tail <= 1e-12:
-        raise UninformativeBoundError("Hermite tail sum is zero within tolerance")
-    required_kd = (16.0 * report.omega * L / tail) * n * math.log(1.0 / epsilon)
-
-    y = ds.labels
-    corr_bound = 0.25 * tail * float(y @ y)
-    mean_corr = None
-    if psi_prime is not None:
-        rng = np.random.default_rng(0)
-        vals = []
-        for _ in range(200):
-            u = rng.standard_normal(ds.d)
-            g = np.asarray(psi_prime(ds.points @ u))
-            v = ((y * g)[:, None] * ds.points).sum(axis=0)
-            vals.append(float(v @ v))
-        mean_corr = float(np.mean(vals))
-    return GeneralNtkReport(required_kd=required_kd, threshold_index=threshold_index,
-                            tail_sum=tail, correlation_bound=corr_bound,
-                            mean_correlation=mean_corr)

@@ -23,12 +23,13 @@ from memnet.bounds import verify_weight_bound
 from memnet.cli import sweep_cell
 from memnet.constructive import baum_relu_fit, baum_threshold_fit, exact_fit_generic
 from memnet.data import gaussian_labels, genericity, rademacher_labels, sample_sphere
-from memnet.harmonic import (choose_degree, decompose_directions, harmonic_fit,
-                             hermite_gram, mixture_expectation, relu_mixture)
-from memnet.hermite import (eval_monomial, expand_activation_derivative, he_coeffs,
-                            hermite_eval, orthogonality_check)
+from memnet.harmonic import choose_degree, decompose_directions, harmonic_fit, relu_mixture
+from memnet.hermite import he_coeffs, hermite_eval
 from memnet.network import evaluate, total_weight
-from memnet.ntk import arcsin_gram, gram_lower_bound_check, ntk_fit, ntk_step
+from memnet.ntk import ntk_fit, ntk_step
+from probes import (arcsin_gram, directional_sum, gram_lower_bound_check,
+                    hermite_coefficients, hermite_gram, horner, mixture_expectation,
+                    orthogonality_check)
 
 _CAPTURE = None
 
@@ -245,7 +246,7 @@ def test_criterion_07_harmonic_identities():
         dd = decompose_directions(z, m)
         x, y = rng.uniform(-1, 1, size=(2, 50))
         target = np.real(z * hermite_eval(m, x + 1j * y)) / math.sqrt(m)
-        recon_ok = recon_ok and float(np.max(np.abs(dd.evaluate(x, y) - target))) <= 1e-8
+        recon_ok = recon_ok and float(np.max(np.abs(directional_sum(dd, x, y) - target))) <= 1e-8
     # (c) mixture reconstruction on admissible points, deterministic quadrature
     dd = decompose_directions(1.0 + 0.0j, 3)
     M = 5.0
@@ -315,8 +316,8 @@ def test_criterion_10_hermite_suite():
     rec_ok = True
     for m in range(21):
         z = rng.uniform(-8, 8, size=30)
-        err = np.max(np.abs(hermite_eval(m, z) - eval_monomial(m, z))
-                     / (1.0 + np.abs(eval_monomial(m, z))))
+        mono = horner(he_coeffs(m), z) / math.sqrt(math.factorial(m))
+        err = np.max(np.abs(hermite_eval(m, z) - mono) / (1.0 + np.abs(mono)))
         rec_ok = rec_ok and err < 1e-10
     # derivative identity, coefficient-wise on H_m = He_m / sqrt(m!)
     coeffs = [np.array(he_coeffs(m), dtype=np.float64) / math.sqrt(math.factorial(m))
@@ -342,9 +343,9 @@ def test_criterion_10_hermite_suite():
                 exact = rho ** m if m == m2 else 0.0
                 mc_ok = mc_ok and abs(est - exact) <= 3 * se + 1e-12
     # step-function expansion coefficients
-    exp = expand_activation_derivative(lambda t: (t >= 0).astype(float), 8)
-    coef_ok = (abs(exp.coeffs[0] - 0.5) < 1e-6
-               and abs(exp.coeffs[1] - 1.0 / math.sqrt(2 * math.pi)) < 1e-6)
+    coeffs = hermite_coefficients(lambda t: (t >= 0).astype(float), 8)
+    coef_ok = (abs(coeffs[0] - 0.5) < 1e-6
+               and abs(coeffs[1] - 1.0 / math.sqrt(2 * math.pi)) < 1e-6)
     ok = rec_ok and der_ok and gen_ok and mc_ok and coef_ok
     _report(10, ok, f"hermite suite: recursion={rec_ok}, derivative={der_ok}, "
                     f"generating fn={gen_ok}, MC grid={mc_ok}, "

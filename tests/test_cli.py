@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +360,35 @@ def test_sweep_requires_epsilon_for_iterative(tmp_path, capsys):
                "--n-list", "20", "-o", str(tmp_path / "x.csv")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_fit_bytes_across_blas_thread_counts(tmp_path):
+    """Under one and two OpenBLAS threads every method but exact writes the
+    same network bytes.  Exact selects the same hidden layer (w, b); its
+    outer solve may differ in the last bits with the thread count."""
+    ds = sample_sphere(100, 50, 0)
+    labeled = rademacher_labels(ds, 1)
+    save_dataset(labeled, str(tmp_path / "ds.bin"))
+    save_dataset(ds.with_labels((labeled.labels > 0).astype(float)), str(tmp_path / "01.bin"))
+    fits = {"exact": ["ds.bin"], "baum-threshold": ["01.bin"], "baum-relu": ["ds.bin"],
+            "ntk": ["--epsilon", "0.25", "ds.bin"],
+            "harmonic": ["--epsilon", "0.25", "ds.bin"]}
+    nets = {}
+    for threads in ("1", "2"):
+        argvs = [["fit", "--method", method, "-o", str(tmp_path / f"{method}-{threads}"),
+                  *args[:-1], str(tmp_path / args[-1])] for method, args in fits.items()]
+        code = (f"from memnet.cli import main\nfor argv in {argvs!r}:\n"
+                "    assert main(argv) == 0\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       check=True, timeout=300)
+        for method in fits:
+            nets[method, threads] = (tmp_path / f"{method}-{threads}.network.json").read_bytes()
+    for method in ("baum-threshold", "baum-relu", "ntk", "harmonic"):
+        one, two = (hashlib.sha256(nets[method, t]).hexdigest() for t in ("1", "2"))
+        assert one == two, method
+    one, two = ([(nr["w"], nr["b"]) for nr in json.loads(nets["exact", t])["neurons"]]
+                for t in ("1", "2"))
+    assert one == two

@@ -1,4 +1,3 @@
-import functools
 import math
 import warnings
 from fractions import Fraction
@@ -13,13 +12,13 @@ from memnet.errors import (ConvergenceError, InvariantError, ParameterError,
                            QuadratureResolutionError, SamplerFailureError)
 from memnet.harmonic import (CONSTANTS, ComplexNeuron, _basis_second_derivatives,
                              _breakpoint_argmax, _decomp_basis, _mixture_basis,
-                             _mixture_f2, _mixture_quadrature,
                              bump_eval, choose_degree, decompose_directions,
-                             harmonic_fit, hermite_gram, mixture_expectation,
-                             perturbation_vector, projection_cutoff, relu_mixture,
-                             sample_complex_neuron, single_neuron_step)
+                             harmonic_fit, perturbation_vector, projection_cutoff,
+                             relu_mixture, sample_complex_neuron, single_neuron_step)
 from memnet.hermite import he_coeffs, hermite_eval
 from memnet.network import TwoLayerNetwork, evaluate, total_weight
+from probes import (direct_masses, directional_sum, hermite_gram, horner,
+                    mixture_expectation, mixture_quadrature, mixture_rows)
 
 
 def _fixture(n=100, d=50, seed=0):
@@ -123,12 +122,6 @@ def test_hermite_gram_matches_monte_carlo():
     assert abs(float(np.mean(prods)) - H[0, 1]) <= 3 * se
 
 
-def test_hermite_gram_requires_unit_rows():
-    ds = Dataset(np.array([[2.0, 0.0], [0.0, 1.0]]), np.zeros(2))
-    with pytest.raises(ParameterError):
-        hermite_gram(ds, 3)
-
-
 # -- phase averaging ----------------------------------------------------------
 
 def test_phase_averaging_exact_roots_of_unity():
@@ -214,8 +207,9 @@ def test_squared_norm_mean_within_calibrated_cap():
         theta = rng.uniform(0, 2 * math.pi)
         v = perturbation_vector(ds, r, w, m, gamma)
         a = complex(math.cos(theta), math.sin(theta))
-        cn = ComplexNeuron(w + a.real * v, a.imag * v, 1.0 / a, m)
-        g = cn.values(ds.points)
+        # the complex neuron Re(z * phi((w~ + i w~') . x)), z = 1/a
+        t = ds.points @ (w + a.real * v) + 1j * (ds.points @ (a.imag * v))
+        g = np.real(1.0 / a * hermite_eval(m, t)) / math.sqrt(m)
         totals.append(float(g @ g))
     assert float(np.mean(totals)) <= CONSTANTS["var_c"] * ds.n
 
@@ -260,7 +254,7 @@ def test_decompose_degree_one_symbolic():
     for theta in (0.0, 0.9, 2.4):
         z = complex(math.cos(theta), math.sin(theta))
         dd = decompose_directions(z, 1)
-        p0, p1 = dd.poly_float(0), dd.poly_float(1)
+        p0, p1 = dd.polys  # the common factor is 1 at m = 1
         assert p0[1] == pytest.approx(z.real + z.imag, abs=1e-12)
         assert p1[1] == pytest.approx(-z.imag, abs=1e-12)
         assert p0[0] == p1[0] == 0.0
@@ -271,7 +265,7 @@ def test_decompose_degree_two_reconstruction():
     rng = np.random.default_rng(0)
     x, y = rng.uniform(-3, 3, size=(2, 50))
     target = np.real(hermite_eval(2, x + 1j * y)) / math.sqrt(2)
-    assert np.max(np.abs(dd.evaluate(x, y) - target)) < 1e-12
+    assert np.max(np.abs(directional_sum(dd, x, y) - target)) < 1e-12
 
 
 def test_decompose_any_degree_reconstruction():
@@ -283,7 +277,7 @@ def test_decompose_any_degree_reconstruction():
         x, y = rng.uniform(-1, 1, size=(2, 50))
         target = np.real(z * hermite_eval(m, x + 1j * y)) / math.sqrt(m)
         scale = max(1.0, float(np.max(np.abs(target))))
-        assert np.max(np.abs(dd.evaluate(x, y) - target)) / scale < 1e-8
+        assert np.max(np.abs(directional_sum(dd, x, y) - target)) / scale < 1e-8
 
 
 def _vandermonde_fraction(k: int, targets: list[int]) -> list[Fraction]:
@@ -335,36 +329,23 @@ def test_decompose_float_matches_exact_recombination():
             assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
-def _horner(coeffs, t):
-    acc = np.zeros_like(t)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
 def _deriv(coeffs):
     return coeffs[1:] * np.arange(1, len(coeffs)) if len(coeffs) > 1 else np.zeros(1)
 
 
 def test_polynomial_evaluations_bit_identical_to_horner():
-    """DirectionalDecomposition.evaluate and the mixture's (p chi)'' rows
-    equal textbook Horner loops bit for bit."""
+    """The mixture's (p chi)'' rows equal textbook Horner loops bit for bit."""
     rng = np.random.default_rng(5)
     nodes = np.linspace(-3.0, 3.0, 301)
     chi, chi1, chi2 = bump_eval(nodes, 1.5)
     for m in range(1, 13):
         theta = rng.uniform(0, 2 * math.pi)
         dd = decompose_directions(complex(math.cos(theta), math.sin(theta)), m)
-        x, y = rng.uniform(-1, 1, size=(2, 30))
-        want = np.zeros(30)
-        for j in range(m + 1):
-            want += _horner(dd.poly_float(j), x + j * y)
-        assert np.array_equal(dd.evaluate(x, y), want)
         got = _basis_second_derivatives(dd.polys, nodes, (chi, chi1, chi2))
         for row, c in zip(got, dd.polys):
             c1 = _deriv(c)
-            want = (_horner(_deriv(c1), nodes) * chi + 2.0 * _horner(c1, nodes) * chi1
-                    + _horner(c, nodes) * chi2)
+            want = (horner(_deriv(c1), nodes) * chi + 2.0 * horner(c1, nodes) * chi1
+                    + horner(c, nodes) * chi2)
             assert np.array_equal(row, want)
 
 
@@ -385,7 +366,7 @@ def test_mixture_linear_reconstruction():
     mixture still reconstructs p on [-M, M]."""
     dd = decompose_directions(1, 1)
     scale = 1.0 / relu_mixture(dd, 2.0).sum()
-    nodes, quad = _mixture_quadrature(dd, 2.0)
+    nodes, quad = mixture_quadrature(dd, 2.0)
     inside = np.abs(nodes) <= 2.0 * (1 + 1e-12)
     assert np.all(np.abs(quad[:, inside]) < 1e-9)
     t = np.linspace(-2, 2, 41)
@@ -415,26 +396,12 @@ def test_mixture_probabilities_and_support():
     masses = relu_mixture(dd, M)
     assert masses.shape == (5,)
     assert float((masses / masses.sum()).sum()) == pytest.approx(1.0, abs=1e-12)
-    nodes, quad = _mixture_quadrature(dd, M)
+    nodes, quad = mixture_quadrature(dd, M)
     assert np.max(np.abs(nodes)) <= 2.0 * M
     for j in range(5):
         assert float((np.abs(quad[j]) / masses[j]).sum()) == pytest.approx(1.0, abs=1e-6)
         nz = np.sign(quad[j][quad[j] != 0.0])
         assert set(np.unique(nz)) <= {-1.0, 1.0}
-
-
-@functools.lru_cache(maxsize=None)
-def _quadrature_rows(m, M):
-    """Weights and the z = 1 / z = i rows of f'' at the panel count of the
-    mixture table, the arrays ``_mixture_quadrature`` combines for one z."""
-    _, wts, f2_re, f2_im = _mixture_f2(m, M, _mixture_basis(m, M)[0])
-    return wts, f2_re, f2_im
-
-
-def _direct_masses(dd, M):
-    """Direct-sum oracle for relu_mixture: sum_k |Re z f2_re + Im z f2_im| wts."""
-    wts, f2_re, f2_im = _quadrature_rows(dd.m, M)
-    return (np.abs(dd.z.real * f2_re + dd.z.imag * f2_im) * wts).sum(axis=1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 9, 12])
@@ -443,7 +410,7 @@ def test_mass_table_matches_direct_sum(m):
     nodes within 1e-10 relative: on the axes, on a breakpoint, on Re z < 0
     (the fold) and at 200 random z."""
     M = 2.0 * m * projection_cutoff(100, m)
-    wts, f2_re, f2_im = _quadrature_rows(m, M)
+    _, wts, f2_re, f2_im = mixture_rows(m, M)
     # a breakpoint: the z orthogonal to the heaviest node's (A, B) in row 0
     A, B = f2_re[0] * wts, f2_im[0] * wts
     k = int(np.argmax(np.hypot(A, B)))
@@ -452,12 +419,9 @@ def test_mass_table_matches_direct_sum(m):
     zs = [1.0 + 0.0j, -1.0 + 0.0j, 1j, -1j, on_break, -on_break,
           complex(math.cos(2.5), math.sin(2.5))]
     zs += list(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=200)))
-    dd = decompose_directions(on_break, m)
-    assert np.array_equal(_direct_masses(dd, M),
-                          np.abs(_mixture_quadrature(dd, M)[1]).sum(axis=1))
     for z in zs:
         dd = decompose_directions(complex(z), m)
-        got, want = relu_mixture(dd, M), _direct_masses(dd, M)
+        got, want = relu_mixture(dd, M), direct_masses(dd, M)
         assert np.all(np.abs(got - want) <= 1e-10 * want), z
 
 
@@ -610,14 +574,14 @@ def _old_grid_score(ds, r, step, m):
     """The argmax over the former per-direction bias grid: 512 quantiles of
     |f_j''| plus a 128-point cover of the projection range."""
     dd = decompose_directions(step.complex_neuron.z, m)
-    nodes, quad = _mixture_quadrature(dd, step.M)
+    nodes, quad = mixture_quadrature(dd, step.M)
     q = (np.arange(512) + 0.5) / 512
     cn = step.complex_neuron
     best = 0.0
     for j in range(m + 1):
         proj = ds.points @ (cn.w_re + j * cn.w_im)
         grids = []
-        if np.max(np.abs(dd.poly_float(j))) > 0.0:
+        if dd.polys[j].any():
             cdf = np.cumsum(np.abs(quad[j]))
             grids.append(nodes[np.searchsorted(cdf / cdf[-1], q)])
         span = max(np.max(np.abs(proj)), 1e-6)
@@ -658,7 +622,7 @@ def test_fit_identical_with_direct_sum_masses(monkeypatch):
     come from the direct sum builds the same network and trace."""
     ds = rademacher_labels(sample_sphere(60, 80, 0), 1)
     table = harmonic_fit(ds, epsilon=0.3, seed=0)
-    monkeypatch.setattr(harmonic, "relu_mixture", _direct_masses)
+    monkeypatch.setattr(harmonic, "relu_mixture", direct_masses)
     direct = harmonic_fit(ds, epsilon=0.3, seed=0)
     assert table.network.to_json() == direct.network.to_json()
     assert table.trace.iterations == direct.trace.iterations
@@ -753,6 +717,21 @@ def test_harmonic_fit_iteration_cap_raises_with_trace():
     # the weight is reported in label units, as for a finished fit
     first_two = TwoLayerNetwork(full.network.neurons[:2])
     assert trace.total_weight == pytest.approx(total_weight(first_two), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, cap", [(150, 4000), (300, 6000)])
+def test_harmonic_fit_default_cap_grows_with_n(monkeypatch, n, cap):
+    """The default iteration cap is max(4000, 20 n)."""
+    class Stop(Exception):
+        pass
+
+    def spy(*args, max_iters, **kwargs):
+        raise Stop(max_iters)
+
+    monkeypatch.setattr(harmonic, "boost_fit", spy)
+    with pytest.raises(Stop) as err:
+        harmonic_fit(rademacher_labels(sample_sphere(n, 100, 0), 1), epsilon=0.25)
+    assert err.value.args == (cap,)
 
 
 def test_harmonic_fit_zero_labels():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from memnet.errors import ParameterError
-from memnet.hermite import (_composite_gl, eval_monomial,
-                            expand_activation_derivative, gauss_expectation,
-                            gl_grid, he_coeffs, hermite_eval, orthogonality_check)
+from memnet.hermite import gl_grid, he_coeffs, hermite_eval
+from probes import gauss_expectation, hermite_coefficients, horner, orthogonality_check
 
 
 def test_h0_and_h1():
@@ -24,7 +23,7 @@ def test_recursion_matches_monomial_oracle():
     for m in range(21):
         z = rng.uniform(-10, 10, size=50)
         a = hermite_eval(m, z)
-        b = eval_monomial(m, z)
+        b = horner(he_coeffs(m), z) / math.sqrt(math.factorial(m))
         assert np.max(np.abs(a - b) / (1.0 + np.abs(b))) < 1e-10
 
 
@@ -77,22 +76,6 @@ def test_scalar_input_gives_numpy_scalar():
             assert type(hermite_eval(m, z)) is kind
 
 
-def _horner(coeffs, z):
-    acc = np.zeros_like(z, dtype=np.result_type(z.dtype, np.float64))
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def test_monomial_evaluation_bit_identical_to_horner():
-    rng = np.random.default_rng(4)
-    real = rng.uniform(-6, 6, size=40)
-    for z in (real, real + 1j * rng.uniform(-3, 3, size=40)):
-        for m in range(21):
-            want = _horner(he_coeffs(m), z) / math.sqrt(math.factorial(m))
-            assert np.array_equal(eval_monomial(m, z), want)
-
-
 def test_gl_grid_matches_per_panel_rule():
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
     for lo, hi, panels in ((-1.0, 1.0, 1), (-15.0, 15.0, 64), (-3.7, 8.2, 7)):
@@ -106,13 +89,14 @@ def test_gl_grid_matches_per_panel_rule():
             assert np.array_equal(wts[16 * p:16 * (p + 1)], half * ref_weights)
         # 16 nodes per panel integrate degree 31 exactly
         exact = (hi ** 32 - lo ** 32) / 32.0
-        assert _composite_gl(lambda t: t ** 31, lo, hi, panels) == pytest.approx(
+        assert float(pts ** 31 @ wts) == pytest.approx(
             exact, rel=1e-12, abs=1e-12 * abs(hi) ** 32)
 
 
 def test_complex_argument():
     z = 1.5 + 0.5j
-    assert hermite_eval(4, z) == pytest.approx(eval_monomial(4, z), rel=1e-12)
+    want = horner(he_coeffs(4), z) / math.sqrt(math.factorial(4))
+    assert hermite_eval(4, z) == pytest.approx(want, rel=1e-12)
 
 
 def test_negative_degree_rejected():
@@ -185,46 +169,38 @@ def test_orthogonality_grid():
                 assert abs(est - exact) <= 3 * se + 1e-12
 
 
-def test_orthogonality_validation():
-    with pytest.raises(ParameterError):
-        orthogonality_check(1, 1, 1.5, 100, 0)
-    with pytest.raises(ParameterError):
-        orthogonality_check(1, 1, 0.5, 0, 0)
-
-
 def test_gauss_expectation_known_moments():
     assert gauss_expectation(lambda t: t * t) == pytest.approx(1.0, abs=1e-8)
     assert gauss_expectation(lambda t: t ** 4) == pytest.approx(3.0, abs=1e-7)
 
 
 def test_expand_basis_function():
-    exp = expand_activation_derivative(lambda t: hermite_eval(3, t), 6)
+    coeffs = hermite_coefficients(lambda t: hermite_eval(3, t), 6)
     target = np.zeros(7)
     target[3] = 1.0
-    assert np.max(np.abs(exp.coeffs - target)) < 1e-8
-    assert exp.tail_mass < 1e-6
+    assert np.max(np.abs(coeffs - target)) < 1e-8
+    # Parseval remainder E[psi'^2] - sum a_l^2
+    assert gauss_expectation(lambda t: hermite_eval(3, t) ** 2) - coeffs @ coeffs < 1e-6
 
 
 def test_expand_relu_derivative():
     """Closed-form Gaussian integrals: a_0 = E[1{X>=0}] = 1/2 and
     a_1 = E[X 1{X>=0}] = 1/sqrt(2 pi)."""
-    exp = expand_activation_derivative(lambda t: (t >= 0).astype(float), 8)
-    assert exp.coeffs[0] == pytest.approx(0.5, abs=1e-6)
-    assert exp.coeffs[1] == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-6)
+    coeffs = hermite_coefficients(lambda t: (t >= 0).astype(float), 8)
+    assert coeffs[0] == pytest.approx(0.5, abs=1e-6)
+    assert coeffs[1] == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-6)
     # even coefficients beyond 0 vanish by symmetry of the jump about 0
-    assert abs(exp.coeffs[2]) < 1e-6
+    assert abs(coeffs[2]) < 1e-6
 
 
 def test_expand_identity_function():
-    exp = expand_activation_derivative(lambda t: t, 5)
-    assert exp.coeffs[1] == pytest.approx(1.0, abs=1e-8)
-    others = np.delete(exp.coeffs, 1)
+    coeffs = hermite_coefficients(lambda t: t, 5)
+    assert coeffs[1] == pytest.approx(1.0, abs=1e-8)
+    others = np.delete(coeffs, 1)
     assert np.max(np.abs(others)) < 1e-8
 
 
 def test_expansion_parseval():
-    exp = expand_activation_derivative(lambda t: (t >= 0).astype(float), 10)
+    coeffs = hermite_coefficients(lambda t: (t >= 0).astype(float), 10)
     energy = gauss_expectation(lambda t: (t >= 0).astype(float))  # E[psi'^2] = 1/2
-    assert float(exp.coeffs @ exp.coeffs) <= energy + 1e-6
-    assert exp.tail_sum(0) == pytest.approx(float(exp.coeffs @ exp.coeffs))
-    assert exp.tail_sum(2) <= exp.tail_sum(1)
+    assert float(coeffs @ coeffs) <= energy + 1e-6

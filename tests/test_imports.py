@@ -1,7 +1,7 @@
 """Static checks over the package sources: every imported name is used (in
 the tests too), every module-level ``_private`` function or class is
-referenced somewhere in the package, and every name the benchmark tracer
-wraps exists.
+referenced somewhere in the package, every public one is reached from
+outside the tests, and every name the benchmark tracer wraps exists.
 
 No linter is a dependency, so the checks parse each module with ``ast``.
 ``__init__.py`` is skipped by the import check because its imports are the
@@ -81,6 +81,52 @@ def test_orphan_private_detector():
 def test_no_orphan_privates():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert orphan_privates(sources) == []
+
+
+def unreached_publics(sources: dict[str, str], users: dict[str, str]) -> list[str]:
+    """``module.name`` of each public module-level function or class of the
+    package ``sources`` that no other code refers to by name or attribute:
+    no other package module, no code of its own module outside its own body,
+    and no module of ``users``.  ``__init__`` only re-exports, so its
+    references do not count."""
+    def names(nodes) -> set[str]:
+        return {sub.id if isinstance(sub, ast.Name) else sub.attr
+                for node in nodes for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute))}
+
+    trees = {module: ast.parse(source) for module, source in sources.items()
+             if module != "__init__"}
+    outside = names(ast.parse(source) for source in users.values())
+    flagged = []
+    for module, tree in trees.items():
+        used = outside | names(t for m, t in trees.items() if m != module)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in used
+                    and node.name not in names(n for n in tree.body if n is not node)):
+                flagged.append(f"{module}.{node.name}")
+    return sorted(flagged)
+
+
+def test_unreached_public_detector():
+    sources = {
+        "__init__": "from .a import Report, probe, used_by_b\n",
+        "a": ("def used_by_b():\n    pass\ndef probe():\n    return probe()\n"
+              "def helper():\n    pass\ndef caller():\n    return helper()\n"
+              "class Report:\n    def make(self):\n        return Report()\n"
+              "def _private():\n    pass\n"),
+        "b": "from .a import used_by_b\nused_by_b()\ndef for_bench():\n    pass\n",
+    }
+    users = {"worker.py": "import b\nb.for_bench()\n"}
+    assert unreached_publics(sources, users) == ["a.Report", "a.caller", "a.probe"]
+
+
+def test_no_test_only_publics():
+    """Every public function or class of the package is reached from the
+    package itself or from bench/; what only tests reach lives in tests/."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    users = {p.name: p.read_text() for p in (ROOT / "bench").glob("*.py")}
+    assert unreached_publics(sources, users) == []
 
 
 def missing_targets(targets) -> list[str]:

@@ -5,10 +5,10 @@ import pytest
 
 from memnet.data import Dataset, genericity, rademacher_labels, sample_sphere
 from memnet.errors import ConvergenceError, ParameterError, UninformativeBoundError
-from memnet.hermite import expand_activation_derivative, hermite_eval
+from memnet.hermite import hermite_eval
 from memnet.network import FitTrace, evaluate, total_weight
-from memnet.ntk import (arcsin_gram, general_ntk_bound, gram_lower_bound_check,
-                        ntk_fit, ntk_kd_bound, ntk_step)
+from memnet.ntk import ntk_fit, ntk_kd_bound, ntk_step
+from probes import arcsin_gram, gram_lower_bound_check, hermite_coefficients
 
 
 def _labeled(n, d, seed):
@@ -193,41 +193,41 @@ def test_ntk_fit_zero_labels():
 
 # -- general activations ------------------------------------------------------
 
+def _hermite_tail(ds, coeffs):
+    """(l0, sum_{l >= l0} a_l^2): the general-activation size bound
+    16 w L n log(1/eps) / tail reads the Hermite tail of psi' from
+    l0 = ceil(log(2n) / (2 log(1/gamma)))."""
+    gamma = genericity(ds).gamma_clamped(ds.n)
+    l0 = math.ceil(math.log(2.0 * ds.n) / (2.0 * math.log(1.0 / gamma)))
+    return l0, float(np.sum(coeffs[l0:] ** 2))
+
+
 def test_general_bound_relu_matches_specialized_tail():
     ds = _labeled(100, 20, 0)
-    exp = expand_activation_derivative(lambda t: (t >= 0).astype(float), 30)
-    rep = general_ntk_bound(ds, exp, L=1.0, epsilon=0.1)
-    g = genericity(ds).gamma_clamped(100)
-    want_idx = math.ceil(math.log(200.0) / (2.0 * math.log(1.0 / g)))
-    assert rep.threshold_index == want_idx
-    assert 0.0 < rep.tail_sum <= 0.5 + 1e-6
-    want = 16.0 * genericity(ds).omega * 1.0 / rep.tail_sum * 100 * math.log(10.0)
-    assert rep.required_kd == pytest.approx(want, rel=1e-10)
+    _, tail = _hermite_tail(ds, hermite_coefficients(lambda t: (t >= 0).astype(float), 30))
+    assert 0.0 < tail <= 0.5 + 1e-6
 
 
 def test_general_bound_pure_high_degree_tail_is_one():
     """An activation derivative equal to H_5 has all its mass above any small
     threshold index, so the tail sum is 1."""
     ds = _labeled(20, 100, 1)
-    exp = expand_activation_derivative(lambda t: hermite_eval(5, t), 12)
-    rep = general_ntk_bound(ds, exp, L=1.0, epsilon=0.5)
-    assert rep.threshold_index <= 5
-    assert rep.tail_sum == pytest.approx(1.0, abs=1e-6)
+    l0, tail = _hermite_tail(ds, hermite_coefficients(lambda t: hermite_eval(5, t), 12))
+    assert l0 <= 5
+    assert tail == pytest.approx(1.0, abs=1e-6)
 
 
 def test_general_bound_mean_correlation_floor():
+    """The generalized step v = sum_i psi'(u . x_i) y_i x_i correlates, on
+    average over 200 draws of u, at least (1/4) tail ||y||^2."""
     ds = _labeled(80, 30, 3)
-    exp = expand_activation_derivative(lambda t: (t >= 0).astype(float), 20)
-    rep = general_ntk_bound(ds, exp, L=1.0, epsilon=0.25,
-                            psi_prime=lambda t: (t >= 0).astype(float))
-    assert rep.mean_correlation is not None
-    assert rep.mean_correlation >= rep.correlation_bound
-
-
-def test_general_bound_truncation_too_short():
-    pts = np.vstack([np.eye(3), (np.eye(3)[0] + 1e-3 * np.eye(3)[1])])
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    ds = Dataset(pts, np.ones(4))
-    exp = expand_activation_derivative(lambda t: (t >= 0).astype(float), 1)
-    with pytest.raises(ParameterError):
-        general_ntk_bound(ds, exp, L=1.0, epsilon=0.1)
+    psi_prime = lambda t: (t >= 0).astype(float)
+    _, tail = _hermite_tail(ds, hermite_coefficients(psi_prime, 20))
+    y = ds.labels
+    rng = np.random.default_rng(0)
+    corrs = []
+    for _ in range(200):
+        v = ((y * psi_prime(ds.points @ rng.standard_normal(ds.d)))[:, None]
+             * ds.points).sum(axis=0)
+        corrs.append(float(v @ v))
+    assert float(np.mean(corrs)) >= 0.25 * tail * float(y @ y)
