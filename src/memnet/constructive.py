@@ -124,8 +124,9 @@ def _hyperplane_through(points_group: np.ndarray) -> tuple[np.ndarray, float]:
 def _slab_half_width(ds: Dataset, group: np.ndarray, u: np.ndarray, b: float) -> float:
     """tau: half the distance from the hyperplane u . x = b through the group
     to the nearest other point (1 when there is none)."""
-    others = np.setdiff1d(np.arange(ds.n), group)
-    tau = 0.5 * float(np.min(np.abs(ds.points[others] @ u - b))) if len(others) else 1.0
+    others = np.ones(ds.n, dtype=bool)
+    others[group] = False
+    tau = 0.5 * float(np.min(np.abs(ds.points[others] @ u - b))) if others.any() else 1.0
     if tau <= 1e-12:
         raise DegenerateDataError(
             f"another point lies on the group hyperplane (group {group.tolist()})")

@@ -4,7 +4,8 @@ Pipeline for one boosting step:
 
 1. draw a random base weight w and a uniform phase a, perturb by the
    residual-driven vector v(w), and keep the best complex neuron
-   g(x) = Re(z * phi((w~ + i w~') . x)) with phi = H_m / sqrt(m);
+   g(x) = Re(z * phi((w~ + i w~') . x)) with phi = H_m / sqrt(m), scoring
+   the pool through He_m and one shared W X^T (``sample_complex_neuron``);
 2. rewrite Re(z * phi(x + i y)) as a sum of univariate polynomials in the
    directions x + j y, j = 0..m: the integer-node Vandermonde systems have
    the closed-form Lagrange solution L_j(i), turned once per degree from
@@ -35,7 +36,7 @@ import numpy as np
 from .data import Dataset, genericity
 from .errors import (ConvergenceError, DegenerateDataError, InvariantError,
                      ParameterError, QuadratureResolutionError, SamplerFailureError)
-from .hermite import gl_grid, he_coeffs, hermite_eval
+from .hermite import gl_grid, he_coeffs, he_eval, hermite_eval
 from .network import (FitTrace, Neuron, StepProposal, TwoLayerNetwork, boost_fit,
                       total_weight)
 
@@ -56,12 +57,12 @@ def choose_degree(n: int, gamma: float) -> int:
     return m
 
 
-def perturbation_vector(ds: Dataset, residual: np.ndarray, w: np.ndarray,
+def perturbation_vector(ds: Dataset, residual: np.ndarray, proj: np.ndarray,
                         m: int, gamma: float) -> np.ndarray:
-    """v(w) = (n gamma^2)^(-1/2) sum_i r_i H_{m-1}(w . x_i) x_i for one w of
-    shape (d,), or one row per weight of a (C, d) batch."""
+    """v(w) = (n gamma^2)^(-1/2) sum_i r_i H_{m-1}(w . x_i) x_i from the
+    projections ``proj``: X w of one w, or W X^T, one row per w of a batch."""
     r = np.asarray(residual, dtype=np.float64)
-    h = np.real(hermite_eval(m - 1, w @ ds.points.T))
+    h = np.real(hermite_eval(m - 1, proj))
     return ((h * r) @ ds.points) / math.sqrt(ds.n * gamma * gamma)
 
 
@@ -92,7 +93,11 @@ def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int,
     Candidates violating the projection cutoff are discarded; the winner
     must reach the calibrated correlation floor
     ||r||^2 / (2 corr_c sqrt(n gamma^2)), else SamplerFailureError carries
-    the best achieved correlation.
+    the best achieved correlation.  W X^T feeds v(w) and the projections
+    W X^T + cos(a) V X^T, sin(a) V X^T.  Scores are Re(z He_m(P) @ r) with
+    the pool-wide 1/(sqrt(m!) sqrt(m)) applied after the sum: only the
+    argmax, the floor test, the mixture-mean check (1e-9) and ``best_value``
+    read them, and the winner's weights come from W, V and a alone.
     """
     r = np.asarray(residual, dtype=np.float64)
     n = ds.n
@@ -110,17 +115,15 @@ def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     W = rng.standard_normal((candidates, ds.d))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=candidates)
-    V = perturbation_vector(ds, r, W, m, gamma)                  # (C, d)
+    WX = W @ ds.points.T                                          # (C, n)
+    V = perturbation_vector(ds, r, WX, m, gamma)                  # (C, d)
+    VX = V @ ds.points.T
     ar, ai = np.cos(theta), np.sin(theta)
-    re_proj = (W + ar[:, None] * V) @ ds.points.T                # (C, n)
-    im_proj = (ai[:, None] * V) @ ds.points.T
-    proj = np.empty(re_proj.shape, dtype=np.complex128)
-    proj.real, proj.imag = re_proj, im_proj
+    proj = np.empty(WX.shape, dtype=np.complex128)
+    proj.real, proj.imag = WX + ar[:, None] * VX, ai[:, None] * VX
     z = ar - 1j * ai
-    vals = np.real(z[:, None] * hermite_eval(m, proj))
-    F = (vals @ r) / math.sqrt(m)
-    ok = np.maximum(np.max(np.abs(re_proj), axis=1),
-                    np.max(np.abs(im_proj), axis=1)) <= cutoff
+    F = np.real(z * (he_eval(m, proj) @ r)) / (math.sqrt(math.factorial(m)) * math.sqrt(m))
+    ok = np.max(np.abs(proj.view(np.float64)), axis=1) <= cutoff  # both parts
     best_raw = float(np.max(F))
     if np.any(ok):
         idx = int(np.flatnonzero(ok)[np.argmax(F[ok])])
@@ -159,7 +162,8 @@ def _decomp_basis(m: int) -> tuple[np.ndarray, np.ndarray, float]:
     c_k Re L_j(i) and p_im[j, k] = -c_k Im L_j(i): an exact Gaussian integer
     over an exact integer, divided once and so correctly rounded.
     """
-    if m not in _decomp_basis_cache:
+    if m not in _decomp_basis_cache:  # scale first: m! > 1.8e308 fails at once
+        scale = 1.0 / (math.sqrt(math.factorial(m)) * math.sqrt(m))
         p_re, p_im = np.zeros((m + 1, m + 1)), np.zeros((m + 1, m + 1))
         for k, ck in enumerate(he_coeffs(m)):
             for j in range(k + 1):
@@ -170,7 +174,6 @@ def _decomp_basis(m: int) -> tuple[np.ndarray, np.ndarray, float]:
                 if den < 0:
                     a, b, den = -a, -b, -den
                 p_re[j, k], p_im[j, k] = a / den, -b / den
-        scale = 1.0 / (math.sqrt(math.factorial(m)) * math.sqrt(m))
         _decomp_basis_cache[m] = (p_re, p_im, scale)
     return _decomp_basis_cache[m]
 
@@ -270,6 +273,9 @@ def _mixture_basis(m: int, M: float) -> tuple:
             _, wts, f2_re, f2_im = _mixture_f2(m, M, panels)
             AB = np.vstack([f2_re, f2_im]) * wts
             masses = np.abs(AB).sum(axis=1)
+            if not np.isfinite(masses).all():
+                raise QuadratureResolutionError(
+                    f"degree {m} overflows float64 on the {panels}-panel grid")
             if prev is not None:
                 ref = max(float(masses.max()), 1e-300)
                 if np.all(np.abs(masses - prev)
@@ -415,6 +421,12 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     if gamma >= 1.0:
         raise DegenerateDataError("harmonic_fit requires coherence < 1")
     m = choose_degree(n, gamma)
+    try:  # the degree's mixture table, built before the first step
+        with np.errstate(over="ignore", invalid="ignore"):
+            _mixture_basis(m, 2.0 * m * projection_cutoff(n, m))
+    except (OverflowError, QuadratureResolutionError):
+        raise DegenerateDataError(
+            f"coherence {gamma:.6g} needs degree m={m}, past float64 range") from None
     if max_iters is None:
         max_iters = max(4000, 20 * n)
     norm_scale = math.sqrt(n / y_sq) if y_sq > 0.0 else 1.0

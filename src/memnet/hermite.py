@@ -8,8 +8,10 @@ E[H_m(X) H_m'(X)] = delta_{m,m'} for X ~ N(0,1).  With this normalization
 
 and H_m' = sqrt(m) H_{m-1}.  Internally coefficients are the exact integer
 coefficients of the unnormalized polynomials, with the 1/sqrt(m!) factor
-kept symbolic until evaluation.  The harmonic fit evaluates H_m through
-``hermite_eval`` and integrates on ``gl_grid``; the checks of the Hermite
+kept symbolic until evaluation.  The harmonic fit evaluates H_{m-1} through
+``hermite_eval``, scores its complex candidates through ``he_eval`` (the
+unnormalized He_m, whose common factor 1/sqrt(m!) it applies to the scores
+afterwards) and integrates on ``gl_grid``; the checks of the Hermite
 lemmas (orthogonality, activation expansions) are test code, in
 ``tests/probes.py``.
 """
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["he_coeffs", "hermite_eval", "gl_grid"]
+__all__ = ["he_coeffs", "he_eval", "hermite_eval", "gl_grid"]
 
 
 def he_coeffs(m: int) -> list[int]:
@@ -39,6 +41,27 @@ def he_coeffs(m: int) -> list[int]:
     return row
 
 
+def he_eval(m: int, z):
+    """The unnormalized He_m(z) of ``he_coeffs`` by He_{k+2} = (s - (2k+1)) He_k
+    - k(k-1) He_{k-2} in s = z^2 (odd m: on He_k / z, times z at the end);
+    z may be real/complex, scalar/array."""
+    if m < 0:
+        raise ParameterError("degree must be >= 0")
+    z = np.asarray(z)
+    s = z * z.astype(np.result_type(z.dtype, np.float64), copy=False)
+    h_prev, h, nxt = np.empty_like(s), np.ones_like(s), np.empty_like(s)
+    for k in range(m % 2, m - 1, 2):
+        np.subtract(s, 2 * k + 1, out=nxt)
+        if k > 1:  # at k = 0 and 1, h = 1 and the He_{k-2} term vanishes
+            nxt *= h
+            h_prev *= k * (k - 1)
+            nxt -= h_prev
+        h_prev, h, nxt = h, nxt, h_prev
+    if m % 2:
+        h *= z
+    return h[()]
+
+
 def hermite_eval(m: int, z):
     """H_m(z) by the three-term recursion; z may be real/complex, scalar/array."""
     if m < 0:
@@ -48,24 +71,13 @@ def hermite_eval(m: int, z):
     if m == 0:
         return one
     h_prev, h, nxt = one, np.asarray(z * one), np.empty_like(one)
-    # numpy divides a complex a + bj by a real c as by c + 0j, with Smith's
-    # method: rat = 0/c, scl = 1/(c + 0*rat) = 1/c, and the parts become
-    # (a + b*rat)*scl and (b - a*rat)*scl.  Multiplying by 1/c + 0j gives
-    # a*scl - b*0 and a*0 + b*scl: the same values with NaNs in the same
-    # places, only the sign of a zero or a NaN may differ, at a fraction of
-    # the cost.  For a real array x/c and x*(1/c) differ in the last bit, so
-    # the real branch divides.
-    complex_branch = np.iscomplexobj(one)
     for k in range(2, m + 1):
         # (z h - sqrt(k-1) h_prev) / sqrt(k) in three buffers that rotate
         # (never the caller's z)
         h_prev *= math.sqrt(k - 1)
         np.multiply(z, h, out=nxt)
         nxt -= h_prev
-        if complex_branch:
-            nxt *= 1.0 / math.sqrt(k)
-        else:
-            nxt /= math.sqrt(k)
+        nxt /= math.sqrt(k)
         h_prev, h, nxt = h, nxt, h_prev
     return h[()]  # a numpy scalar for a 0-d z, as numpy arithmetic returns
 

@@ -52,7 +52,7 @@ class Neuron:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and np.all(np.isfinite(w))):
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and np.isfinite(w).all()):
             raise ParameterError("neuron parameters must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -62,7 +62,12 @@ class Neuron:
         return abs(self.a) * math.sqrt(float(self.w @ self.w) + self.b ** 2)
 
     def scaled(self, c: float) -> "Neuron":
-        return Neuron(self.a * c, self.w, self.b)
+        """a * c, sharing this neuron's checked read-only w: only a * c is checked."""
+        out = object.__new__(Neuron)
+        out.__dict__.update(a=self.a * c, w=self.w, b=self.b)
+        if not math.isfinite(out.a):
+            raise ParameterError("neuron parameters must be finite")
+        return out
 
 
 @dataclass(frozen=True)

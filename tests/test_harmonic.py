@@ -8,8 +8,9 @@ import pytest
 from memnet.data import (Dataset, gaussian_labels, genericity, rademacher_labels,
                          sample_sphere)
 import memnet.harmonic as harmonic
-from memnet.errors import (ConvergenceError, InvariantError, ParameterError,
-                           QuadratureResolutionError, SamplerFailureError)
+from memnet.errors import (ConvergenceError, DegenerateDataError, InvariantError,
+                           ParameterError, QuadratureResolutionError,
+                           SamplerFailureError)
 from memnet.harmonic import (CONSTANTS, ComplexNeuron, _basis_second_derivatives,
                              _breakpoint_argmax, _decomp_basis, _mixture_basis,
                              bump_eval, choose_degree, decompose_directions,
@@ -49,7 +50,7 @@ def test_choose_degree_validation():
 
 def test_perturbation_zero_residual():
     ds, gamma = _fixture(20, 10)
-    v = perturbation_vector(ds, np.zeros(20), np.ones(10), 4, gamma)
+    v = perturbation_vector(ds, np.zeros(20), ds.points @ np.ones(10), 4, gamma)
     assert np.array_equal(v, np.zeros(10))
 
 
@@ -57,7 +58,7 @@ def test_perturbation_single_point():
     # one point e_1, residual 1, m=2: v = (w_1 / gamma) e_1
     ds = Dataset(np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
     w = np.array([0.7, -2.0, 1.1])
-    v = perturbation_vector(ds, ds.labels, w, 2, 0.3)
+    v = perturbation_vector(ds, ds.labels, ds.points @ w, 2, 0.3)
     assert np.allclose(v, [0.7 / 0.3, 0.0, 0.0])
 
 
@@ -67,7 +68,7 @@ def test_perturbation_matches_naive_loop():
     r = rng.standard_normal(30)
     w = rng.standard_normal(12)
     m = 5
-    v = perturbation_vector(ds, r, w, m, gamma)
+    v = perturbation_vector(ds, r, ds.points @ w, m, gamma)
     naive = np.zeros(12)
     for i in range(30):
         naive += r[i] * float(hermite_eval(m - 1, float(ds.points[i] @ w))) * ds.points[i]
@@ -80,10 +81,10 @@ def test_perturbation_batch_rows_match_single_calls():
     rng = np.random.default_rng(5)
     r = rng.standard_normal(30)
     W = rng.standard_normal((7, 12))
-    V = perturbation_vector(ds, r, W, 5, gamma)
+    V = perturbation_vector(ds, r, W @ ds.points.T, 5, gamma)
     assert V.shape == (7, 12)
     for w, v in zip(W, V):
-        single = perturbation_vector(ds, r, w, 5, gamma)
+        single = perturbation_vector(ds, r, ds.points @ w, 5, gamma)
         assert np.max(np.abs(v - single)) <= 1e-14 * np.max(np.abs(single))
 
 
@@ -205,7 +206,7 @@ def test_squared_norm_mean_within_calibrated_cap():
     for _ in range(draws):
         w = rng.standard_normal(ds.d)
         theta = rng.uniform(0, 2 * math.pi)
-        v = perturbation_vector(ds, r, w, m, gamma)
+        v = perturbation_vector(ds, r, ds.points @ w, m, gamma)
         a = complex(math.cos(theta), math.sin(theta))
         # the complex neuron Re(z * phi((w~ + i w~') . x)), z = 1/a
         t = ds.points @ (w + a.real * v) + 1j * (ds.points @ (a.imag * v))
@@ -225,6 +226,21 @@ def test_sampler_reaches_floor_and_is_deterministic():
     assert np.max(np.abs(ds.points @ cn.w_im)) <= cutoff
     cn2, corr2 = sample_complex_neuron(ds, ds.labels, m, 64, seed=3, gamma=gamma)
     assert corr == corr2 and np.array_equal(cn.w_re, cn2.w_re)
+
+
+def test_sampler_cutoff_reads_both_parts(monkeypatch):
+    """A candidate is eligible only when the real and the imaginary parts of
+    its projections lie within the cutoff; a 10x perturbation makes the
+    imaginary parts large enough to matter."""
+    ds, gamma = _fixture()
+    m = choose_degree(ds.n, gamma)
+    real_vector = harmonic.perturbation_vector
+    monkeypatch.setattr(harmonic, "perturbation_vector", lambda *a: 10.0 * real_vector(*a))
+    monkeypatch.setattr(harmonic, "projection_cutoff", lambda n, m: 4.0)
+    for seed in range(10):
+        cn, _ = sample_complex_neuron(ds, ds.labels, m, 64, seed, gamma)
+        assert np.max(np.abs(ds.points @ cn.w_re)) <= 4.0 * (1 + 1e-12)
+        assert np.max(np.abs(ds.points @ cn.w_im)) <= 4.0 * (1 + 1e-12)
 
 
 def test_sampler_failure_carries_best_value(monkeypatch):
@@ -603,18 +619,18 @@ def test_step_dominates_old_bias_grid():
 def test_step_calls_traced_names(monkeypatch):
     """bench/tracing.py times the mixture and the Hermite recurrence through
     the names ``harmonic.relu_mixture`` and ``harmonic.hermite_eval``: one
-    step calls the first exactly once and the second at least twice."""
+    step calls the first exactly once, the second exactly once (H_{m-1} in
+    ``perturbation_vector``) and scores the pool with one ``he_eval``."""
     ds, gamma = _fixture()
     m = choose_degree(ds.n, gamma)
-    calls = {"relu_mixture": 0, "hermite_eval": 0}
+    calls = {"relu_mixture": 0, "hermite_eval": 0, "he_eval": 0}
     for name in calls:
         def spy(*args, _name=name, _real=getattr(harmonic, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(harmonic, name, spy)
     single_neuron_step(ds, ds.labels, m, seed=0, gamma=gamma)
-    assert calls["relu_mixture"] == 1
-    assert calls["hermite_eval"] >= 2
+    assert calls == {"relu_mixture": 1, "hermite_eval": 1, "he_eval": 1}
 
 
 def test_fit_identical_with_direct_sum_masses(monkeypatch):
@@ -628,33 +644,35 @@ def test_fit_identical_with_direct_sum_masses(monkeypatch):
     assert table.trace.iterations == direct.trace.iterations
 
 
-def _hermite_by_division(m, z):
-    z = np.asarray(z)
-    one = np.ones_like(z, dtype=np.result_type(z.dtype, np.float64))
-    if m == 0:
-        return one
-    h_prev, h = one, z * one
-    for k in range(2, m + 1):
-        h_prev, h = h, (z * h - math.sqrt(k - 1) * h_prev) / math.sqrt(k)
-    return h[()]
+def _he_by_normalized_recurrence(m, z):
+    return hermite_eval(m, z) * math.sqrt(math.factorial(m))
 
 
-def test_fit_identical_with_division_recurrence(monkeypatch):
-    """The complex recurrence scales by 1/sqrt(k) where the textbook divides
-    by sqrt(k); a fit on the dividing recurrence builds the same network and
-    trace.  The fit reads the recurrence only through the sampler's argmax, so
-    the sampler's correlation is compared too: it carries every bit."""
-    ds = rademacher_labels(sample_sphere(60, 80, 0), 1)
+@pytest.mark.parametrize("n, d", [(60, 80), (100, 20)])
+def test_fit_identical_with_normalized_recurrence(monkeypatch, n, d):
+    """The sampler scores its pool through the unnormalized He_m and scales
+    the 64 scores; the fit reads the scores only through the argmax, the
+    floor test and the mixture-mean check, so scoring through the normalized
+    one-step recurrence builds the same network and trace (m = 8 and 20),
+    picks the same complex neuron bit for bit and a correlation within
+    1e-12."""
+    ds = rademacher_labels(sample_sphere(n, d, 0), 1)
     gamma = genericity(ds).gamma_clamped(ds.n)
     m = choose_degree(ds.n, gamma)
     fast = harmonic_fit(ds, epsilon=0.3, seed=0)
-    fast_corr = sample_complex_neuron(ds, ds.labels, m, 64, seed=3, gamma=gamma)[1]
-    monkeypatch.setattr(harmonic, "hermite_eval", _hermite_by_division)
-    divided = harmonic_fit(ds, epsilon=0.3, seed=0)
-    assert fast.network.to_json() == divided.network.to_json()
-    assert fast.trace.iterations == divided.trace.iterations
-    assert fast_corr == sample_complex_neuron(ds, ds.labels, m, 64, seed=3,
-                                              gamma=gamma)[1]
+    picks = [sample_complex_neuron(ds, ds.labels, m, 64, seed, gamma) for seed in range(10)]
+    monkeypatch.setattr(harmonic, "he_eval", _he_by_normalized_recurrence)
+    reference = harmonic_fit(ds, epsilon=0.3, seed=0)
+    assert fast.network.to_json() == reference.network.to_json()
+    assert fast.trace.iterations == reference.trace.iterations
+    for seed, (cn, corr) in enumerate(picks):
+        ref_cn, ref_corr = sample_complex_neuron(ds, ds.labels, m, 64, seed, gamma)
+        assert np.array_equal(cn.w_re, ref_cn.w_re) and np.array_equal(cn.w_im, ref_cn.w_im)
+        assert cn.z == ref_cn.z
+        assert abs(corr - ref_corr) <= 1e-12 * abs(ref_corr)
+        # the correlation is r . g of the chosen neuron, normalization included
+        g = np.real(cn.z * hermite_eval(m, ds.points @ cn.w_re + 1j * (ds.points @ cn.w_im)))
+        assert abs(corr - float(g @ ds.labels) / math.sqrt(m)) <= 1e-10 * abs(corr)
 
 
 def test_step_below_mixture_mean_raises_invariant_error(monkeypatch):
@@ -732,6 +750,28 @@ def test_harmonic_fit_default_cap_grows_with_n(monkeypatch, n, cap):
     with pytest.raises(Stop) as err:
         harmonic_fit(rademacher_labels(sample_sphere(n, 100, 0), 1), epsilon=0.25)
     assert err.value.args == (cap,)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, d, m", [(60, 4, 483), (100, 6, 250), (200, 14, 53)])
+def test_harmonic_fit_past_float64_degree_is_degenerate_data(monkeypatch, n, d, m):
+    """Near-coherent data needs a degree with no finite float64 mixture: m!
+    overflows the decomposition's scale (m = 483, 250) or the polynomials
+    overflow on [-2M, 2M] (m = 53).  The fit raises DegenerateDataError
+    before its first step, without a numpy warning."""
+    ds = rademacher_labels(sample_sphere(n, d, 0), 1)
+    monkeypatch.setattr(harmonic, "single_neuron_step", None)  # never reached
+    with pytest.raises(DegenerateDataError, match=f"m={m},"):
+        harmonic_fit(ds, epsilon=0.3, seed=0)
+
+
+def test_mass_table_stops_on_non_finite_level(monkeypatch):
+    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
+    M = 2.0 * 48 * projection_cutoff(200, 48)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureResolutionError, match="64-panel"):
+            _mixture_basis(48, M)
+    assert harmonic._mixture_basis_cache == {}
 
 
 def test_harmonic_fit_zero_labels():

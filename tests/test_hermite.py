@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memnet.errors import ParameterError
-from memnet.hermite import gl_grid, he_coeffs, hermite_eval
+from memnet.hermite import gl_grid, he_coeffs, he_eval, hermite_eval
 from probes import gauss_expectation, hermite_coefficients, horner, orthogonality_check
 
 
@@ -53,19 +53,34 @@ def test_recursion_bit_identical_to_textbook():
         assert np.array_equal(z, before)
 
 
-def test_complex_reciprocal_scaling_equals_division_on_special_values():
-    """The complex branch multiplies by 1/sqrt(k) where the textbook divides:
-    numpy's complex division by a real c scales by the same 1/c, so the two
-    agree on every component, up to the sign of a zero or a NaN."""
-    parts = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324,
-             -5e-324, 1e200, -1e200, 1e-170, 0.5]
-    re, im = np.meshgrid(parts, parts)
-    z = np.empty(re.shape, dtype=np.complex128)
-    z.real, z.imag = re, im
-    with np.errstate(all="ignore"):
-        for m in range(13):
-            assert np.array_equal(hermite_eval(m, z), _hermite_textbook(m, z),
-                                  equal_nan=True)
+def _he_exact(m, z):
+    """He_m at the float z = (a + ib) / q, q a power of two, by Horner on
+    exact Gaussian integers scaled by q^m; correctly rounded at the end."""
+    (a, qa), (b, qb) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    q = max(qa, qb)
+    a, b = a * (q // qa), b * (q // qb)
+    re, im, qk = 0, 0, 1
+    for c in reversed(he_coeffs(m)):
+        re, im, qk = re * a - im * b + c * qk, re * b + im * a, qk * q
+    return complex(re / (qk // q), im / (qk // q))
+
+
+def test_he_eval_matches_exact_polynomial():
+    """The two-step recurrence in z^2 stays within 1e-12 of the envelope
+    |He_m(i|z|)| = sum_k |c_k| |z|^k on real and complex grids, |z| <= 8."""
+    rng = np.random.default_rng(7)
+    real = np.concatenate([[0.0, 8.0, -8.0], rng.uniform(-8.0, 8.0, 9)])
+    cplx = 8.0 * np.sqrt(rng.uniform(0.0, 1.0, 12)) * np.exp(2j * np.pi * rng.uniform(size=12))
+    for m in range(61):
+        coeffs = he_coeffs(m)
+        for grid in (real, cplx):
+            got = he_eval(m, grid)
+            assert got.dtype == grid.dtype and got.shape == grid.shape
+            for value, z in zip(got, grid):
+                envelope = sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+                assert abs(value - _he_exact(m, complex(z))) <= 1e-12 * envelope
+    with pytest.raises(ParameterError):
+        he_eval(-1, 0.0)
 
 
 def test_scalar_input_gives_numpy_scalar():

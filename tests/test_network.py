@@ -121,6 +121,19 @@ def test_network_json_roundtrip_property(net):
 def test_neuron_rejects_nonfinite():
     with pytest.raises(ParameterError):
         Neuron(np.inf, np.zeros(2), 0.0)
+    for a, w, b in ((1.0, [0.0, np.nan], 0.0), (1.0, [0.0, 1.0], -np.inf),
+                    (np.float64(np.nan), [0.0, 1.0], 0.0)):
+        with pytest.raises(ParameterError):
+            Neuron(a, np.array(w), b)
+
+
+def test_neuron_weight_read_only_and_shared_by_scaled():
+    nr = Neuron(2.0, [1.0, -2.0], 0.5)
+    assert nr.w.dtype == np.float64 and not nr.w.flags.writeable
+    half = nr.scaled(0.5)
+    assert (half.a, half.b) == (1.0, 0.5) and half.w is nr.w
+    with pytest.raises(ParameterError):
+        nr.scaled(np.inf)
 
 
 # -- boosting driver ----------------------------------------------------------
