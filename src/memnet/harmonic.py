@@ -48,10 +48,13 @@ CONSTANTS = {"cutoff_c": 0.076, "corr_c": 4.0, "var_c": 1.0e9}
 
 
 def choose_degree(n: int, gamma: float) -> int:
-    """Smallest m >= 3 with n * gamma^(m-2) <= 1/2."""
+    """Smallest m >= 3 with n * gamma^(m-2) <= 1/2 in floats: 2 + ceil(log(2n)
+    / log(1/gamma)), stepped where rounding moves the float test."""
     if not (0.0 < gamma < 1.0):
         raise ParameterError("gamma must lie in (0, 1)")
-    m = 3
+    m = max(3, 2 + math.ceil(math.log(max(2.0 * n, 1.0)) / -math.log(gamma)))
+    while m > 3 and n * gamma ** (m - 3) <= 0.5:
+        m -= 1
     while n * gamma ** (m - 2) > 0.5:
         m += 1
     return m
@@ -61,9 +64,9 @@ def perturbation_vector(ds: Dataset, residual: np.ndarray, proj: np.ndarray,
                         m: int, gamma: float) -> np.ndarray:
     """v(w) = (n gamma^2)^(-1/2) sum_i r_i H_{m-1}(w . x_i) x_i from the
     projections ``proj``: X w of one w, or W X^T, one row per w of a batch."""
-    r = np.asarray(residual, dtype=np.float64)
-    h = np.real(hermite_eval(m - 1, proj))
-    return ((h * r) @ ds.points) / math.sqrt(ds.n * gamma * gamma)
+    h = hermite_eval(m - 1, proj)
+    h *= np.asarray(residual, dtype=np.float64)
+    return (h @ ds.points) / math.sqrt(ds.n * gamma * gamma)
 
 
 @dataclass(frozen=True)
@@ -120,10 +123,12 @@ def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int,
     VX = V @ ds.points.T
     ar, ai = np.cos(theta), np.sin(theta)
     proj = np.empty(WX.shape, dtype=np.complex128)
-    proj.real, proj.imag = WX + ar[:, None] * VX, ai[:, None] * VX
+    np.add(np.multiply(ar[:, None], VX, out=proj.real), WX, out=proj.real)
+    np.multiply(ai[:, None], VX, out=proj.imag)
     z = ar - 1j * ai
     F = np.real(z * (he_eval(m, proj) @ r)) / (math.sqrt(math.factorial(m)) * math.sqrt(m))
-    ok = np.max(np.abs(proj.view(np.float64)), axis=1) <= cutoff  # both parts
+    pv = proj.view(np.float64)  # max |.| over both parts
+    ok = np.maximum(pv.max(axis=1), -pv.min(axis=1)) <= cutoff
     best_raw = float(np.max(F))
     if np.any(ok):
         idx = int(np.flatnonzero(ok)[np.argmax(F[ok])])
@@ -258,6 +263,13 @@ def _mixture_f2(m: int, M: float, panels: int) -> tuple:
             _basis_second_derivatives(basis_im * scale, nodes, chis))
 
 
+def _in_float_range(m: int, M: float) -> bool:
+    """Whether degree m's table on [-2M, 2M] can stay in float64, before its O(m^3) basis:
+    m! must fit, and so must the leading terms, below (4M)^m / sqrt(m! m) (|L_j(i)| < 2^m)."""
+    return m <= 170 and (m * math.log(4.0 * M) - 0.5 * math.log(math.factorial(m) * m)
+                         <= math.log(np.finfo(np.float64).max))
+
+
 def _mixture_basis(m: int, M: float) -> tuple:
     """(panels, (keys, shifts, S)): panels double from 64 until each int |f''|
     is stable to 1e-6 relative (at most 4096).  Node k of row j adds |Re z A_k +
@@ -268,6 +280,8 @@ def _mixture_basis(m: int, M: float) -> tuple:
         raise ParameterError("M must be positive")
     key = (m, round(M, 9))
     if key not in _mixture_basis_cache:
+        if not _in_float_range(m, M):
+            raise QuadratureResolutionError(f"degree {m} overflows float64 on [-2M, 2M]")
         panels, prev = 64, None
         while True:
             _, wts, f2_re, f2_im = _mixture_f2(m, M, panels)

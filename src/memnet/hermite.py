@@ -1,19 +1,11 @@
-"""Normalized Hermite polynomials and the composite Gauss-Legendre grid.
+"""One Hermite recurrence, its normalized view, and the Gauss-Legendre grid.
 
-The project-wide convention is the probabilists' Hermite polynomial divided
-by sqrt(m!), so that {H_m} is orthonormal against the standard Gaussian:
-E[H_m(X) H_m'(X)] = delta_{m,m'} for X ~ N(0,1).  With this normalization
-
-    H_0 = 1,  H_1(x) = x,  H_m(x) = (x H_{m-1}(x) - sqrt(m-1) H_{m-2}(x)) / sqrt(m)
-
-and H_m' = sqrt(m) H_{m-1}.  Internally coefficients are the exact integer
-coefficients of the unnormalized polynomials, with the 1/sqrt(m!) factor
-kept symbolic until evaluation.  The harmonic fit evaluates H_{m-1} through
-``hermite_eval``, scores its complex candidates through ``he_eval`` (the
-unnormalized He_m, whose common factor 1/sqrt(m!) it applies to the scores
-afterwards) and integrates on ``gl_grid``; the checks of the Hermite
-lemmas (orthogonality, activation expansions) are test code, in
-``tests/probes.py``.
+``he_eval`` evaluates the probabilists' He_m (integer coefficients ``he_coeffs``)
+by He_{k+2} = (z^2 - (2k+1)) He_k - k(k-1) He_{k-2}; ``hermite_eval`` is its
+normalized view H_m = He_m / sqrt(m!), the project-wide convention, orthonormal
+against N(0,1) with H_m' = sqrt(m) H_{m-1}.  The harmonic fit evaluates H_{m-1}
+through ``hermite_eval``, scores its complex candidates through ``he_eval`` and
+integrates on ``gl_grid``; the Hermite lemma checks are test code.
 """
 
 from __future__ import annotations
@@ -49,37 +41,31 @@ def he_eval(m: int, z):
         raise ParameterError("degree must be >= 0")
     z = np.asarray(z)
     s = z * z.astype(np.result_type(z.dtype, np.float64), copy=False)
-    h_prev, h, nxt = np.empty_like(s), np.ones_like(s), np.empty_like(s)
-    for k in range(m % 2, m - 1, 2):
+    h_prev, nxt = np.empty_like(s), np.empty_like(s)
+    # start at He_{k0+2} / z^{k0} = s - (2 k0 + 1), k0 = m % 2; He_{k0} / z^{k0} = 1
+    h = np.ones_like(s) if m < 2 else np.subtract(s, 2 * (m % 2) + 1, out=np.empty_like(s))
+    for k in range(m % 2 + 2, m - 1, 2):
         np.subtract(s, 2 * k + 1, out=nxt)
-        if k > 1:  # at k = 0 and 1, h = 1 and the He_{k-2} term vanishes
-            nxt *= h
+        nxt *= h
+        if k < 4:  # the first update: k(k-1) He_{k0} / z^{k0} is a scalar
+            nxt -= k * (k - 1)
+        else:
             h_prev *= k * (k - 1)
             nxt -= h_prev
         h_prev, h, nxt = h, nxt, h_prev
     if m % 2:
         h *= z
-    return h[()]
+    return h[()]  # a numpy scalar for a 0-d z, as numpy arithmetic returns
 
 
 def hermite_eval(m: int, z):
-    """H_m(z) by the three-term recursion; z may be real/complex, scalar/array."""
-    if m < 0:
-        raise ParameterError("degree must be >= 0")
-    z = np.asarray(z)
-    one = np.ones_like(z, dtype=np.result_type(z.dtype, np.float64))
-    if m == 0:
-        return one
-    h_prev, h, nxt = one, np.asarray(z * one), np.empty_like(one)
-    for k in range(2, m + 1):
-        # (z h - sqrt(k-1) h_prev) / sqrt(k) in three buffers that rotate
-        # (never the caller's z)
-        h_prev *= math.sqrt(k - 1)
-        np.multiply(z, h, out=nxt)
-        nxt -= h_prev
-        nxt /= math.sqrt(k)
-        h_prev, h, nxt = h, nxt, h_prev
-    return h[()]  # a numpy scalar for a 0-d z, as numpy arithmetic returns
+    """H_m(z) = He_m(z) / sqrt(m!), the normalized view of ``he_eval``; z may be real/complex,
+    scalar/array.  Past m = 170, m! overflows float64 and the degree is rejected."""
+    if m > 170:
+        raise ParameterError(f"degree {m} past float64 range: {m}! overflows")
+    h = he_eval(m, z)
+    h /= math.sqrt(math.factorial(m))
+    return h
 
 
 # -- Gaussian quadrature ------------------------------------------------------

@@ -51,7 +51,7 @@ class Neuron:
     b: float
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
+        w = np.array(self.w, dtype=np.float64)  # a copy: the caller's array stays writable
         if not (math.isfinite(self.a) and math.isfinite(self.b) and np.isfinite(w).all()):
             raise ParameterError("neuron parameters must be finite")
         w.setflags(write=False)

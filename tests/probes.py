@@ -27,6 +27,19 @@ def horner(coeffs, z):
     return acc
 
 
+def hermite_textbook(m, z):
+    """H_m(z) by the normalized one-step recurrence H_k = (z H_{k-1}
+    - sqrt(k-1) H_{k-2}) / sqrt(k), an oracle independent of ``he_eval``."""
+    z = np.asarray(z)
+    one = np.ones_like(z, dtype=np.result_type(z.dtype, np.float64))
+    if m == 0:
+        return one
+    h_prev, h = one, z * one
+    for k in range(2, m + 1):
+        h_prev, h = h, (z * h - math.sqrt(k - 1) * h_prev) / math.sqrt(k)
+    return h
+
+
 def directional_sum(dd, x, y):
     """sum_j p_j(x + j y) of a DirectionalDecomposition, with its common
     factor 1/(sqrt(m!) sqrt(m)): Re(z * phi(x + i y)), phi = H_m / sqrt(m)."""

@@ -152,17 +152,19 @@ def test_fit_harmonic_coherence_one_is_a_data_error(tmp_path, capsys):
 
 
 def test_fit_harmonic_past_float64_degree_is_a_data_error(tmp_path, capsys):
-    """(60, 4) data needs degree m = 483, whose mixture is not finite in
-    float64: one error line, exit 3, at once."""
-    path = _gen(tmp_path, n=60, d=4)
-    capsys.readouterr()
-    start = time.perf_counter()
-    rc = main(["fit", "--method", "harmonic", "--epsilon", "0.3", path])
-    assert time.perf_counter() - start < 1.0
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error:") and "m=483" in err and err.count("\n") == 1
-    assert not (tmp_path / "ds.network.json").exists()
+    """(60, 4) data needs degree m = 483, past 170! in float64, and (200, 8)
+    data m = 161, whose mixture polynomials overflow float64: one error line,
+    exit 3, at once (before the degree's exact-integer basis)."""
+    for n, d, m in ((60, 4, 483), (200, 8, 161)):
+        path = _gen(tmp_path, n=n, d=d)
+        capsys.readouterr()
+        start = time.perf_counter()
+        rc = main(["fit", "--method", "harmonic", "--epsilon", "0.3", path])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"m={m}" in err and err.count("\n") == 1
+        assert not (tmp_path / "ds.network.json").exists()
 
 
 def test_fit_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -12,13 +12,13 @@ from memnet.errors import (ConvergenceError, DegenerateDataError, InvariantError
                            ParameterError, QuadratureResolutionError,
                            SamplerFailureError)
 from memnet.harmonic import (CONSTANTS, ComplexNeuron, _basis_second_derivatives,
-                             _breakpoint_argmax, _decomp_basis, _mixture_basis,
+                             _breakpoint_argmax, _decomp_basis, _mixture_basis, _mixture_f2,
                              bump_eval, choose_degree, decompose_directions,
                              harmonic_fit, perturbation_vector, projection_cutoff,
                              relu_mixture, sample_complex_neuron, single_neuron_step)
 from memnet.hermite import he_coeffs, hermite_eval
 from memnet.network import TwoLayerNetwork, evaluate, total_weight
-from probes import (direct_masses, directional_sum, hermite_gram, horner,
+from probes import (direct_masses, directional_sum, hermite_gram, hermite_textbook, horner,
                     mixture_expectation, mixture_quadrature, mixture_rows)
 
 
@@ -39,6 +39,30 @@ def test_choose_degree_examples():
     assert choose_degree(100, 0.1) == 5
     assert choose_degree(2, 0.5) == 4
     assert choose_degree(1000, 0.2) == 7
+
+
+def _choose_degree_loop(n, gamma):
+    m = 3
+    while n * gamma ** (m - 2) > 0.5:
+        m += 1
+    return m
+
+
+def test_choose_degree_closed_form_matches_loop():
+    """The closed form returns the loop's degree, float test included: random
+    (n, gamma), exact ties n gamma^k = 1/2, gammas a few ulps around the
+    roots (1 / 2n)^(1/k), and gammas near 1 (m up to about 6e5)."""
+    rng = np.random.default_rng(0)
+    cases = list(zip(rng.integers(1, 5000, 300).tolist(), rng.uniform(1e-3, 0.99, 300).tolist()))
+    cases += [(2, 0.5), (2, 0.25), (8, 0.5), (1024, 0.5), (1, 0.9), (1, 0.3)]
+    for n in (50, 200, 1000):
+        for k in range(1, 60):
+            root = (0.5 / n) ** (1.0 / k)
+            cases += [(n, g) for g in np.nextafter(root, [0.0] * 3 + [1.0] * 3) if g < 1.0]
+            cases += [(n, root)]
+        cases += [(n, 1.0 - 1e-5), (n, 1.0 - 3e-4)]
+    for n, gamma in cases:
+        assert choose_degree(n, float(gamma)) == _choose_degree_loop(n, float(gamma)), (n, gamma)
 
 
 def test_choose_degree_validation():
@@ -645,7 +669,7 @@ def test_fit_identical_with_direct_sum_masses(monkeypatch):
 
 
 def _he_by_normalized_recurrence(m, z):
-    return hermite_eval(m, z) * math.sqrt(math.factorial(m))
+    return hermite_textbook(m, z) * math.sqrt(math.factorial(m))
 
 
 @pytest.mark.parametrize("n, d", [(60, 80), (100, 20)])
@@ -673,6 +697,31 @@ def test_fit_identical_with_normalized_recurrence(monkeypatch, n, d):
         # the correlation is r . g of the chosen neuron, normalization included
         g = np.real(cn.z * hermite_eval(m, ds.points @ cn.w_re + 1j * (ds.points @ cn.w_im)))
         assert abs(corr - float(g @ ds.labels) / math.sqrt(m)) <= 1e-10 * abs(corr)
+
+
+@pytest.mark.parametrize("n, d", [(60, 80), (100, 20)])
+def test_fit_stable_under_textbook_perturbation_recurrence(monkeypatch, n, d):
+    """v(w) through the normalized one-step recurrence moves by a few ulps
+    only (m = 8 and 20): the fit keeps k and the per-step neurons added and
+    active-set sizes; every neuron's (w, b) agrees within 1e-12 relative,
+    and the outer weights within 1e-12 of W(f) in its own norm
+    sum_l |a_l - a'_l| ||(w_l, b_l)|| (a tiny line-search step a moves by
+    more, relative to itself)."""
+    ds = rademacher_labels(sample_sphere(n, d, 0), 1)
+    fast = harmonic_fit(ds, epsilon=0.3, seed=0)
+    monkeypatch.setattr(harmonic, "hermite_eval", hermite_textbook)
+    reference = harmonic_fit(ds, epsilon=0.3, seed=0)
+    assert fast.network.k == reference.network.k
+    steps = [[(it.neurons_added, it.active_set_size) for it in res.trace.iterations]
+             for res in (fast, reference)]
+    assert steps[0] == steps[1]
+    outer = 0.0
+    for got, want in zip(fast.network.neurons, reference.network.neurons):
+        wb, ref = np.append(got.w, got.b), np.append(want.w, want.b)
+        assert np.linalg.norm(wb - ref) <= 1e-12 * np.linalg.norm(ref)
+        outer += abs(got.a - want.a) * np.linalg.norm(ref)
+    assert outer <= 1e-12 * reference.trace.total_weight
+    assert fast.trace.total_weight == pytest.approx(reference.trace.total_weight, rel=1e-12)
 
 
 def test_step_below_mixture_mean_raises_invariant_error(monkeypatch):
@@ -765,9 +814,40 @@ def test_harmonic_fit_past_float64_degree_is_degenerate_data(monkeypatch, n, d, 
         harmonic_fit(ds, epsilon=0.3, seed=0)
 
 
+# First degree whose mixture table overflows float64, by n: a scan of the
+# panel-doubling table build over m = 3..200, made before the float-range
+# check existed, built every degree below it and overflowed from it to 200.
+TABLE_OVERFLOW_FROM = {50: 68, 200: 47, 1000: 39}
+
+
+def test_float_range_check_matches_table_build(monkeypatch):
+    """The check rejects exactly the degrees the table build rejected, for m
+    = 3..200 at three n; at each boundary, the table's first level is still
+    finite one degree below it and the build overflows at it."""
+    for n, first in TABLE_OVERFLOW_FROM.items():
+        rejected = [m for m in range(3, 201)
+                    if not harmonic._in_float_range(m, 2.0 * m * projection_cutoff(n, m))]
+        assert rejected == list(range(first, 201))
+    # a small M keeps the leading terms in range: past 170, m! alone rejects
+    assert harmonic._in_float_range(170, 1e-3) and not harmonic._in_float_range(171, 1e-3)
+    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
+    monkeypatch.setattr(harmonic, "_in_float_range", lambda m, M: True)
+    for n, first in TABLE_OVERFLOW_FROM.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, wts, f2_re, f2_im = _mixture_f2(first - 1, 2.0 * (first - 1)
+                                               * projection_cutoff(n, first - 1), 64)
+            assert np.isfinite(np.vstack([f2_re, f2_im]) * wts).all()
+            with pytest.raises(QuadratureResolutionError, match="64-panel"):
+                _mixture_basis(first, 2.0 * first * projection_cutoff(n, first))
+
+
 def test_mass_table_stops_on_non_finite_level(monkeypatch):
     monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
     M = 2.0 * 48 * projection_cutoff(200, 48)
+    with pytest.raises(QuadratureResolutionError, match=r"\[-2M, 2M\]"):
+        _mixture_basis(48, M)  # the float-range check, before the first level
+    # past that check, the panel loop still stops on the first non-finite level
+    monkeypatch.setattr(harmonic, "_in_float_range", lambda m, M: True)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(QuadratureResolutionError, match="64-panel"):
             _mixture_basis(48, M)

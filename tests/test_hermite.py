@@ -5,7 +5,8 @@ import pytest
 
 from memnet.errors import ParameterError
 from memnet.hermite import gl_grid, he_coeffs, he_eval, hermite_eval
-from probes import gauss_expectation, hermite_coefficients, horner, orthogonality_check
+from probes import (gauss_expectation, hermite_coefficients, hermite_textbook, horner,
+                    orthogonality_check)
 
 
 def test_h0_and_h1():
@@ -27,30 +28,40 @@ def test_recursion_matches_monomial_oracle():
         assert np.max(np.abs(a - b) / (1.0 + np.abs(b))) < 1e-10
 
 
-def _hermite_textbook(m, z):
-    z = np.asarray(z)
-    one = np.ones_like(z, dtype=np.result_type(z.dtype, np.float64))
-    if m == 0:
-        return one
-    h_prev, h = one, z * one
-    for k in range(2, m + 1):
-        h_prev, h = h, (z * h - math.sqrt(k - 1) * h_prev) / math.sqrt(k)
-    return h
-
-
-def test_recursion_bit_identical_to_textbook():
+def test_hermite_eval_is_normalized_he_eval():
+    """hermite_eval is he_eval divided once by sqrt(m!), bit for bit, with
+    the same dtype, shape and scalar type, and never writes to z."""
     rng = np.random.default_rng(3)
     real = rng.uniform(-6, 6, size=(7, 5))
     inputs = [real, real + 1j * rng.uniform(-3, 3, size=(7, 5)),
               np.array(1.7), np.array(0.4 - 2.2j), 2.5, -1.25 + 0.5j, 3]
     for z in inputs:
         before = np.array(z, copy=True)
-        for m in range(13):
-            got, want = hermite_eval(m, z), _hermite_textbook(m, z)
+        for m in range(30):
+            got, want = hermite_eval(m, z), he_eval(m, z) / math.sqrt(math.factorial(m))
+            assert type(got) is type(want)
             assert np.asarray(got).dtype == np.asarray(want).dtype
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
         assert np.array_equal(z, before)
+
+
+def test_hermite_eval_within_ulps_of_textbook():
+    """The two-step recurrence stays within a few ulps of the normalized
+    one-step recurrence at the sampler's projections (|z| <= 4)."""
+    z = np.random.default_rng(5).uniform(-4.0, 4.0, size=2000)
+    for m in range(21):
+        got, want = hermite_eval(m, z), hermite_textbook(m, z)
+        envelope = sum(abs(c) * np.abs(z) ** k for k, c in enumerate(he_coeffs(m)))
+        assert np.all(np.abs(got - want) <= 1e-14 * envelope / math.sqrt(math.factorial(m)))
+
+
+def test_hermite_eval_past_float64_factorial_rejected():
+    # 170! fits a float64 and 171! does not: that degree and above raise
+    assert np.isfinite(hermite_eval(170, 0.5))
+    for m in (171, 500):
+        with pytest.raises(ParameterError, match="float64"):
+            hermite_eval(m, 0.5)
 
 
 def _he_exact(m, z):
@@ -87,7 +98,7 @@ def test_scalar_input_gives_numpy_scalar():
     # the recurrence's rotating buffers are 0-d arrays for a scalar z
     for z, kind in ((2.5, np.float64), (np.array(1.7), np.float64), (3, np.float64),
                     (-1.25 + 0.5j, np.complex128)):
-        for m in range(1, 6):
+        for m in range(6):
             assert type(hermite_eval(m, z)) is kind
 
 

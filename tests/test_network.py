@@ -136,6 +136,14 @@ def test_neuron_weight_read_only_and_shared_by_scaled():
         nr.scaled(np.inf)
 
 
+def test_neuron_leaves_callers_array_writable():
+    for w in (np.zeros(3), np.zeros(3, dtype=np.float32), np.zeros((2, 3))[1]):
+        nr = Neuron(1.0, w, 0.0)
+        assert w.flags.writeable and nr.w is not w and not nr.w.flags.writeable
+        w[0] = 1.0
+        assert np.array_equal(nr.w, np.zeros(3))
+
+
 # -- boosting driver ----------------------------------------------------------
 
 def _dataset(n=20, d=5, seed=0):
