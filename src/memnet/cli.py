@@ -1,11 +1,11 @@
 """Command-line front end: dataset generation, fitting, and sweep grids.
 
-Exit codes: 0 success, 2 parameter error, 3 data error, 4 convergence
-failure.  All commands are deterministic given their flags, including
-``sweep --parallel`` (rows are sorted before writing), except that the
-outer weights of ``exact`` come from a LAPACK solve whose last bits depend
-on the BLAS thread count (pin it with OPENBLAS_NUM_THREADS); its hidden
-layer does not.  MEMNET_THREADS caps sweep parallelism, which never
+Exit codes: 0 success, 2 parameter error or an output file that cannot be
+written, 3 data error, 4 convergence failure.  All commands are
+deterministic given their flags, including ``sweep --parallel`` (rows are
+sorted before writing), except that the outer weights of ``exact`` come
+from a LAPACK solve whose last bits depend on the BLAS thread count (pin it
+with OPENBLAS_NUM_THREADS); its hidden layer does not.  MEMNET_THREADS caps sweep parallelism, which never
 exceeds the number of cells.
 """
 
@@ -259,7 +259,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_config_argv(parser, argv))
         return args.func(args)
-    except ParameterError as err:
+    except (ParameterError, OSError) as err:  # an OSError here comes from writing output
         print(f"error: {err}", file=sys.stderr)
         return 2
     except DataError as err:

@@ -42,11 +42,6 @@ class DerivativeNeuronPair:
         lo = np.maximum(points @ self.u - self.b, 0.0)
         return (hi - lo) / self.delta
 
-    def linearized_values(self, points: np.ndarray) -> np.ndarray:
-        """psi'(u.x - b) * (v.x); equals values() on points where delta is safe."""
-        gate = (points @ self.u - self.b >= 0.0).astype(float)
-        return gate * (points @ self.v)
-
 
 def safe_delta(points: np.ndarray, u: np.ndarray, v: np.ndarray, b: float) -> float:
     """delta = (1/2) min_i |u.x_i - b| / |v.x_i|, skipping near-zero slopes."""

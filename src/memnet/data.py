@@ -19,6 +19,17 @@ from .errors import DataError, ParameterError
 
 _MAGIC = b"MEMNETDS"
 
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only C-contiguous float64 array: itself when it
+    already is one, else a frozen copy, so a caller's array stays writable."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.flags.writeable or not arr.flags.c_contiguous:
+        arr = np.array(arr, order="C")
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Dataset:
     """n points in R^d (rows of ``points``) with real labels."""
@@ -27,8 +38,7 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
-        lab = np.ascontiguousarray(np.asarray(self.labels, dtype=np.float64))
+        pts, lab = _frozen(self.points), _frozen(self.labels)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ParameterError("points must be a nonempty n x d matrix")
         if lab.shape != (pts.shape[0],):
@@ -37,8 +47,6 @@ class Dataset:
             raise DataError("points and labels must be finite")
         if np.any(np.all(pts == 0.0, axis=1)):
             raise DataError("dataset contains a zero row")
-        pts.setflags(write=False)
-        lab.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", lab)
 
@@ -162,7 +170,7 @@ def load_dataset(path: str) -> Dataset:
         raise DataError(f"{path}: payload holds {len(payload)} bytes, "
                         f"expected {8 * n * (d + 1)} for n={n}, d={d}")
     values = np.frombuffer(payload, dtype="<f8")
-    return Dataset(values[:n * d].reshape(n, d).copy(), values[n * d:].copy())
+    return Dataset(values[:n * d].reshape(n, d), values[n * d:])
 
 
 def load_csv(path: str) -> Dataset:

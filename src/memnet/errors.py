@@ -40,10 +40,6 @@ class ConvergenceError(MemnetError, RuntimeError):
 class SamplerFailureError(MemnetError, RuntimeError):
     """All candidates of a random sampler were rejected."""
 
-    def __init__(self, message, best_value=None):
-        super().__init__(message)
-        self.best_value = best_value
-
 
 class QuadratureResolutionError(MemnetError, RuntimeError):
     """A quadrature-based quantity could not be resolved."""
@@ -51,7 +47,3 @@ class QuadratureResolutionError(MemnetError, RuntimeError):
 
 class InvariantError(MemnetError, RuntimeError):
     """An internal guarantee of a construction failed to hold."""
-
-
-class UninformativeBoundError(MemnetError, ValueError):
-    """A theoretical bound evaluates to something vacuous (e.g. zero tail)."""

@@ -22,14 +22,15 @@ Pipeline for one boosting step:
    -2M or at a projection and dominates the mixture mean; one sort of the
    projections and suffix sums give the correlation at every breakpoint.
 
-The tuning constants (cutoff, correlation floor, variance cap) are
-calibrated once on a reference fixture and frozen in ``CONSTANTS``.
+The tuning constants (cutoff, correlation floor) are calibrated once on a
+reference fixture and frozen in ``CONSTANTS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,14 +38,14 @@ from .data import Dataset, genericity
 from .errors import (ConvergenceError, DegenerateDataError, InvariantError,
                      ParameterError, QuadratureResolutionError, SamplerFailureError)
 from .hermite import gl_grid, he_coeffs, he_eval, hermite_eval
-from .network import (FitTrace, Neuron, StepProposal, TwoLayerNetwork, boost_fit,
-                      total_weight)
+from .network import FitTrace, Neuron, StepProposal, TwoLayerNetwork, boost_fit
 
 
 # Frozen on 2026-08-25 from pilot Monte Carlo on the reference fixture
 # sphere-n100-d50-seed0 (unit-sphere data, n=100, d=50, seed 0, Rademacher
 # labels) at degree m=10; see README.
-CONSTANTS = {"cutoff_c": 0.076, "corr_c": 4.0, "var_c": 1.0e9}
+CONSTANTS = {"cutoff_c": 0.076, "corr_c": 4.0}
+_CANDIDATES = 64  # the sampler's pool size
 
 
 def choose_degree(n: int, gamma: float) -> int:
@@ -76,7 +77,6 @@ class ComplexNeuron:
     w_re: np.ndarray
     w_im: np.ndarray
     z: complex
-    m: int
 
     def __post_init__(self):
         if abs(abs(self.z) - 1.0) > 1e-12:
@@ -88,19 +88,18 @@ def projection_cutoff(n: int, m: int) -> float:
     return (4.0 * CONSTANTS["cutoff_c"] * math.log(n)) ** (m / 2.0)
 
 
-def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int,
-                          candidates: int, seed: int, gamma: float
-                          ) -> tuple[ComplexNeuron, float]:
-    """Best-of-pool complex neuron; returns (neuron, correlation).
+def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int, seed: int,
+                          gamma: float) -> tuple[ComplexNeuron, float]:
+    """Best of a pool of 64 complex neurons; returns (neuron, correlation).
 
     Candidates violating the projection cutoff are discarded; the winner
     must reach the calibrated correlation floor
-    ||r||^2 / (2 corr_c sqrt(n gamma^2)), else SamplerFailureError carries
-    the best achieved correlation.  W X^T feeds v(w) and the projections
-    W X^T + cos(a) V X^T, sin(a) V X^T.  Scores are Re(z He_m(P) @ r) with
-    the pool-wide 1/(sqrt(m!) sqrt(m)) applied after the sum: only the
-    argmax, the floor test, the mixture-mean check (1e-9) and ``best_value``
-    read them, and the winner's weights come from W, V and a alone.
+    ||r||^2 / (2 corr_c sqrt(n gamma^2)), else SamplerFailureError.  W X^T
+    feeds v(w) and the projections W X^T + cos(a) V X^T, sin(a) V X^T.
+    Scores are Re(z He_m(P) @ r) with the pool-wide 1/(sqrt(m!) sqrt(m))
+    applied after the sum: only the argmax, the floor test and the
+    mixture-mean check (1e-9) read them, and the winner's weights come from
+    W, V and a alone.
     """
     r = np.asarray(residual, dtype=np.float64)
     n = ds.n
@@ -116,8 +115,8 @@ def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int,
     # otherwise share its Gaussian draws, aligning every candidate with a
     # data point and clipping the whole pool
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    W = rng.standard_normal((candidates, ds.d))
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=candidates)
+    W = rng.standard_normal((_CANDIDATES, ds.d))
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=_CANDIDATES)
     WX = W @ ds.points.T                                          # (C, n)
     V = perturbation_vector(ds, r, WX, m, gamma)                  # (C, d)
     VX = V @ ds.points.T
@@ -129,16 +128,12 @@ def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int,
     F = np.real(z * (he_eval(m, proj) @ r)) / (math.sqrt(math.factorial(m)) * math.sqrt(m))
     pv = proj.view(np.float64)  # max |.| over both parts
     ok = np.maximum(pv.max(axis=1), -pv.min(axis=1)) <= cutoff
-    best_raw = float(np.max(F))
     if np.any(ok):
         idx = int(np.flatnonzero(ok)[np.argmax(F[ok])])
         if F[idx] >= floor:
-            neuron = ComplexNeuron(w_re=W[idx] + ar[idx] * V[idx],
-                                   w_im=ai[idx] * V[idx], z=complex(z[idx]), m=m)
-            return neuron, float(F[idx])
-    raise SamplerFailureError(
-        f"no candidate reached the correlation floor {floor:.3e}",
-        best_value=best_raw)
+            return (ComplexNeuron(w_re=W[idx] + ar[idx] * V[idx], w_im=ai[idx] * V[idx],
+                                  z=complex(z[idx])), float(F[idx]))
+    raise SamplerFailureError(f"no candidate reached the correlation floor {floor:.3e}")
 
 
 # -- directional decomposition ------------------------------------------------
@@ -342,16 +337,6 @@ def relu_mixture(dd: DirectionalDecomposition, M: float) -> np.ndarray:
 
 # -- single-neuron step and the trimmed iterative fit -------------------------
 
-@dataclass
-class SingleNeuronStep:
-    neuron: Neuron
-    values: np.ndarray
-    correlation: float
-    mixture_mean_correlation: float
-    complex_neuron: ComplexNeuron
-    M: float
-
-
 def _breakpoint_argmax(P: np.ndarray, r: np.ndarray, M: float) -> tuple[int, float, float]:
     """(j, b, c): the direction, bias and signed value maximizing
     |c| = |sum_i r_i psi(P[i, j] - b)| over columns j and b in [-2M, 2M].
@@ -378,33 +363,34 @@ def _breakpoint_argmax(P: np.ndarray, r: np.ndarray, M: float) -> tuple[int, flo
     return j, bias, float(corr[j, k])
 
 
-def single_neuron_step(ds: Dataset, residual: np.ndarray, m: int, seed: int,
-                       gamma: float) -> SingleNeuronStep:
-    """One harmonic step: a single ReLU neuron correlating with the residual.
+def single_neuron_step(ds: Dataset, residual: np.ndarray, seed: int, m: int,
+                       gamma: float) -> StepProposal | None:
+    """One harmonic step: a single ReLU neuron correlating with the residual,
+    as the driver's proposal, or None when the sampler fails.
 
-    The complex neuron is the best of a pool of 64 sampler candidates.
-    The returned neuron sigma * psi((w~ + j w~') . x - b) is the breakpoint
-    argmax of |r . f| over directions j, signs, and biases b in the mixture's
-    bias support [-2M, 2M]; every data projection lies in [-M, M].  The
-    argmax dominates the signed mixture mean by construction.  Ties go to the
-    first direction, then the smallest bias.
+    The complex neuron is the best of the sampler's pool.  The neuron
+    sigma * psi((w~ + j w~') . x - b) is the breakpoint argmax of |r . f| over
+    directions j, signs, and biases b in the mixture's bias support
+    [-2M, 2M]; every data projection lies in [-M, M].  The argmax dominates
+    the signed mixture mean by construction (else InvariantError).  Ties go
+    to the first direction, then the smallest bias.
     """
     r = np.asarray(residual, dtype=np.float64)
-    cn, corr_g = sample_complex_neuron(ds, r, m, 64, seed, gamma)
+    try:
+        cn, corr_g = sample_complex_neuron(ds, r, m, seed, gamma)
+    except SamplerFailureError:
+        return None
     M = 2.0 * m * projection_cutoff(ds.n, m)
     dd = decompose_directions(cn.z, m)
     mean_corr = corr_g / relu_mixture(dd, M).sum()
 
     directions = cn.w_re[:, None] + np.arange(m + 1) * cn.w_im[:, None]  # (d, m+1)
     j, bias, corr = _breakpoint_argmax(ds.points @ directions, r, M)
-    score = abs(corr)
-    if score < mean_corr * (1.0 - 1e-9):
+    if abs(corr) < mean_corr * (1.0 - 1e-9):
         raise InvariantError("breakpoint argmax fell below the mixture mean")
     neuron = Neuron(1.0 if corr >= 0.0 else -1.0, cn.w_re + j * cn.w_im, -bias)
     values = neuron.a * np.maximum(ds.points @ neuron.w + neuron.b, 0.0)
-    return SingleNeuronStep(neuron=neuron, values=values, correlation=score,
-                            mixture_mean_correlation=mean_corr,
-                            complex_neuron=cn, M=M)
+    return StepProposal(neurons=(neuron,), values=values)
 
 
 @dataclass
@@ -444,26 +430,17 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     if max_iters is None:
         max_iters = max(4000, 20 * n)
     norm_scale = math.sqrt(n / y_sq) if y_sq > 0.0 else 1.0
-
-    def builder(r: np.ndarray, attempt_seed: int) -> StepProposal | None:
-        try:
-            step = single_neuron_step(ds, r, m, attempt_seed, gamma)
-        except SamplerFailureError:
-            return None
-        return StepProposal(neurons=(step.neuron,), values=step.values)
-
     notes = {"m": m, "gamma": gamma, "gamma_clamped": gamma != report.gamma}
     try:
-        net, trace, active = boost_fit(builder, ds.with_labels(ds.labels * norm_scale),
-                                       epsilon, max_iters=max_iters, seed=seed,
-                                       retry_budget=20, trim_sq=n * gamma * gamma)
+        net, trace, active = boost_fit(partial(single_neuron_step, ds, m=m, gamma=gamma),
+                                       ds.with_labels(ds.labels * norm_scale), epsilon,
+                                       max_iters=max_iters, seed=seed, retry_budget=20,
+                                       trim_sq=n * gamma * gamma)
     except ConvergenceError as err:
         err.trace.notes.update(notes)
-        err.trace.total_weight /= norm_scale
         raise
     trace.notes.update(notes)
     net = TwoLayerNetwork(tuple(nr.scaled(1.0 / norm_scale) for nr in net.neurons))
-    trace.total_weight = total_weight(net)
     min_active = n - math.ceil(1.0 / (gamma * gamma))
     if int(active.sum()) < min_active:
         raise InvariantError(

@@ -97,12 +97,6 @@ class TwoLayerNetwork:
             "neurons": [{"a": nr.a, "w": nr.w.tolist(), "b": nr.b} for nr in self.neurons],
         })
 
-    @staticmethod
-    def from_json(text: str) -> "TwoLayerNetwork":
-        obj = json.loads(text)
-        neurons = tuple(Neuron(nr["a"], np.array(nr["w"]), nr["b"]) for nr in obj["neurons"])
-        return TwoLayerNetwork(neurons, obj["activation"])
-
 
 def evaluate_points(net: TwoLayerNetwork, points: np.ndarray) -> np.ndarray:
     """Network values on the rows of ``points``."""
@@ -154,7 +148,6 @@ class IterationRecord:
 class FitTrace:
     iterations: list = field(default_factory=list)
     final_error_ratio: float = math.nan
-    total_weight: float = math.nan
     notes: dict = field(default_factory=dict)
 
     def to_csv(self, path: str) -> None:
@@ -194,7 +187,6 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
     if y_sq == 0.0:
         trace.notes["stop_reason"] = "epsilon reached"
         trace.final_error_ratio = 0.0
-        trace.total_weight = 0.0
         return TwoLayerNetwork(()), trace, active
 
     r = y.copy()
@@ -221,7 +213,6 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
                 break
         if proposal is None:
             trace.final_error_ratio = r_sq / y_sq
-            trace.total_weight = total_weight(TwoLayerNetwork(tuple(neurons)))
             reason = ("step retry budget exhausted" if it < max_iters
                       else "iteration cap reached")
             trace.notes["stop_reason"] = reason
@@ -243,8 +234,6 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
         if float(r_next @ r_next) > r_sq * (1 + 1e-12):
             raise InvariantError("line-search step increased the residual")
 
-    net = TwoLayerNetwork(tuple(neurons))
     trace.notes["stop_reason"] = "epsilon reached"
     trace.final_error_ratio = r_sq / y_sq
-    trace.total_weight = total_weight(net)
-    return net, trace, active
+    return TwoLayerNetwork(tuple(neurons)), trace, active

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constructive import DerivativeNeuronPair, safe_delta
 from .data import Dataset, GenericityReport, genericity
-from .errors import DataError, ParameterError, UninformativeBoundError
+from .errors import DataError, ParameterError
 from .network import FitTrace, StepProposal, TwoLayerNetwork, boost_fit
 
 
@@ -49,11 +49,12 @@ def ntk_step(ds: Dataset, residual: np.ndarray, seed: int
     raise DataError("could not draw u avoiding exact ties u . x_i = 0")
 
 
-def ntk_kd_bound(n: int, epsilon: float, report: GenericityReport) -> float:
-    """Right-hand side of the size condition k*d >= 20 w n log(1/eps) log(2n)/log(1/g)."""
+def ntk_kd_bound(n: int, epsilon: float, report: GenericityReport) -> float | None:
+    """Right-hand side of the size condition k*d >= 20 w n log(1/eps) log(2n)/log(1/g),
+    None when gamma >= 1 makes it vacuous."""
     gamma = report.gamma_clamped(n)
     if gamma >= 1.0:
-        raise UninformativeBoundError("gamma >= 1: size bound is vacuous")
+        return None
     return (20.0 * report.omega * n * math.log(1.0 / epsilon)
             * math.log(2.0 * n) / math.log(1.0 / gamma))
 
@@ -85,9 +86,5 @@ def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
         return StepProposal(neurons=pair.neurons(), values=pair.values(ds.points))
 
     net, trace, _ = boost_fit(builder, ds, epsilon, max_iters=max_iters, seed=seed)
-    try:
-        kd_bound = ntk_kd_bound(ds.n, epsilon, report)
-    except UninformativeBoundError:
-        kd_bound = None
     return NtkFitResult(network=net, trace=trace, kd_achieved=float(net.k * ds.d),
-                        kd_bound=kd_bound, report=report)
+                        kd_bound=ntk_kd_bound(ds.n, epsilon, report), report=report)

@@ -8,6 +8,7 @@ import them as ``from probes import ...``: pytest puts ``tests/`` on
 """
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,21 @@ import numpy as np
 from memnet.data import genericity
 from memnet.harmonic import _mixture_basis, _mixture_f2, relu_mixture
 from memnet.hermite import gl_grid, hermite_eval
+from memnet.network import Neuron, TwoLayerNetwork
+
+
+def network_from_json(text):
+    """The network that ``TwoLayerNetwork.to_json`` wrote, bit for bit."""
+    obj = json.loads(text)
+    neurons = tuple(Neuron(nr["a"], np.array(nr["w"]), nr["b"]) for nr in obj["neurons"])
+    return TwoLayerNetwork(neurons, obj["activation"])
+
+
+def linearized_values(pair, points):
+    """psi'(u.x - b) (v.x) of a DerivativeNeuronPair; equals ``pair.values``
+    on points where its delta is safe."""
+    gate = (points @ pair.u - pair.b >= 0.0).astype(float)
+    return gate * (points @ pair.v)
 
 
 def horner(coeffs, z):

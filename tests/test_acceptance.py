@@ -28,8 +28,8 @@ from memnet.hermite import he_coeffs, hermite_eval
 from memnet.network import evaluate, total_weight
 from memnet.ntk import ntk_fit, ntk_step
 from probes import (arcsin_gram, directional_sum, gram_lower_bound_check,
-                    hermite_coefficients, hermite_gram, horner, mixture_expectation,
-                    orthogonality_check)
+                    hermite_coefficients, hermite_gram, horner, linearized_values,
+                    mixture_expectation, orthogonality_check)
 
 _CAPTURE = None
 
@@ -167,7 +167,7 @@ def test_criterion_04_kernel_step_correlation():
         step = ntk_step(ds, y, seed)
         if step is None:
             continue
-        f = step.linearized_values(ds.points)
+        f = linearized_values(step, ds.points)
         ratios.append(float(y @ f) / y_sq)
     mean = float(np.mean(ratios))
     lo95 = mean - 1.645 * float(np.std(ratios)) / math.sqrt(len(ratios))
@@ -297,7 +297,7 @@ def test_criterion_09_weight_scaling(ntk_sweep_fits, harmonic_sweep_fits):
     harm_ns = [50, 100, 200, 400]
     harm_ws, floor_ok = [], True
     for n, (_, _, _, res) in zip(harm_ns, harmonic_sweep_fits.rows):
-        w = res.trace.total_weight
+        w = total_weight(res.network)
         harm_ws.append(w)
         floor_ok = floor_ok and w >= math.sqrt(n) / 8.0
     harm_slope = _slope(harm_ns, harm_ws)

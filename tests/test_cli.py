@@ -363,6 +363,29 @@ def test_sweep_empty_seeds(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _assert_unwritable(argv, path, capsys):
+    assert main(argv) == 2
+    assert f"error: [Errno 2] No such file or directory: '{path}" in capsys.readouterr().err
+
+
+def test_gen_data_unwritable_output(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "ds.bin")
+    _assert_unwritable(["gen-data", "--n", "20", "--d", "5", "-o", out], out, capsys)
+
+
+def test_fit_unwritable_output(tmp_path, capsys):
+    path = _gen(tmp_path, n=20, d=5)
+    capsys.readouterr()
+    out = str(tmp_path / "missing" / "x")
+    _assert_unwritable(["fit", "--method", "baum-relu", "-o", out, path], out, capsys)
+
+
+def test_sweep_unwritable_output(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.csv")
+    _assert_unwritable(["sweep", "--method", "baum-relu", "--d", "5", "--n-list", "20",
+                        "-o", out], out, capsys)
+
+
 def test_sweep_epsilon_forbidden_for_exact(tmp_path, capsys):
     out = tmp_path / "x.csv"
     rc = main(["sweep", "--method", "baum-relu", "--d", "10",

@@ -13,6 +13,7 @@ from memnet.constructive import (DerivativeNeuronPair, _hyperplane_through,
 from memnet.data import Dataset, gaussian_labels, rademacher_labels, sample_sphere
 from memnet.errors import DataError, RankDeficiencyError
 from memnet.network import Neuron, TwoLayerNetwork, evaluate, get_activation
+from probes import linearized_values
 
 
 def _sphere(n, d, seed, labels="gaussian"):
@@ -34,7 +35,7 @@ def test_derivative_pair_matches_linearization():
         b = rng.standard_normal() * 0.3
         delta = safe_delta(pts, u, v, b)
         pair = DerivativeNeuronPair(u, v, b, delta)
-        assert np.max(np.abs(pair.values(pts) - pair.linearized_values(pts))) < 1e-9
+        assert np.max(np.abs(pair.values(pts) - linearized_values(pair, pts))) < 1e-9
 
 
 def test_derivative_pair_two_relu_neurons():

@@ -157,6 +157,25 @@ def test_dataset_immutable():
         ds.points[0, 0] = 2.0
 
 
+def test_dataset_copies_writable_arrays():
+    """The caller's writable arrays stay writable, and writing them leaves
+    the dataset unchanged."""
+    pts, lab = np.ones((3, 2)), np.zeros(3)
+    ds = Dataset(pts, lab)
+    pts[0, 0] = 2.0
+    lab[0] = 1.0
+    assert ds.points[0, 0] == 1.0 and ds.labels[0] == 0.0
+    assert not (ds.points.flags.writeable or ds.labels.flags.writeable)
+
+
+def test_dataset_shares_read_only_arrays():
+    """Frozen arrays are shared, not copied: a relabeled dataset keeps the
+    points array itself, so no fit copies its points."""
+    ds = sample_sphere(5, 3, 0)
+    assert rademacher_labels(ds, 1).points is ds.points
+    assert Dataset(ds.points, ds.labels).labels is ds.labels
+
+
 def test_roundtrip_binary(tmp_path):
     ds = rademacher_labels(sample_sphere(17, 6, 9), 2)
     path = str(tmp_path / "ds.bin")

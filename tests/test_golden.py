@@ -21,7 +21,6 @@ def _fit(method):
         net = baum_relu_fit(ds, seed=0)
         return net, None
     res = (harmonic_fit if method == "harmonic" else ntk_fit)(ds, 0.3, seed=0)
-    assert res.trace.total_weight == pytest.approx(total_weight(res.network), rel=1e-12)
     return res.network, res.trace.notes["stop_reason"]
 
 

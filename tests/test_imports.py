@@ -1,7 +1,8 @@
 """Static checks over the package sources: every imported name is used (in
 the tests too), every module-level ``_private`` function or class is
 referenced somewhere in the package, every public one is reached from
-outside the tests, and every name the benchmark tracer wraps exists.
+outside the tests, so is every public method and field of a package class,
+and every name the benchmark tracer wraps exists.
 
 No linter is a dependency, so the checks parse each module with ``ast``.
 ``__init__.py`` is skipped by the import check because its imports are the
@@ -12,6 +13,7 @@ import ast
 import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -127,6 +129,59 @@ def test_no_test_only_publics():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     users = {p.name: p.read_text() for p in (ROOT / "bench").glob("*.py")}
     assert unreached_publics(sources, users) == []
+
+
+def attribute_reads(nodes) -> Counter:
+    """How often each name is read as an attribute (``obj.name``, load context)."""
+    return Counter(sub.attr for node in nodes for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def unread_members(sources: dict[str, str], users: dict[str, str]) -> list[str]:
+    """``module.Class.name`` of each public method or annotated field of a
+    module-level class of the package ``sources`` that no module of
+    ``sources`` or ``users`` reads as an attribute, a method's reads inside
+    its own body aside.  Keyword arguments and assignments are not reads,
+    and reads match by name, whatever the object."""
+    reads = attribute_reads(ast.parse(source) for source in (*sources.values(),
+                                                              *users.values()))
+    flagged = []
+    for module, source in sources.items():
+        for cls in ast.parse(source).body:
+            for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(node, ast.FunctionDef):
+                    name, own = node.name, attribute_reads([node])[node.name]
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name, own = node.target.id, 0
+                else:
+                    continue
+                if not name.startswith("_") and reads[name] <= own:
+                    flagged.append(f"{module}.{cls.name}.{name}")
+    return sorted(flagged)
+
+
+def test_unread_member_detector():
+    sources = {
+        "a": ("from dataclasses import dataclass\n"
+              "@dataclass\nclass Rec:\n    kept: int\n    gone: int\n    _private: int\n"
+              "    def used(self):\n        return self.kept\n"
+              "    def recursive(self):\n        return self.recursive()\n"
+              "    def by_bench(self):\n        pass\n"
+              "    def __repr__(self):\n        return ''\n"
+              "def make():\n    r = Rec(kept=1, gone=2, _private=3)\n"
+              "    r.gone = 4\n    return r.used()\n"),
+        "b": "class Plain:\n    label: str\n    def show(self):\n        return self.label\n",
+    }
+    users = {"worker.py": "import a\na.make().by_bench()\n"}
+    assert unread_members(sources, users) == ["a.Rec.gone", "a.Rec.recursive", "b.Plain.show"]
+
+
+def test_no_test_only_members():
+    """Every public method and field of a package class is read by the
+    package itself or by bench/; what only tests read lives in tests/."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    users = {p.name: p.read_text() for p in (ROOT / "bench").glob("*.py")}
+    assert unread_members(sources, users) == []
 
 
 def missing_targets(targets) -> list[str]:

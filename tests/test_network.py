@@ -11,6 +11,7 @@ from memnet.errors import ConvergenceError, InvariantError, ParameterError
 from memnet.network import (FitTrace, Neuron, StepProposal, TwoLayerNetwork,
                             boost_fit, evaluate, evaluate_points, get_activation,
                             relu, threshold, total_weight)
+from probes import network_from_json
 
 
 def _net(neurons, activation="relu"):
@@ -83,7 +84,7 @@ def test_network_json_roundtrip():
     rng = np.random.default_rng(2)
     net = _net([Neuron(rng.standard_normal(), rng.standard_normal(3),
                        rng.standard_normal()) for _ in range(3)], "threshold")
-    back = TwoLayerNetwork.from_json(net.to_json())
+    back = network_from_json(net.to_json())
     assert back.activation == "threshold"
     pts = rng.standard_normal((6, 3))
     assert np.max(np.abs(evaluate_points(back, pts) - evaluate_points(net, pts))) < 1e-15
@@ -109,7 +110,7 @@ def _bits(x) -> bytes:
 def test_network_json_roundtrip_property(net):
     """Bit-exact round trip of every a, w and b (signed zeros, subnormals,
     extreme magnitudes) and of the activation name."""
-    back = TwoLayerNetwork.from_json(net.to_json())
+    back = network_from_json(net.to_json())
     assert back.activation == net.activation
     assert back.k == net.k
     for got, want in zip(back.neurons, net.neurons):
