@@ -21,7 +21,6 @@ from .network import TwoLayerNetwork, evaluate, total_weight
 
 @dataclass
 class WeightBoundReport:
-    n: int
     bound: float
     measured_weights: dict = field(default_factory=dict)
     error_ratios: dict = field(default_factory=dict)
@@ -43,7 +42,7 @@ def verify_weight_bound(ds: Dataset, nets: list[tuple[str, TwoLayerNetwork]]
     if not np.all(np.abs(y) == 1.0):
         raise DataError("verify_weight_bound requires +-1 labels")
     y_sq = float(y @ y)
-    report = WeightBoundReport(n=ds.n, bound=math.sqrt(ds.n) / 8.0)
+    report = WeightBoundReport(bound=math.sqrt(ds.n) / 8.0)
     for name, net in nets:
         ratio = float(np.sum((evaluate(net, ds) - y) ** 2)) / y_sq
         weight = total_weight(net)

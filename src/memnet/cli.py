@@ -5,8 +5,8 @@ written, 3 data error, 4 convergence failure.  All commands are
 deterministic given their flags, including ``sweep --parallel`` (rows are
 sorted before writing), except that the outer weights of ``exact`` come
 from a LAPACK solve whose last bits depend on the BLAS thread count (pin it
-with OPENBLAS_NUM_THREADS); its hidden layer does not.  MEMNET_THREADS caps sweep parallelism, which never
-exceeds the number of cells.
+with OPENBLAS_NUM_THREADS); its hidden layer does not.  MEMNET_THREADS
+caps sweep parallelism, which never exceeds the number of cells.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .ntk import ntk_fit
 EXACT_METHODS = {"exact", "baum-threshold", "baum-relu"}
 ITER_METHODS = {"ntk", "harmonic"}
 METHODS = EXACT_METHODS | ITER_METHODS
+LABELS = {"rademacher": data_mod.rademacher_labels, "gaussian": data_mod.gaussian_labels}
 
 
 def _load_any(path: str) -> data_mod.Dataset:
@@ -38,17 +39,9 @@ def _load_any(path: str) -> data_mod.Dataset:
     return data_mod.load_dataset(path)
 
 
-def _make_labels(ds, kind: str, seed: int):
-    if kind == "rademacher":
-        return data_mod.rademacher_labels(ds, seed)
-    if kind == "gaussian":
-        return data_mod.gaussian_labels(ds, seed)
-    raise ParameterError(f"unknown label kind {kind!r}")
-
-
 def cmd_gen_data(args) -> int:
     ds = data_mod.sample_sphere(args.n, args.d, args.seed)
-    ds = _make_labels(ds, args.labels, args.seed + 1)
+    ds = LABELS[args.labels](ds, args.seed + 1)
     data_mod.save_dataset(ds, args.output, label_kind=args.labels)
     rep = data_mod.genericity(ds)
     print(json.dumps({
@@ -62,19 +55,17 @@ def cmd_gen_data(args) -> int:
 def _run_method(method: str, ds, epsilon, seed: int):
     """Returns (network, trace, extras)."""
     if method == "exact":
-        net = exact_fit_generic(ds, seed=seed)
-        return net, FitTrace(), {}
+        return exact_fit_generic(ds, seed=seed), FitTrace(), {}
     if method == "baum-threshold":
-        net = baum_threshold_fit(ds, seed=seed)
-        return net, FitTrace(), {}
+        return baum_threshold_fit(ds, seed=seed), FitTrace(), {}
     if method == "baum-relu":
-        net = baum_relu_fit(ds, seed=seed)
-        return net, FitTrace(), {"k_formula": 4 * math.ceil(ds.n / ds.d)}
+        return baum_relu_fit(ds, seed=seed), FitTrace(), {"k_formula": 4 * math.ceil(ds.n / ds.d)}
     if method == "ntk":
         res = ntk_fit(ds, epsilon, seed=seed)
+        kd = float(res.network.k * ds.d)
         return res.network, res.trace, {
-            "kd_achieved": res.kd_achieved, "kd_bound": res.kd_bound,
-            "kd_hypothesis_met": res.kd_bound is not None and res.kd_achieved <= res.kd_bound,
+            "kd_achieved": kd, "kd_bound": res.kd_bound,
+            "kd_hypothesis_met": res.kd_bound is not None and kd <= res.kd_bound,
             "gamma": res.report.gamma, "omega": res.report.omega,
         }
     if method == "harmonic":
@@ -138,7 +129,7 @@ def sweep_cell(method, n, d, seed, epsilon, labels):
     """One sweep row: ``method`` fitted with ``seed`` on ``sample_sphere(n, d,
     seed)`` with ``labels`` drawn from seed + 1 (made 0/1 for baum-threshold)."""
     ds = data_mod.sample_sphere(n, d, seed)
-    ds = _make_labels(ds, labels, seed + 1)
+    ds = LABELS[labels](ds, seed + 1)
     if method == "baum-threshold":
         ds = ds.with_labels((ds.labels > 0).astype(float))
     net, _, extras = _run_method(method, ds, epsilon, seed)
@@ -186,6 +177,17 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _seed(text: str) -> int:
+    """A seed flag's value: numpy's generators take non-negative integers only."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _seed_list(text: str) -> list[int]:
+    return [_seed(tok) for tok in text.split(",") if tok.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="memnet")
     parser.add_argument("--config", help="JSON file with flag defaults")
@@ -194,15 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="sample sphere data and write a dataset file")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--labels", default="rademacher", choices=["rademacher", "gaussian"])
+    g.add_argument("--seed", type=_seed, default=0)
+    g.add_argument("--labels", default="rademacher", choices=LABELS)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_gen_data)
 
     f = sub.add_parser("fit", help="fit a dataset file with one construction")
     f.add_argument("--method", required=True)
     f.add_argument("--epsilon", type=float)
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=_seed, default=0)
     f.add_argument("-o", "--output", help="output path prefix")
     f.add_argument("dataset")
     f.set_defaults(func=cmd_fit)
@@ -211,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", required=True)
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--n-list", type=_int_list, required=True)
-    s.add_argument("--seeds", type=_int_list, default=[0])
+    s.add_argument("--seeds", type=_seed_list, default=[0])
     s.add_argument("--epsilon", type=float)
-    s.add_argument("--labels", default="rademacher", choices=["rademacher", "gaussian"])
+    s.add_argument("--labels", default="rademacher", choices=LABELS)
     s.add_argument("--parallel", action="store_true")
     s.add_argument("-o", "--output", required=True)
     s.set_defaults(func=cmd_sweep)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DegenerateDataError, RankDeficiencyError
-from .network import Neuron, TwoLayerNetwork, evaluate, get_activation
+from .network import Neuron, TwoLayerNetwork, evaluate, relu
 
 _SLOPE_EPS = 1e-14
 
@@ -53,18 +53,17 @@ def safe_delta(points: np.ndarray, u: np.ndarray, v: np.ndarray, b: float) -> fl
     return float(0.5 * np.min(margins[keep] / slopes[keep]))
 
 
-def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray, psi) -> np.ndarray:
-    """psi(x_i . w_j + b_j) as a column-major (n, len(W)) array, n rows of W at a time."""
+def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(x_i . w_j + b_j) as a column-major (n, len(W)) array, n rows of W at a time."""
     n = len(points)
     A = np.empty((len(W), n))
     for s in range(0, len(W), n):
-        A[s:s + n] = psi(W[s:s + n] @ points.T + b[s:s + n, None])
+        A[s:s + n] = relu(W[s:s + n] @ points.T + b[s:s + n, None])
     return A.T
 
 
-def exact_fit_generic(ds: Dataset, activation: str = "relu",
-                      seed: int = 0) -> TwoLayerNetwork:
-    """Exact fit with exactly n neurons via random features + column selection.
+def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
+    """Exact ReLU fit with exactly n neurons via random features + column selection.
 
     Samples 10 n random (w, b) pairs, selects n independent columns of the
     evaluation matrix by pivoted QR, and solves for the outer coefficients.
@@ -74,14 +73,13 @@ def exact_fit_generic(ds: Dataset, activation: str = "relu",
     the solve. The workspace query passes overwrite_a too (without it the
     wrapper copies the matrix), and its lwork selects the blocked algorithm.
     """
-    psi = get_activation(activation)
     n, d = ds.n, ds.d
     rng = np.random.default_rng(seed)
     K = 10 * n
     W = rng.standard_normal((K, d))
     b = rng.standard_normal(K)
     from scipy.linalg.lapack import dgeqp3
-    A = _features(ds.points, W, b, psi)
+    A = _features(ds.points, W, b)
     lwork = int(dgeqp3(A, lwork=-1, overwrite_a=1)[3][0])
     A, piv = dgeqp3(A, lwork=lwork, overwrite_a=1)[:2]
     diag = np.abs(np.diagonal(A))
@@ -91,9 +89,8 @@ def exact_fit_generic(ds: Dataset, activation: str = "relu",
             f"rank {int(np.sum(diag > 1e-10 * max(diag[0], 1.0)))} < n={n} "
             f"within {K} candidates")
     cols = piv[:n] - 1                                # dgeqp3 pivots are 1-based
-    a = np.linalg.solve(_features(ds.points, W[cols], b[cols], psi), ds.labels)
-    net = TwoLayerNetwork(
-        tuple(Neuron(a[j], W[cols[j]], b[cols[j]]) for j in range(n)), activation)
+    a = np.linalg.solve(_features(ds.points, W[cols], b[cols]), ds.labels)
+    net = TwoLayerNetwork(tuple(Neuron(a[j], W[cols[j]], b[cols[j]]) for j in range(n)))
     resid = np.linalg.norm(evaluate(net, ds) - ds.labels)
     if resid > 1e-6 * max(1.0, np.linalg.norm(ds.labels)):
         raise RankDeficiencyError(f"selected columns too ill-conditioned (residual {resid:.3e})")

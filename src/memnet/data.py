@@ -113,12 +113,9 @@ def genericity(ds: Dataset) -> GenericityReport:
     X = ds.points
     n, d = X.shape
     norms = np.linalg.norm(X, axis=1)
-    if n == 1:
-        gamma = 0.0
-    else:
-        C = (X @ X.T) / np.outer(norms, norms)
-        np.fill_diagonal(C, 0.0)
-        gamma = float(np.max(np.abs(C)))
+    C = (X @ X.T) / np.outer(norms, norms)
+    np.fill_diagonal(C, 0.0)  # a single point has coherence 0
+    gamma = float(np.max(np.abs(C)))
     second_moment = (X.T @ X) / n
     lam_max = float(np.linalg.eigvalsh(second_moment)[-1])
     omega = d * lam_max

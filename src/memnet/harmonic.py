@@ -415,6 +415,8 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     sampler draw is one), else ConvergenceError.
     """
     n = ds.n
+    if n < 2:  # log n = 0 makes the projection cutoff, hence M, zero
+        raise DegenerateDataError(f"harmonic_fit needs n >= 2 points, got n={n}")
     y_sq = float(ds.labels @ ds.labels)
     report = genericity(ds)
     gamma = report.gamma_clamped(n)

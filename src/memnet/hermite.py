@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["he_coeffs", "he_eval", "hermite_eval", "gl_grid"]
-
 
 def he_coeffs(m: int) -> list[int]:
     """Exact integer monomial coefficients of the unnormalized He_m, constant

@@ -98,23 +98,17 @@ class TwoLayerNetwork:
         })
 
 
-def evaluate_points(net: TwoLayerNetwork, points: np.ndarray) -> np.ndarray:
-    """Network values on the rows of ``points``."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    out = np.zeros(points.shape[0])
+def evaluate(net: TwoLayerNetwork, ds: Dataset) -> np.ndarray:
+    """Network values on the points of ``ds``."""
     if not net.neurons:
-        return out
-    if points.shape[1] != net.d:
-        raise ParameterError(f"dimension mismatch: network d={net.d}, points d={points.shape[1]}")
+        return np.zeros(ds.n)
+    if ds.d != net.d:
+        raise ParameterError(f"dimension mismatch: network d={net.d}, points d={ds.d}")
     psi = get_activation(net.activation)
     W = np.stack([nr.w for nr in net.neurons])          # (k, d)
     a = np.array([nr.a for nr in net.neurons])
     b = np.array([nr.b for nr in net.neurons])
-    return (psi(points @ W.T + b) @ a)
-
-
-def evaluate(net: TwoLayerNetwork, ds: Dataset) -> np.ndarray:
-    return evaluate_points(net, ds.points)
+    return (psi(ds.points @ W.T + b) @ a)
 
 
 def total_weight(net: TwoLayerNetwork) -> float:
@@ -184,11 +178,6 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
     trace = FitTrace()
     neurons: list[Neuron] = []
     active = np.ones(len(y), dtype=bool)
-    if y_sq == 0.0:
-        trace.notes["stop_reason"] = "epsilon reached"
-        trace.final_error_ratio = 0.0
-        return TwoLayerNetwork(()), trace, active
-
     r = y.copy()
     seed_root = np.random.SeedSequence(seed)
     for it in range(max_iters + 1):
@@ -235,5 +224,5 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
             raise InvariantError("line-search step increased the residual")
 
     trace.notes["stop_reason"] = "epsilon reached"
-    trace.final_error_ratio = r_sq / y_sq
+    trace.final_error_ratio = r_sq / y_sq if y_sq > 0 else 0.0
     return TwoLayerNetwork(tuple(neurons)), trace, active

@@ -63,7 +63,6 @@ def ntk_kd_bound(n: int, epsilon: float, report: GenericityReport) -> float | No
 class NtkFitResult:
     network: TwoLayerNetwork
     trace: FitTrace
-    kd_achieved: float
     kd_bound: float | None  # None when coherence 1 makes the size bound vacuous
     report: GenericityReport
 
@@ -73,9 +72,9 @@ def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
     """Boosted NTK fit with adaptive step size; ConvergenceError when
     ``max_iters`` steps leave the error ratio above ``epsilon``.
 
-    ``kd_achieved`` (neuron count times d) is reported against the
-    theoretical requirement evaluated at the measured (gamma, omega), which
-    is None when the bound is vacuous (gamma >= 1); the fit itself stands.
+    ``kd_bound`` is the theoretical requirement on k * d evaluated at the
+    measured (gamma, omega), None when the bound is vacuous (gamma >= 1);
+    the fit itself stands.
     """
     report = genericity(ds)
 
@@ -86,5 +85,5 @@ def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
         return StepProposal(neurons=pair.neurons(), values=pair.values(ds.points))
 
     net, trace, _ = boost_fit(builder, ds, epsilon, max_iters=max_iters, seed=seed)
-    return NtkFitResult(network=net, trace=trace, kd_achieved=float(net.k * ds.d),
+    return NtkFitResult(network=net, trace=trace,
                         kd_bound=ntk_kd_bound(ds.n, epsilon, report), report=report)

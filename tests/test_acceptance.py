@@ -181,7 +181,7 @@ def test_criterion_05_kernel_fit_size(kernel_fits):
     ratios, kd_ok = [], True
     for _, _, _, res in kernel_fits.rows:
         ratios.append(res.trace.final_error_ratio)
-        kd_ok = kd_ok and res.kd_achieved <= res.kd_bound
+        kd_ok = kd_ok and res.network.k * res.network.d <= res.kd_bound
     mean_ratio = float(np.mean(ratios))
     elapsed = kernel_fits.elapsed
     ok = mean_ratio <= 0.1 and kd_ok and elapsed < 120.0

@@ -167,6 +167,62 @@ def test_fit_harmonic_past_float64_degree_is_a_data_error(tmp_path, capsys):
         assert not (tmp_path / "ds.network.json").exists()
 
 
+def test_harmonic_on_one_point_is_a_data_error(tmp_path, capsys):
+    """log n = 0 at n = 1 leaves the harmonic fit no projection cutoff."""
+    path = _gen(tmp_path, n=1, d=5)
+    capsys.readouterr()
+    for argv in (["fit", "--method", "harmonic", "--epsilon", "0.3", path],
+                 ["sweep", "--method", "harmonic", "--d", "5", "--n-list", "1",
+                  "--epsilon", "0.3", "-o", str(tmp_path / "x.csv")]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "n=1" in err and err.count("\n") == 1
+    assert not (tmp_path / "ds.network.json").exists()
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _assert_bad_seed(argv, flag, value, capsys):
+    """argparse rejects the seed: exit 2, its usage, then one error line."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {flag}: seed must be a non-negative integer, got '{value}'")
+
+
+def test_gen_data_negative_seed(tmp_path, capsys):
+    out = tmp_path / "ds.bin"
+    _assert_bad_seed(["gen-data", "--n", "20", "--d", "5", "--seed", "-1", "-o", str(out)],
+                     "--seed", -1, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["exact", "baum-relu", "ntk"])
+def test_fit_negative_seed(tmp_path, capsys, method):
+    path = _gen(tmp_path, n=20, d=5)
+    eps = ["--epsilon", "0.3"] if method == "ntk" else []
+    _assert_bad_seed(["fit", "--method", method, *eps, "--seed", "-2", path],
+                     "--seed", -2, capsys)
+    assert not (tmp_path / "ds.network.json").exists()
+
+
+def test_sweep_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    _assert_bad_seed(["sweep", "--method", "baum-relu", "--d", "5", "--n-list", "20",
+                      "--seeds", "0,-3", "-o", str(out)], "--seeds", -3, capsys)
+    assert not out.exists()
+
+
+def test_config_negative_seed(tmp_path, capsys):
+    path = _gen(tmp_path, n=20, d=5)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -4}))
+    _assert_bad_seed(["--config", str(cfg), "fit", "--method", "baum-relu", path],
+                     "--seed", -4, capsys)
+
+
 def test_fit_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):
     path = _gen(tmp_path)
 

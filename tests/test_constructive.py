@@ -12,7 +12,7 @@ from memnet.constructive import (DerivativeNeuronPair, _hyperplane_through,
                                  exact_fit_generic, safe_delta)
 from memnet.data import Dataset, gaussian_labels, rademacher_labels, sample_sphere
 from memnet.errors import DataError, RankDeficiencyError
-from memnet.network import Neuron, TwoLayerNetwork, evaluate, get_activation
+from memnet.network import Neuron, TwoLayerNetwork, evaluate, relu
 from probes import linearized_values
 
 
@@ -72,13 +72,6 @@ def test_exact_fit_uses_exactly_n_neurons():
     assert resid <= 1e-8 * np.linalg.norm(ds.labels)
 
 
-def test_exact_fit_threshold_activation():
-    ds = _sphere(20, 4, 3)
-    net = exact_fit_generic(ds, activation="threshold")
-    assert net.k == 20
-    assert np.linalg.norm(evaluate(net, ds) - ds.labels) < 1e-6
-
-
 def test_exact_fit_conflicting_duplicate():
     pts = np.array([[1.0, 0.0], [1.0, 0.0]])
     ds = Dataset(pts, np.array([1.0, -1.0]))
@@ -86,33 +79,32 @@ def test_exact_fit_conflicting_duplicate():
         exact_fit_generic(ds)
 
 
-def _exact_fit_scipy_qr(ds, activation, seed):
+def _exact_fit_scipy_qr(ds, seed):
     """Reference for exact_fit_generic: the same draws, the features as one
     row-major product, ``scipy.linalg.qr(mode="r", pivoting=True)`` and a
     solve on the selected columns of that matrix."""
     from scipy.linalg import qr
-    psi = get_activation(activation)
     rng = np.random.default_rng(seed)
     K = 10 * ds.n
     W = rng.standard_normal((K, ds.d))
     b = rng.standard_normal(K)
-    A = psi(ds.points @ W.T + b)
+    A = relu(ds.points @ W.T + b)
     cols = qr(A, mode="r", pivoting=True)[1][:ds.n]
     a = np.linalg.solve(A[:, cols], ds.labels)
     return TwoLayerNetwork(tuple(Neuron(a[j], W[cols[j]], b[cols[j]])
-                                 for j in range(ds.n)), activation)
+                                 for j in range(ds.n)))
 
 
-@pytest.mark.parametrize("activation", ["relu", "threshold"])
-@pytest.mark.parametrize("n, d", [(37, 5), (120, 10), (100, 20), (200, 20)])
-def test_exact_fit_matches_scipy_qr_reference(n, d, activation):
+@pytest.mark.parametrize("n, d", [pytest.param(n, d, id=f"{n}-{d}-relu")  # the fit's activation
+                                  for n, d in [(37, 5), (120, 10), (100, 20), (200, 20)]])
+def test_exact_fit_matches_scipy_qr_reference(n, d):
     """The in-place dgeqp3 selects the reference's (w, b) in its order. At
     d=20 the blocked and the full product also sum each feature in the same
     order, so the networks are equal; on other shapes, such as n=250, d=40,
     the outer coefficients may differ in the last bits."""
     ds = _sphere(n, d, 2, labels="rademacher")
-    net = exact_fit_generic(ds, activation, seed=4)
-    ref = _exact_fit_scipy_qr(ds, activation, seed=4)
+    net = exact_fit_generic(ds, seed=4)
+    ref = _exact_fit_scipy_qr(ds, seed=4)
     assert ([(nr.w.tobytes(), nr.b) for nr in net.neurons]
             == [(nr.w.tobytes(), nr.b) for nr in ref.neurons])
     if d == 20:

@@ -869,6 +869,16 @@ def test_mass_table_stops_on_non_finite_level(monkeypatch):
     assert harmonic._mixture_basis_cache == {}
 
 
+def test_harmonic_fit_one_point_is_degenerate(monkeypatch):
+    """At n = 1, log n = 0 zeroes the projection cutoff; the fit names n
+    before it builds the degree's mixture table."""
+    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
+    ds = rademacher_labels(sample_sphere(1, 5, 0), 1)
+    with pytest.raises(DegenerateDataError, match="n=1"):
+        harmonic_fit(ds, epsilon=0.3)
+    assert harmonic._mixture_basis_cache == {}
+
+
 def test_harmonic_fit_zero_labels():
     ds = sample_sphere(10, 20, 0)
     res = harmonic_fit(ds, epsilon=0.5)

@@ -5,8 +5,6 @@ outside the tests, so is every public method and field of a package class,
 and every name the benchmark tracer wraps exists.
 
 No linter is a dependency, so the checks parse each module with ``ast``.
-``__init__.py`` is skipped by the import check because its imports are the
-package's exports.
 """
 
 import ast
@@ -21,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "memnet"
 # package modules by file name, test modules as tests/<file name>
-MODULES = {p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"}
+MODULES = {p.name: p for p in SRC.glob("*.py")}
 MODULES.update({f"tests/{p.name}": p for p in (ROOT / "tests").glob("*.py")})
 
 
@@ -34,16 +32,12 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= {elt.value for elt in node.value.elts}
     return sorted(imported - used)
 
 
 def test_unused_import_detector():
     src = ("from __future__ import annotations\nimport math\nimport os.path\n"
-           "from x import a, b as c\n__all__ = ['a']\nos.path.join()\n")
+           "from x import a, b as c\na()\nos.path.join()\n")
     assert unused_imports(src) == ["c", "math"]
 
 
@@ -89,15 +83,13 @@ def unreached_publics(sources: dict[str, str], users: dict[str, str]) -> list[st
     """``module.name`` of each public module-level function or class of the
     package ``sources`` that no other code refers to by name or attribute:
     no other package module, no code of its own module outside its own body,
-    and no module of ``users``.  ``__init__`` only re-exports, so its
-    references do not count."""
+    and no module of ``users``."""
     def names(nodes) -> set[str]:
         return {sub.id if isinstance(sub, ast.Name) else sub.attr
                 for node in nodes for sub in ast.walk(node)
                 if isinstance(sub, (ast.Name, ast.Attribute))}
 
-    trees = {module: ast.parse(source) for module, source in sources.items()
-             if module != "__init__"}
+    trees = {module: ast.parse(source) for module, source in sources.items()}
     outside = names(ast.parse(source) for source in users.values())
     flagged = []
     for module, tree in trees.items():
@@ -112,7 +104,6 @@ def unreached_publics(sources: dict[str, str], users: dict[str, str]) -> list[st
 
 def test_unreached_public_detector():
     sources = {
-        "__init__": "from .a import Report, probe, used_by_b\n",
         "a": ("def used_by_b():\n    pass\ndef probe():\n    return probe()\n"
               "def helper():\n    pass\ndef caller():\n    return helper()\n"
               "class Report:\n    def make(self):\n        return Report()\n"
@@ -214,10 +205,12 @@ def test_traced_names_exist(monkeypatch):
 
 
 def test_import_leaves_scipy_unloaded():
-    """``import memnet`` does not import scipy: only ``exact_fit_generic``
-    needs it and imports it inside, so a process that never runs the exact
-    fit (a harmonic fit) pays neither its import time nor its memory."""
-    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import memnet; "
+    """Importing the CLI, which imports every fit, and ``bounds`` does not
+    import scipy: only ``exact_fit_generic`` needs it and imports it inside,
+    so a process that never runs the exact fit (a harmonic fit) pays neither
+    its import time nor its memory."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+            "import memnet.cli, memnet.bounds; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from memnet.data import Dataset, rademacher_labels, sample_sphere
 from memnet.errors import ConvergenceError, InvariantError, ParameterError
 from memnet.network import (FitTrace, Neuron, StepProposal, TwoLayerNetwork,
-                            boost_fit, evaluate, evaluate_points, get_activation,
+                            boost_fit, evaluate, get_activation,
                             relu, threshold, total_weight)
 from probes import network_from_json
 
@@ -86,8 +86,8 @@ def test_network_json_roundtrip():
                        rng.standard_normal()) for _ in range(3)], "threshold")
     back = network_from_json(net.to_json())
     assert back.activation == "threshold"
-    pts = rng.standard_normal((6, 3))
-    assert np.max(np.abs(evaluate_points(back, pts) - evaluate_points(net, pts))) < 1e-15
+    ds = Dataset(rng.standard_normal((6, 3)), np.zeros(6))
+    assert np.max(np.abs(evaluate(back, ds) - evaluate(net, ds))) < 1e-15
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
