@@ -22,8 +22,6 @@ from .network import TwoLayerNetwork, evaluate, total_weight
 @dataclass
 class WeightBoundReport:
     bound: float
-    measured_weights: dict = field(default_factory=dict)
-    error_ratios: dict = field(default_factory=dict)
     falsifications: list = field(default_factory=list)
 
     @property
@@ -35,8 +33,8 @@ def verify_weight_bound(ds: Dataset, nets: list[tuple[str, TwoLayerNetwork]]
                         ) -> WeightBoundReport:
     """Check every half-fitting network against the ReLU floor sqrt(n)/8.
 
-    Networks with error ratio above 1/2 are reported but exempt.  A
-    FALSIFICATION entry indicates an implementation bug, not new math.
+    Networks with error ratio above 1/2 are exempt.  A FALSIFICATION entry
+    indicates an implementation bug, not new math.
     """
     y = ds.labels
     if not np.all(np.abs(y) == 1.0):
@@ -45,9 +43,6 @@ def verify_weight_bound(ds: Dataset, nets: list[tuple[str, TwoLayerNetwork]]
     report = WeightBoundReport(bound=math.sqrt(ds.n) / 8.0)
     for name, net in nets:
         ratio = float(np.sum((evaluate(net, ds) - y) ** 2)) / y_sq
-        weight = total_weight(net)
-        report.error_ratios[name] = ratio
-        report.measured_weights[name] = weight
-        if ratio <= 0.5 and weight < report.bound:
+        if ratio <= 0.5 and total_weight(net) < report.bound:
             report.falsifications.append(name)
     return report

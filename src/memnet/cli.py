@@ -53,7 +53,8 @@ def cmd_gen_data(args) -> int:
 
 
 def _run_method(method: str, ds, epsilon, seed: int):
-    """Returns (network, trace, extras)."""
+    """Returns (network, trace, extras); ``method`` has passed
+    ``_check_method``, so the last branch is harmonic."""
     if method == "exact":
         return exact_fit_generic(ds, seed=seed), FitTrace(), {}
     if method == "baum-threshold":
@@ -68,15 +69,13 @@ def _run_method(method: str, ds, epsilon, seed: int):
             "kd_hypothesis_met": res.kd_bound is not None and kd <= res.kd_bound,
             "gamma": res.report.gamma, "omega": res.report.omega,
         }
-    if method == "harmonic":
-        res = harmonic_fit(ds, epsilon, seed=seed)
-        return res.network, res.trace, {
-            "m": res.m, "gamma": res.gamma,
-            "active_set_size": int(len(res.active_set)),
-            "trimmed_out": ds.n - int(len(res.active_set)),
-            "active_set_guarantee": ds.n - math.ceil(1.0 / res.gamma ** 2),
-        }
-    raise ParameterError(f"unknown method {method!r}")
+    res = harmonic_fit(ds, epsilon, seed=seed)
+    return res.network, res.trace, {
+        "m": res.m, "gamma": res.gamma,
+        "active_set_size": int(len(res.active_set)),
+        "trimmed_out": ds.n - int(len(res.active_set)),
+        "active_set_guarantee": ds.n - math.ceil(1.0 / res.gamma ** 2),
+    }
 
 
 def _error_ratio(f: np.ndarray, y: np.ndarray) -> float:

@@ -53,10 +53,12 @@ def safe_delta(points: np.ndarray, u: np.ndarray, v: np.ndarray, b: float) -> fl
     return float(0.5 * np.min(margins[keep] / slopes[keep]))
 
 
-def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """relu(x_i . w_j + b_j) as a column-major (n, len(W)) array, n rows of W at a time."""
+def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray,
+              dtype=np.float64) -> np.ndarray:
+    """relu(x_i . w_j + b_j) as a column-major (n, len(W)) ``dtype`` array,
+    computed in float64 for n rows of W at a time."""
     n = len(points)
-    A = np.empty((len(W), n))
+    A = np.empty((len(W), n), dtype)
     for s in range(0, len(W), n):
         A[s:s + n] = relu(W[s:s + n] @ points.T + b[s:s + n, None])
     return A.T
@@ -68,27 +70,36 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     Samples 10 n random (w, b) pairs, selects n independent columns of the
     evaluation matrix by pivoted QR, and solves for the outer coefficients.
 
-    One n x 10n float64 array is alive at a time (320 MB at n=2000), which
-    LAPACK dgeqp3 factors in place; the n selected columns are rebuilt for
-    the solve. The workspace query passes overwrite_a too (without it the
-    wrapper copies the matrix), and its lwork selects the blocked algorithm.
+    The pivots come from LAPACK sgeqp3 on a float32 n x 10n matrix (160 MB
+    at n=2000), factored in place: a pivot order is only a heuristic, which
+    the float64 solve and residual check certify. When the float32 |R_nn| is
+    at most 100 float32 eps times max(|R_11|, 1), dgeqp3 redoes the selection
+    on the float64 matrix, built after the float32 one is freed, and a float64
+    |R_nn| at most 1e-10 max(|R_11|, 1) is rank deficient. The n selected
+    columns are rebuilt in float64 for the solve. The workspace query passes
+    overwrite_a too (without it the wrapper copies the matrix), and its lwork
+    selects the blocked algorithm.
     """
     n, d = ds.n, ds.d
     rng = np.random.default_rng(seed)
     K = 10 * n
     W = rng.standard_normal((K, d))
     b = rng.standard_normal(K)
-    from scipy.linalg.lapack import dgeqp3
-    A = _features(ds.points, W, b)
-    lwork = int(dgeqp3(A, lwork=-1, overwrite_a=1)[3][0])
-    A, piv = dgeqp3(A, lwork=lwork, overwrite_a=1)[:2]
-    diag = np.abs(np.diagonal(A))
-    del A
-    if diag[n - 1] <= 1e-10 * max(diag[0], 1.0):
+    from scipy.linalg import lapack
+    for geqp3, dtype, tol in ((lapack.sgeqp3, np.float32, 100 * np.finfo(np.float32).eps),
+                              (lapack.dgeqp3, np.float64, 1e-10)):
+        A = _features(ds.points, W, b, dtype)
+        lwork = int(geqp3(A, lwork=-1, overwrite_a=1)[3][0])
+        A, piv = geqp3(A, lwork=lwork, overwrite_a=1)[:2]
+        diag = np.abs(np.diagonal(A))
+        del A
+        if diag[n - 1] > tol * max(diag[0], 1.0):
+            break
+    else:
         raise RankDeficiencyError(
-            f"rank {int(np.sum(diag > 1e-10 * max(diag[0], 1.0)))} < n={n} "
+            f"rank {int(np.sum(diag > tol * max(diag[0], 1.0)))} < n={n} "
             f"within {K} candidates")
-    cols = piv[:n] - 1                                # dgeqp3 pivots are 1-based
+    cols = piv[:n] - 1                                # geqp3 pivots are 1-based
     a = np.linalg.solve(_features(ds.points, W[cols], b[cols]), ds.labels)
     net = TwoLayerNetwork(tuple(Neuron(a[j], W[cols[j]], b[cols[j]]) for j in range(n)))
     resid = np.linalg.norm(evaluate(net, ds) - ds.labels)

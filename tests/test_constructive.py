@@ -79,27 +79,39 @@ def test_exact_fit_conflicting_duplicate():
         exact_fit_generic(ds)
 
 
-def _exact_fit_scipy_qr(ds, seed):
+def _exact_fit_scipy_qr(ds, seed, dtype=np.float64):
     """Reference for exact_fit_generic: the same draws, the features as one
-    row-major product, ``scipy.linalg.qr(mode="r", pivoting=True)`` and a
-    solve on the selected columns of that matrix."""
+    row-major product, ``scipy.linalg.qr(mode="r", pivoting=True)`` on them
+    cast to ``dtype`` and a solve on the selected float64 columns."""
     from scipy.linalg import qr
     rng = np.random.default_rng(seed)
     K = 10 * ds.n
     W = rng.standard_normal((K, ds.d))
     b = rng.standard_normal(K)
     A = relu(ds.points @ W.T + b)
-    cols = qr(A, mode="r", pivoting=True)[1][:ds.n]
+    cols = qr(A.astype(dtype), mode="r", pivoting=True)[1][:ds.n]
     a = np.linalg.solve(A[:, cols], ds.labels)
     return TwoLayerNetwork(tuple(Neuron(a[j], W[cols[j]], b[cols[j]])
                                  for j in range(ds.n)))
 
 
+def _near_duplicate():
+    """n=200 sphere points in d=20 whose second point lies 1e-6 from the first."""
+    ds = _sphere(200, 20, 3, labels="rademacher")
+    u = np.random.default_rng(0).standard_normal(20)
+    pts = np.array(ds.points)
+    pts[1] = pts[0] + 1e-6 * u / np.linalg.norm(u)
+    return Dataset(pts, ds.labels)
+
+
+REFERENCE_SHAPES = [(37, 5), (120, 10), (100, 20), (200, 20)]
+
+
 @pytest.mark.parametrize("n, d", [pytest.param(n, d, id=f"{n}-{d}-relu")  # the fit's activation
-                                  for n, d in [(37, 5), (120, 10), (100, 20), (200, 20)]])
+                                  for n, d in REFERENCE_SHAPES])
 def test_exact_fit_matches_scipy_qr_reference(n, d):
-    """The in-place dgeqp3 selects the reference's (w, b) in its order. At
-    d=20 the blocked and the full product also sum each feature in the same
+    """On these shapes the fit's float32 pivots select the float64
+    reference's (w, b) in its order. At d=20 the blocked and the full product also sum each feature in the same
     order, so the networks are equal; on other shapes, such as n=250, d=40,
     the outer coefficients may differ in the last bits."""
     ds = _sphere(n, d, 2, labels="rademacher")
@@ -111,17 +123,64 @@ def test_exact_fit_matches_scipy_qr_reference(n, d):
         assert net.to_json() == ref.to_json()
 
 
-def test_exact_fit_holds_one_feature_matrix():
-    """Peak traced memory stays within 1.5 copies of the n x 10n matrix."""
-    ds = _sphere(200, 20, 1, labels="rademacher")
+@pytest.mark.parametrize("n, d", REFERENCE_SHAPES)
+def test_exact_fit_matches_single_precision_reference(n, d):
+    """The pivots come from the float32 features: the fit selects the
+    (w, b) of a float32 ``scipy.linalg.qr`` reference, in its order."""
+    ds = _sphere(n, d, 2, labels="rademacher")
+    net = exact_fit_generic(ds, seed=4)
+    ref = _exact_fit_scipy_qr(ds, seed=4, dtype=np.float32)
+    assert ([(nr.w.tobytes(), nr.b) for nr in net.neurons]
+            == [(nr.w.tobytes(), nr.b) for nr in ref.neurons])
+
+
+def test_exact_fit_sphere_fixtures_skip_float64_pass(monkeypatch):
+    """Sphere data is far from rank deficient in float32: no fit of these
+    fixtures calls dgeqp3."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("float64 pivoting pass")
+
+    monkeypatch.setattr("scipy.linalg.lapack.dgeqp3", refuse)
+    for n, d in REFERENCE_SHAPES:
+        assert exact_fit_generic(_sphere(n, d, 2, labels="rademacher"), seed=4).k == n
+    assert exact_fit_generic(_sphere(200, 20, 1, labels="rademacher")).k == 200
+    assert exact_fit_generic(_sphere(30, 5, 0)).k == 30
+
+
+def test_exact_fit_near_duplicate_takes_float64_pass(monkeypatch):
+    """Two points 1e-6 apart leave the float32 |R_nn| within 100 float32 eps
+    of |R_11|: the fit pivots again in float64 and equals the float64
+    reference."""
+    from scipy.linalg import lapack
+    dgeqp3, calls = lapack.dgeqp3, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("lwork"))
+        return dgeqp3(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgeqp3", counted)
+    ds = _near_duplicate()
+    net = exact_fit_generic(ds)
+    assert len(calls) == 2                       # workspace query, factorization
+    assert net.to_json() == _exact_fit_scipy_qr(ds, seed=0).to_json()
+
+
+def _traced_peak(ds):
     exact_fit_generic(ds)                 # imports scipy outside the trace
     tracemalloc.start()
     try:
         exact_fit_generic(ds)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * 200 * 2000
+
+
+def test_exact_fit_holds_one_feature_matrix():
+    """Peak traced memory stays within two copies of the float32 n x 10n
+    matrix, and within 1.5 copies of the float64 one when the fit pivots
+    again in float64: the float32 matrix is freed first."""
+    assert _traced_peak(_sphere(200, 20, 1, labels="rademacher")) <= 2 * 4 * 200 * 2000
+    assert _traced_peak(_near_duplicate()) <= 1.5 * 8 * 200 * 2000
 
 
 # -- Baum threshold -----------------------------------------------------------

@@ -123,9 +123,15 @@ def test_no_test_only_publics():
 
 
 def attribute_reads(nodes) -> Counter:
-    """How often each name is read as an attribute (``obj.name``, load context)."""
-    return Counter(sub.attr for node in nodes for sub in ast.walk(node)
-                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+    """How often each name is read as an attribute (``obj.name``, load
+    context), except as the container of a subscript store such as
+    ``obj.name[key] = value``, which writes it."""
+    subs = [sub for node in nodes for sub in ast.walk(node)]
+    stored = {id(sub.value) for sub in subs
+              if isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store)}
+    return Counter(sub.attr for sub in subs
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+                   and id(sub) not in stored)
 
 
 def unread_members(sources: dict[str, str], users: dict[str, str]) -> list[str]:
@@ -159,12 +165,14 @@ def test_unread_member_detector():
               "    def recursive(self):\n        return self.recursive()\n"
               "    def by_bench(self):\n        pass\n"
               "    def __repr__(self):\n        return ''\n"
+              "@dataclass\nclass Log:\n    entries: dict\n"
               "def make():\n    r = Rec(kept=1, gone=2, _private=3)\n"
-              "    r.gone = 4\n    return r.used()\n"),
+              "    r.gone = 4\n    Log({}).entries['k'] = 1\n    return r.used()\n"),
         "b": "class Plain:\n    label: str\n    def show(self):\n        return self.label\n",
     }
     users = {"worker.py": "import a\na.make().by_bench()\n"}
-    assert unread_members(sources, users) == ["a.Rec.gone", "a.Rec.recursive", "b.Plain.show"]
+    assert unread_members(sources, users) == ["a.Log.entries", "a.Rec.gone",
+                                              "a.Rec.recursive", "b.Plain.show"]
 
 
 def test_no_test_only_members():
