@@ -59,8 +59,9 @@ def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray,
     computed in float64 for n rows of W at a time."""
     n = len(points)
     A = np.empty((len(W), n), dtype)
-    for s in range(0, len(W), n):
-        A[s:s + n] = relu(W[s:s + n] @ points.T + b[s:s + n, None])
+    with np.errstate(over="ignore"):  # past float32's range: inf, which fails its rank test
+        for s in range(0, len(W), n):
+            A[s:s + n] = relu(W[s:s + n] @ points.T + b[s:s + n, None])
     return A.T
 
 

@@ -6,21 +6,23 @@ Pipeline for one boosting step:
    residual-driven vector v(w), and keep the best complex neuron
    g(x) = Re(z * phi((w~ + i w~') . x)) with phi = H_m / sqrt(m), scoring
    the pool through He_m and one shared W X^T (``sample_complex_neuron``);
-2. rewrite Re(z * phi(x + i y)) as a sum of univariate polynomials in the
-   directions x + j y, j = 0..m: the integer-node Vandermonde systems have
-   the closed-form Lagrange solution L_j(i), turned once per degree from
-   exact integers into two correctly rounded float bases, and each step
-   combines them linearly in (Re z, Im z);
-3. represent each truncated univariate polynomial as a signed mixture of
-   ReLUs using psi'' = delta_0, with biases distributed as |f''| / int|f''|;
-   ``relu_mixture`` reads the masses int |f_j''| off a half-period table (z
-   folded to Re z >= 0, 1e-10 relative); the mean correlation is corr / sum;
-4. return the single ReLU realization maximizing the correlation with the
-   residual by a breakpoint argmax: for a fixed direction the correlation is
-   piecewise linear in the bias, with breakpoints at the data projections,
-   so its exact maximum over the mixture's bias support [-2M, 2M] sits at
-   -2M or at a projection and dominates the mixture mean; one sort of the
+2. return the single ReLU neuron on a direction w~ + j w~', j = 0..m, that
+   maximizes the correlation with the residual, by a breakpoint argmax: for
+   a fixed direction the correlation is piecewise linear in the bias, with
+   breakpoints at the data projections, so its exact maximum over the bias
+   support [-2M, 2M] sits at -2M or at a projection; one sort of the
    projections and suffix sums give the correlation at every breakpoint.
+
+The paper's proof reaches that neuron through a mixture the step does not
+compute.  Re(z * phi(x + i y)) is a sum of univariate polynomials p_j in the
+directions x + j y (``decompose_directions``: closed-form Lagrange bases,
+exact once per degree, combined linearly in (Re z, Im z)); each truncated
+p_j is a signed mixture of ReLUs by psi'' = delta_0, with biases on
+[-2M, 2M] distributed as |f_j''|, and ``relu_mixture`` returns the masses
+int |f_j''|.  The argmax dominates the mixture mean corr / sum of masses.
+``harmonic_fit`` builds the degree's mixture once, before the first step,
+so a degree with no finite float64 mixture is refused up front; the test
+suite checks the domination on every step of an acceptance fit.
 
 The tuning constants (cutoff, correlation floor) are calibrated once on a
 reference fixture and frozen in ``CONSTANTS``.
@@ -97,9 +99,8 @@ def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int, seed: int,
     ||r||^2 / (2 corr_c sqrt(n gamma^2)), else SamplerFailureError.  W X^T
     feeds v(w) and the projections W X^T + cos(a) V X^T, sin(a) V X^T.
     Scores are Re(z He_m(P) @ r) with the pool-wide 1/(sqrt(m!) sqrt(m))
-    applied after the sum: only the argmax, the floor test and the
-    mixture-mean check (1e-9) read them, and the winner's weights come from
-    W, V and a alone.
+    applied after the sum: only the argmax and the floor test read them,
+    and the winner's weights come from W, V and a alone.
     """
     r = np.asarray(residual, dtype=np.float64)
     n = ds.n
@@ -266,11 +267,9 @@ def _in_float_range(m: int, M: float) -> bool:
 
 
 def _mixture_basis(m: int, M: float) -> tuple:
-    """(panels, (keys, shifts, S)): panels double from 64 until each int |f''|
-    is stable to 1e-6 relative (at most 4096).  Node k of row j adds |Re z A_k +
-    Im z B_k| (A = f2_re wts, B = f2_im wts); on Re z >= 0 it flips sign only
-    at the angle of (|B_k|, -c_k A_k), c_k = copysign(1, B_k).  Row j: keys =
-    4j (shifts) + (sorted angles, 2); S = sum_{i<k} - sum_{i>=k} of (c_i A_i, |B_i|)."""
+    """(panels, AB): panels double from 64 until each int |f''| is stable to
+    1e-6 relative (at most 4096); AB stacks the node-weighted rows of f'' for
+    z = 1 (A = f2_re wts, rows 0..m) over those for z = i (B = f2_im wts)."""
     if M <= 0.0:
         raise ParameterError("M must be positive")
     key = (m, round(M, 9))
@@ -294,18 +293,7 @@ def _mixture_basis(m: int, M: float) -> tuple:
                 break
             prev = masses
             panels *= 2
-        del f2_re, f2_im  # A and B live on in AB: peak memory stays the grid's
-        keys, S = np.empty((m + 1, wts.size + 1)), np.zeros((2, m + 1, wts.size + 1))
-        for j in range(m + 1):  # one row of temporaries at a time
-            cA, aB = np.copysign(1.0, AB[m + 1 + j]) * AB[j], np.abs(AB[m + 1 + j])
-            angle = np.arctan2(-cA, aB)
-            order = np.argsort(angle, kind="stable")
-            keys[j] = np.append(angle[order], 2.0) + 4.0 * j  # 2 > pi/2 pads the row
-            np.cumsum(np.vstack((cA, aB))[:, order], axis=1, out=S[:, j, 1:])
-        S *= 2.0  # sum_{i<k} - sum_{i>=k} = 2 sum_{i<k} - sum_i
-        S -= S[:, :, -1:] / 2.0
-        _mixture_basis_cache[key] = (panels, (keys.ravel(), 4.0 * np.arange(m + 1),
-                                              S.reshape(2, -1)))
+        _mixture_basis_cache[key] = (panels, AB)
     return _mixture_basis_cache[key]
 
 
@@ -316,22 +304,13 @@ def relu_mixture(dd: DirectionalDecomposition, M: float) -> np.ndarray:
     Each f_j = p_j * chi_M is compactly supported and C^2, so
     f_j(t) = int psi(t - y) f_j''(y) dy exactly; biases follow |f_j''| and
     signs follow sign(f_j'').  Every direction with a nonzero p_j must have
-    a positive mass.
-
-    The masses come off the table of ``_mixture_basis``: z folds to Re z >= 0,
-    one ``searchsorted`` of arg z + 4j finds row j's k flipped nodes, and the
-    mass Re z S[0] + Im z S[1] there is the direct sum of |(Re z f2_re + Im z
-    f2_im) wts| within a few N u sum_k (|A_k| + |B_k|), u the unit roundoff.
+    a positive mass.  The masses are the direct sums of |Re z A + Im z B|
+    over the degree's grid (``_mixture_basis``).
     """
-    keys, shifts, S = _mixture_basis(dd.m, M)[1]
-    z = dd.z if dd.z.real >= 0.0 else -dd.z
-    at = np.searchsorted(keys, math.atan2(z.imag, z.real) + shifts)
-    masses = z.real * S[0, at] + z.imag * S[1, at]
-    if masses.min() <= 0.0:
-        for j in np.flatnonzero(dd.polys.any(axis=1) & (masses <= 0.0))[:1]:
-            raise QuadratureResolutionError(f"int |f_{j}''| vanished for a nonzero p_{j}")
-        if masses.sum() <= 0.0:
-            raise QuadratureResolutionError("all mixture components are zero")
+    AB = _mixture_basis(dd.m, M)[1]
+    masses = np.abs(dd.z.real * AB[:dd.m + 1] + dd.z.imag * AB[dd.m + 1:]).sum(axis=1)
+    for j in np.flatnonzero(dd.polys.any(axis=1) & (masses <= 0.0))[:1]:
+        raise QuadratureResolutionError(f"int |f_{j}''| vanished for a nonzero p_{j}")
     return masses
 
 
@@ -371,23 +350,19 @@ def single_neuron_step(ds: Dataset, residual: np.ndarray, seed: int, m: int,
     The complex neuron is the best of the sampler's pool.  The neuron
     sigma * psi((w~ + j w~') . x - b) is the breakpoint argmax of |r . f| over
     directions j, signs, and biases b in the mixture's bias support
-    [-2M, 2M]; every data projection lies in [-M, M].  The argmax dominates
-    the signed mixture mean by construction (else InvariantError).  Ties go
-    to the first direction, then the smallest bias.
+    [-2M, 2M]; every data projection lies in [-M, M].  The step computes no
+    mixture: that the argmax dominates the mixture mean is the paper's
+    lemma, checked by the tests.  Ties go to the first direction, then the
+    smallest bias.
     """
     r = np.asarray(residual, dtype=np.float64)
     try:
-        cn, corr_g = sample_complex_neuron(ds, r, m, seed, gamma)
+        cn, _ = sample_complex_neuron(ds, r, m, seed, gamma)
     except SamplerFailureError:
         return None
     M = 2.0 * m * projection_cutoff(ds.n, m)
-    dd = decompose_directions(cn.z, m)
-    mean_corr = corr_g / relu_mixture(dd, M).sum()
-
     directions = cn.w_re[:, None] + np.arange(m + 1) * cn.w_im[:, None]  # (d, m+1)
     j, bias, corr = _breakpoint_argmax(ds.points @ directions, r, M)
-    if abs(corr) < mean_corr * (1.0 - 1e-9):
-        raise InvariantError("breakpoint argmax fell below the mixture mean")
     neuron = Neuron(1.0 if corr >= 0.0 else -1.0, cn.w_re + j * cn.w_im, -bias)
     values = neuron.a * np.maximum(ds.points @ neuron.w + neuron.b, 0.0)
     return StepProposal(neurons=(neuron,), values=values)
@@ -423,9 +398,12 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     if gamma >= 1.0:
         raise DegenerateDataError("harmonic_fit requires coherence < 1")
     m = choose_degree(n, gamma)
-    try:  # the degree's mixture table, built before the first step
+    try:  # the degree's mixture before the first step, its float range before its basis
+        M = 2.0 * m * projection_cutoff(n, m)
+        if not _in_float_range(m, M):
+            raise QuadratureResolutionError
         with np.errstate(over="ignore", invalid="ignore"):
-            _mixture_basis(m, 2.0 * m * projection_cutoff(n, m))
+            relu_mixture(decompose_directions(1, m), M)
     except (OverflowError, QuadratureResolutionError):
         raise DegenerateDataError(
             f"coherence {gamma:.6g} needs degree m={m}, past float64 range") from None

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,22 @@ def test_exact_fit_near_duplicate_takes_float64_pass(monkeypatch):
     net = exact_fit_generic(ds)
     assert len(calls) == 2                       # workspace query, factorization
     assert net.to_json() == _exact_fit_scipy_qr(ds, seed=0).to_json()
+
+
+def test_exact_fit_past_single_precision_range_warns_nothing():
+    """Points of norm 1e40 give features past float32's range: they are
+    stored as inf without numpy's cast warning, fail the float32 rank test,
+    and the float64 pass builds the network a run with warnings off builds,
+    the float64 reference's."""
+    ds = _sphere(30, 5, 0)
+    ds = Dataset(ds.points * 1e40, ds.labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = exact_fit_generic(ds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        net = exact_fit_generic(ds)
+    assert net.to_json() == quiet.to_json() == _exact_fit_scipy_qr(ds, seed=0).to_json()
 
 
 def _traced_peak(ds):

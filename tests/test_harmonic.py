@@ -471,27 +471,25 @@ def test_mass_table_matches_direct_sum(m):
 
 
 def test_mass_table_degree_one_builds_without_warnings(monkeypatch):
-    """At m = 1, f'' vanishes on [-M, M], so A = B = 0 there: the breakpoint
-    angles must come out without a division by zero or a NaN."""
+    """At m = 1, f'' vanishes on [-M, M], so A = B = 0 there: the grid and
+    the masses must come out without a division by zero or a NaN."""
     monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        keys, shifts, S = _mixture_basis(1, 2.0)[1]
+        AB = _mixture_basis(1, 2.0)[1]
         masses = relu_mixture(decompose_directions(1j, 1), 2.0)
-    assert np.all(np.isfinite(keys)) and np.all(np.isfinite(S))
+    assert np.all(np.isfinite(AB))
     assert np.all(masses > 0.0)
 
 
 def test_mass_table_zero_row_raises(monkeypatch):
     m, M = 4, 3.0
-    panels, (keys, shifts, S) = _mixture_basis(m, M)
+    panels, AB = _mixture_basis(m, M)
     dd = decompose_directions(complex(math.cos(1.0), math.sin(1.0)), m)
     assert np.any(dd.polys[2] != 0.0)  # so direction 2 needs a positive mass
-    S = S.copy()
-    width = S.shape[1] // (m + 1)
-    S[:, 2 * width:3 * width] = 0.0
-    monkeypatch.setitem(harmonic._mixture_basis_cache, (m, round(M, 9)),
-                        (panels, (keys, shifts, S)))
+    AB = AB.copy()
+    AB[[2, m + 1 + 2]] = 0.0  # row 2 of A and of B
+    monkeypatch.setitem(harmonic._mixture_basis_cache, (m, round(M, 9)), (panels, AB))
     with pytest.raises(QuadratureResolutionError, match="f_2"):
         relu_mixture(dd, M)
 
@@ -657,31 +655,54 @@ def test_step_dominates_old_bias_grid():
 
 
 def test_step_calls_traced_names(monkeypatch):
-    """bench/tracing.py times the mixture and the Hermite recurrence through
-    the names ``harmonic.relu_mixture`` and ``harmonic.hermite_eval``: one
-    step calls the first exactly once, the second exactly once (H_{m-1} in
-    ``perturbation_vector``) and scores the pool with one ``he_eval``."""
+    """bench/tracing.py times layers through the ``harmonic`` module's
+    names.  One step calls ``hermite_eval`` once (H_{m-1} in
+    ``perturbation_vector``), scores the pool with one ``he_eval`` and calls
+    neither mixture name; one fit calls ``decompose_directions`` and
+    ``relu_mixture`` once each, before its first step."""
     ds, gamma = _fixture()
     m = choose_degree(ds.n, gamma)
-    calls = {"relu_mixture": 0, "hermite_eval": 0, "he_eval": 0}
+    calls = dict.fromkeys(("decompose_directions", "relu_mixture", "hermite_eval",
+                           "he_eval"), 0)
     for name in calls:
         def spy(*args, _name=name, _real=getattr(harmonic, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(harmonic, name, spy)
     single_neuron_step(ds, ds.labels, 0, m, gamma)
-    assert calls == {"relu_mixture": 1, "hermite_eval": 1, "he_eval": 1}
+    assert calls == {"decompose_directions": 0, "relu_mixture": 0, "hermite_eval": 1,
+                     "he_eval": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    res = harmonic_fit(rademacher_labels(sample_sphere(40, 80, 0), 1), epsilon=0.3, seed=0)
+    assert res.network.k > 1
+    assert calls["decompose_directions"] == calls["relu_mixture"] == 1
 
 
-def test_fit_identical_with_direct_sum_masses(monkeypatch):
-    """The masses feed only the mixture-mean check, so a fit whose masses
-    come from the direct sum builds the same network and trace."""
-    ds = rademacher_labels(sample_sphere(60, 80, 0), 1)
-    table = harmonic_fit(ds, epsilon=0.3, seed=0)
-    monkeypatch.setattr(harmonic, "relu_mixture", direct_masses)
-    direct = harmonic_fit(ds, epsilon=0.3, seed=0)
-    assert table.network.to_json() == direct.network.to_json()
-    assert table.trace.iterations == direct.trace.iterations
+def test_every_step_dominates_the_mixture_mean(monkeypatch):
+    """The paper's lemma, on every step of one acceptance fit (criterion 8,
+    seed 0): the breakpoint argmax |corr| is at least the mixture mean
+    corr_g / sum_j int |f_j''| of the sampler's complex neuron, to 1e-9
+    relative.  The fit itself builds the mixture once, before its first step."""
+    picks, argmaxes = [], []
+
+    def sampler(ds, residual, m, seed, gamma, _real=harmonic.sample_complex_neuron):
+        cn, corr_g = _real(ds, residual, m, seed, gamma)
+        picks.append((cn.z, corr_g, m))
+        return cn, corr_g
+
+    def argmax(P, r, M, _real=harmonic._breakpoint_argmax):
+        j, bias, corr = _real(P, r, M)
+        argmaxes.append((corr, M))
+        return j, bias, corr
+
+    monkeypatch.setattr(harmonic, "sample_complex_neuron", sampler)
+    monkeypatch.setattr(harmonic, "_breakpoint_argmax", argmax)
+    res = harmonic_fit(rademacher_labels(sample_sphere(200, 100, 0), 201), epsilon=0.25,
+                       seed=0)
+    assert len(picks) == len(argmaxes) >= res.network.k > 0
+    for (z, corr_g, m), (corr, M) in zip(picks, argmaxes):
+        mean_corr = corr_g / relu_mixture(decompose_directions(z, m), M).sum()
+        assert abs(corr) >= mean_corr * (1.0 - 1e-9)
 
 
 def _he_by_normalized_recurrence(m, z):
@@ -691,11 +712,10 @@ def _he_by_normalized_recurrence(m, z):
 @pytest.mark.parametrize("n, d", [(60, 80), (100, 20)])
 def test_fit_identical_with_normalized_recurrence(monkeypatch, n, d):
     """The sampler scores its pool through the unnormalized He_m and scales
-    the 64 scores; the fit reads the scores only through the argmax, the
-    floor test and the mixture-mean check, so scoring through the normalized
-    one-step recurrence builds the same network and trace (m = 8 and 20),
-    picks the same complex neuron bit for bit and a correlation within
-    1e-12."""
+    the 64 scores; the fit reads the scores only through the argmax and the
+    floor test, so scoring through the normalized one-step recurrence builds
+    the same network and trace (m = 8 and 20), picks the same complex neuron
+    bit for bit and a correlation within 1e-12."""
     ds = rademacher_labels(sample_sphere(n, d, 0), 1)
     gamma = genericity(ds).gamma_clamped(ds.n)
     m = choose_degree(ds.n, gamma)
@@ -739,18 +759,6 @@ def test_fit_stable_under_textbook_perturbation_recurrence(monkeypatch, n, d):
     assert outer <= 1e-12 * total_weight(reference.network)
     assert total_weight(fast.network) == pytest.approx(total_weight(reference.network),
                                                        rel=1e-12)
-
-
-def test_step_below_mixture_mean_raises_invariant_error(monkeypatch):
-    ds, gamma = _fixture()
-    m = choose_degree(ds.n, gamma)
-
-    def inflated(dd, M):  # masses summing to 1e-12, a mixture scale of 1e12
-        return np.full(dd.m + 1, 1e-12 / (dd.m + 1))
-
-    monkeypatch.setattr(harmonic, "relu_mixture", inflated)
-    with pytest.raises(InvariantError, match="mixture mean"):
-        single_neuron_step(ds, ds.labels, 0, m, gamma)
 
 
 def test_harmonic_fit_active_set_guarantee_raises_invariant_error(monkeypatch):

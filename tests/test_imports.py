@@ -2,7 +2,8 @@
 the tests too), every module-level ``_private`` function or class is
 referenced somewhere in the package, every public one is reached from
 outside the tests, so is every public method and field of a package class,
-and every name the benchmark tracer wraps exists.
+and every name the benchmark tracer wraps exists.  One check runs code: a
+tiny traced fit of each workload kind calls every layer the tracer requires.
 
 No linter is a dependency, so the checks parse each module with ``ast``.
 """
@@ -15,6 +16,9 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from memnet import constructive, harmonic, ntk
+from memnet.data import rademacher_labels, sample_sphere
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "memnet"
@@ -198,18 +202,48 @@ def test_missing_target_detector():
                                         "memnet.harmonic.CONSTANTS"]
 
 
-def test_traced_names_exist(monkeypatch):
-    """The benchmark's ``--trace 1`` wraps the names in bench/tracing.py's
-    TARGETS; a refactor that drops or renames one fails here, not only in a
-    benchmark run.  The module is loaded from its path without writing a
-    bytecode cache next to it."""
+def _load_tracing(monkeypatch):
+    """bench/tracing.py, loaded from its path without writing a bytecode
+    cache next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_tracing",
                                                   ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_exist(monkeypatch):
+    """The benchmark's ``--trace 1`` wraps the names in bench/tracing.py's
+    TARGETS; a refactor that drops or renames one fails here, not only in a
+    benchmark run."""
+    tracing = _load_tracing(monkeypatch)
     assert len(tracing.TARGETS) > 0
     assert missing_targets(tracing.TARGETS) == []
+
+
+def test_traced_layers_are_called(monkeypatch):
+    """Every layer bench/tracing.py requires records a span in a tiny traced
+    run of its workload kind, so a refactor that keeps a name but stops
+    calling it fails here.  The fits are called through their module
+    attributes, as the benchmark's worker calls them, and every wrapped name
+    is restored afterwards."""
+    tracing = _load_tracing(monkeypatch)
+    for module_name, name, _label in tracing.TARGETS:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, name, getattr(module, name))
+    tracer = tracing.Tracer()
+    tracer.install()
+    harmonic.harmonic_fit(rademacher_labels(sample_sphere(50, 100, 0), 1), 0.25)
+    harmonic_spans, tracer.spans = tracer.spans, []
+    for n in (10, 20):
+        ds = rademacher_labels(sample_sphere(n, 5, n), n + 1)
+        constructive.exact_fit_generic(ds)
+        constructive.baum_relu_fit(ds)
+        constructive.baum_threshold_fit(ds.with_labels((ds.labels + 1.0) / 2.0))
+        ntk.ntk_fit(ds, 0.25)
+    assert tracing.missing_layers("harmonic", [{"spans": harmonic_spans}]) == []
+    assert tracing.missing_layers("combinatorial", [{"spans": tracer.spans}]) == []
 
 
 def test_import_leaves_scipy_unloaded():
