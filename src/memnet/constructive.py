@@ -43,14 +43,14 @@ class DerivativeNeuronPair:
         return (hi - lo) / self.delta
 
 
-def safe_delta(points: np.ndarray, u: np.ndarray, v: np.ndarray, b: float) -> float:
-    """delta = (1/2) min_i |u.x_i - b| / |v.x_i|, skipping near-zero slopes."""
-    margins = np.abs(points @ u - b)
-    slopes = np.abs(points @ v)
+def safe_delta(margins: np.ndarray, slopes: np.ndarray) -> float:
+    """delta = (1/2) min_i |margins_i| / |slopes_i|, skipping near-zero slopes,
+    for the margins u.x_i - b and slopes v.x_i of a derivative neuron."""
+    slopes = np.abs(slopes)
     keep = slopes >= _SLOPE_EPS
-    if not np.any(keep):
+    if not keep.any():
         return 1.0
-    return float(0.5 * np.min(margins[keep] / slopes[keep]))
+    return float(0.5 * np.min(np.abs(margins[keep]) / slopes[keep]))
 
 
 def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray,
@@ -125,12 +125,13 @@ def _hyperplane_through(points_group: np.ndarray) -> tuple[np.ndarray, float]:
     return u / norm, float(b / norm)
 
 
-def _slab_half_width(ds: Dataset, group: np.ndarray, u: np.ndarray, b: float) -> float:
+def _slab_half_width(offsets: np.ndarray, group: np.ndarray) -> float:
     """tau: half the distance from the hyperplane u . x = b through the group
-    to the nearest other point (1 when there is none)."""
-    others = np.ones(ds.n, dtype=bool)
+    to the nearest other point (1 when there is none), from the offsets
+    u . x_i - b of all n points."""
+    others = np.ones(len(offsets), dtype=bool)
     others[group] = False
-    tau = 0.5 * float(np.min(np.abs(ds.points[others] @ u - b))) if others.any() else 1.0
+    tau = 0.5 * float(np.min(np.abs(offsets[others]))) if others.any() else 1.0
     if tau <= 1e-12:
         raise DegenerateDataError(
             f"another point lies on the group hyperplane (group {group.tolist()})")
@@ -187,7 +188,7 @@ def _indicator_slabs(ds: Dataset, groups: list[np.ndarray]) -> list[Neuron]:
     neurons: list[Neuron] = []
     for group in groups:
         u, b = _hyperplane_through(ds.points[group])
-        tau = _slab_half_width(ds, group, u, b)
+        tau = _slab_half_width(ds.points @ u - b, group)
         neurons += [Neuron(1.0, u, -(b - tau)), Neuron(-1.0, u, -(b + tau))]
     return neurons
 
@@ -211,6 +212,7 @@ def baum_relu_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
 
 
 def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
+    """The group's four neurons; u and v each project the n points once."""
     Xg, yg = ds.points[group], ds.labels[group]
     u, b = _hyperplane_through(Xg)
     if len(group) == ds.d:
@@ -222,9 +224,10 @@ def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
         v = np.linalg.lstsq(Xg, yg, rcond=None)[0]
     if np.max(np.abs(Xg @ v - yg), initial=0.0) > 1e-8 * max(1.0, np.max(np.abs(yg), initial=0.0)):
         raise DegenerateDataError(f"group labels not realizable (group {group.tolist()})")
-    tau = _slab_half_width(ds, group, u, b)
+    xu, xv = ds.points @ u, ds.points @ v
+    tau = _slab_half_width(xu - b, group)
     out: list[Neuron] = []
     for bias, sign in ((b - tau, 1.0), (b + tau, -1.0)):
-        pair = DerivativeNeuronPair(u, v, bias, safe_delta(ds.points, u, v, bias))
+        pair = DerivativeNeuronPair(u, v, bias, safe_delta(xu - bias, xv))
         out.extend(pair.neurons(sign))
     return out

@@ -4,13 +4,18 @@ A dataset is an immutable collection of ``n`` points in ``R^d`` with real
 labels.  The genericity report carries the coherence ``gamma`` (largest
 normalized inner product between distinct points), the spread parameter
 ``omega`` (``d`` times the top eigenvalue of the empirical second moment
-matrix) and the minimal row norm.  ``general_position`` is a separate,
-costlier probabilistic certificate that no fit needs.
+matrix) and the minimal row norm.  gamma comes from a scan of the n x n
+normalized Gram matrix in blocks of 128 rows, so no n x n temporary is
+built: each block is one product X[s:s+128] X^T, divided in place by the
+outer product of row norms, with its diagonal entries zeroed.
+``general_position`` is a separate, costlier probabilistic certificate
+that no fit needs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +23,8 @@ import numpy as np
 from .errors import DataError, ParameterError
 
 _MAGIC = b"MEMNETDS"
+_BLOCK = 128  # rows per block of the coherence scan: a 128 x n Gram block
+_MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))  # squared norm still normal
 
 
 def _frozen(values) -> np.ndarray:
@@ -108,18 +115,31 @@ def genericity(ds: Dataset) -> GenericityReport:
     """Measure (gamma, omega) and the minimal row norm.
 
     gamma is the exact max pairwise normalized coherence, omega is
-    ``d * lambda_max((1/n) sum x_i x_i^T)``.
+    ``d * lambda_max((1/n) sum x_i x_i^T)``.  DataError when the squared row
+    norms, a normalized Gram block or the second moment leave the float64
+    range (rows scaled by 1e160 or 1e-170).
     """
     X = ds.points
     n, d = X.shape
-    norms = np.linalg.norm(X, axis=1)
-    C = (X @ X.T) / np.outer(norms, norms)
-    np.fill_diagonal(C, 0.0)  # a single point has coherence 0
-    gamma = float(np.max(np.abs(C)))
-    second_moment = (X.T @ X) / n
-    lam_max = float(np.linalg.eigvalsh(second_moment)[-1])
-    omega = d * lam_max
-    return GenericityReport(gamma=gamma, omega=omega, min_norm=float(np.min(norms)))
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range rows raise below
+        norms = np.linalg.norm(X, axis=1)
+        if not (np.isfinite(norms).all() and norms.min() >= _MIN_NORM):
+            raise DataError("squared row norms leave the float64 range")
+        gamma = 0.0
+        for s in range(0, n, _BLOCK):
+            C = X[s:s + _BLOCK] @ X.T
+            C /= np.outer(norms[s:s + _BLOCK], norms)
+            rows = np.arange(len(C))
+            C[rows, s + rows] = 0.0  # a single point has coherence 0
+            gamma = np.max([gamma, C.max(), -C.min()])  # a NaN propagates
+        if not np.isfinite(gamma):
+            raise DataError("normalized Gram matrix of the rows leaves the float64 range")
+        second_moment = (X.T @ X) / n
+        omega = (d * float(np.linalg.eigvalsh(second_moment)[-1])
+                 if np.isfinite(second_moment).all() else math.inf)
+    if not math.isfinite(omega):
+        raise DataError("second moment of the rows leaves the float64 range")
+    return GenericityReport(gamma=float(gamma), omega=omega, min_norm=float(norms.min()))
 
 
 def general_position(ds: Dataset) -> bool:

@@ -4,10 +4,18 @@ the size bound at the measured coherence, and the boosted fit.
 One step draws u ~ N(0, I_d), sets v to the residual-weighted sum of points
 in the active halfspace {u . x >= 0}, and realizes psi'(u . x) (v . x) as
 two ReLU neurons via a small finite difference.  The step's correlation
-with the residual is exactly ||v||^2.  The lemmas behind the size bound (the
-arcsin Gram matrix and its eigenvalue floor, and the Hermite-tail bound for
-other activations) are checked by test code, in ``tests/probes.py`` and
-``tests/test_ntk.py``.
+with the residual is exactly ||v||^2.
+
+A step makes one product with the n x d points X per quantity: the margins
+X u, then v = (r on the halfspace, 0 off it) X, then the slopes X v, from
+which with the margins comes delta.  The proposal's values, its two neurons
+on the data, take two more, X (u + delta v) and X u, as matrix-vector
+products: one X [u + delta v, u] would round differently, and the 1/delta
+of a small delta carries that into the fit's weights (1e-8 relative).
+
+The lemmas behind the size bound (the arcsin Gram matrix and its eigenvalue
+floor, and the Hermite-tail bound for other activations) are checked by
+test code, in ``tests/probes.py`` and ``tests/test_ntk.py``.
 """
 
 from __future__ import annotations
@@ -39,13 +47,12 @@ def ntk_step(ds: Dataset, residual: np.ndarray, seed: int
     for _ in range(16):
         u = rng.standard_normal(ds.d)
         margins = ds.points @ u
-        if np.any(margins == 0.0):
+        if (margins == 0.0).any():
             continue
-        active = margins >= 0.0
-        v = (r[active, None] * ds.points[active]).sum(axis=0)
+        v = np.where(margins >= 0.0, r, 0.0) @ ds.points
         if float(v @ v) == 0.0:
             return None
-        return DerivativeNeuronPair(u, v, 0.0, safe_delta(ds.points, u, v, 0.0))
+        return DerivativeNeuronPair(u, v, 0.0, safe_delta(margins, ds.points @ v))
     raise DataError("could not draw u avoiding exact ties u . x_i = 0")
 
 

@@ -97,6 +97,18 @@ def hermite_coefficients(psi_prime, L):
                      for l in range(L + 1)])
 
 
+def dense_genericity(ds):
+    """(gamma, omega, min_norm) from the whole n x n normalized Gram matrix
+    at once, the formula that ``genericity`` scans in row blocks."""
+    X = ds.points
+    n, d = X.shape
+    norms = np.linalg.norm(X, axis=1)
+    C = (X @ X.T) / np.outer(norms, norms)
+    np.fill_diagonal(C, 0.0)
+    lam_max = float(np.linalg.eigvalsh((X.T @ X) / n)[-1])
+    return float(np.max(np.abs(C))), d * lam_max, float(np.min(norms))
+
+
 def arcsin_gram(ds):
     """H_ij = E_u[x_i . x_j 1{u.x_i >= 0} 1{u.x_j >= 0}] in closed form: the
     joint halfspace probability is 1/4 + arcsin(rho_ij) / (2 pi)."""

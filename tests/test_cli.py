@@ -167,6 +167,22 @@ def test_fit_harmonic_past_float64_degree_is_a_data_error(tmp_path, capsys):
         assert not (tmp_path / "ds.network.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+@pytest.mark.parametrize("method", ["ntk", "harmonic"])
+def test_fit_rows_outside_float_range_is_a_data_error(tmp_path, capsys, method, scale):
+    """Rows scaled by 1e160 (squared norms overflow: a LAPACK traceback
+    before) or by 1e-170 (they underflow: a NaN gamma, exit 2 or 4 before)
+    exit 3 with one error line and no warning."""
+    ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
+    path = str(tmp_path / "ds.bin")
+    save_dataset(Dataset(scale * ds.points, ds.labels), path)
+    assert main(["fit", "--method", method, "--epsilon", "0.3", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "float64 range" in err and err.count("\n") == 1
+    assert not (tmp_path / "ds.network.json").exists()
+
+
 def test_harmonic_on_one_point_is_a_data_error(tmp_path, capsys):
     """log n = 0 at n = 1 leaves the harmonic fit no projection cutoff."""
     path = _gen(tmp_path, n=1, d=5)

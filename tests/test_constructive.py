@@ -34,7 +34,7 @@ def test_derivative_pair_matches_linearization():
         u = rng.standard_normal(6)
         v = rng.standard_normal(6)
         b = rng.standard_normal() * 0.3
-        delta = safe_delta(pts, u, v, b)
+        delta = safe_delta(pts @ u - b, pts @ v)
         pair = DerivativeNeuronPair(u, v, b, delta)
         assert np.max(np.abs(pair.values(pts) - linearized_values(pair, pts))) < 1e-9
 
@@ -53,7 +53,7 @@ def test_derivative_pair_two_relu_neurons():
 def test_safe_delta_skips_flat_slopes():
     pts = np.array([[1.0, 0.0]])
     # v orthogonal to the only point: no constraint, fall back to 1
-    assert safe_delta(pts, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.3) == 1.0
+    assert safe_delta(pts @ np.array([1.0, 0.0]) - 0.3, pts @ np.array([0.0, 1.0])) == 1.0
 
 
 # -- generic exact fit --------------------------------------------------------

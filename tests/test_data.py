@@ -8,6 +8,7 @@ from memnet.data import (Dataset, gaussian_labels, general_position,
                          genericity, load_csv, load_dataset, rademacher_labels,
                          sample_sphere, save_dataset)
 from memnet.errors import DataError, ParameterError
+from probes import dense_genericity
 
 
 def test_sample_sphere_unit_rows():
@@ -96,6 +97,44 @@ def test_genericity_matches_bruteforce():
             c = abs(X[i] @ X[j]) / (np.linalg.norm(X[i]) * np.linalg.norm(X[j]))
             best = max(best, c)
     assert abs(rep.gamma - best) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 800])
+def test_blocked_genericity_equals_dense_formula(n):
+    """On sphere points and with the last row a copy of the one before it
+    (gamma 1 within rounding, from C.max()) or its negation (from -C.min()):
+    the pair straddles two blocks at n = 129 and 257 and shares the last
+    block at n = 800.  omega and min_norm are bit for bit the dense
+    formula's; so is gamma when the scan is one block (n <= 128: the same
+    product).  Past one block gamma is within 2 ulps: BLAS rounds an entry
+    of a 128-row block and of the whole X X^T differently at its edge tiles
+    (n = 129 moves gamma by 1 ulp on OpenBLAS)."""
+    pts = sample_sphere(n, 20, n).points
+    cases = [pts]
+    if n > 1:
+        cases += [np.vstack([pts[:-1], sign * pts[-2]]) for sign in (1.0, -1.0)]
+    for points in cases:
+        ds = Dataset(points, np.zeros(n))
+        rep = genericity(ds)
+        gamma, omega, min_norm = dense_genericity(ds)
+        assert (rep.omega, rep.min_norm) == (omega, min_norm)
+        assert abs(rep.gamma - gamma) <= (0.0 if n <= 128 else 2 * np.spacing(gamma))
+        if points is not pts:
+            assert abs(rep.gamma - 1.0) < 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, what", [(1e160, "squared row norms"),
+                                         (1e-170, "squared row norms"),
+                                         (1.3e154, "second moment")])
+def test_genericity_outside_float_range_is_a_data_error(scale, what):
+    """Squared norms past the float64 maximum or below its least normal
+    number, or a second moment that overflows in part while the squared
+    norms (1.69e308) do not, which LAPACK fails to diagonalize, raise
+    DataError, without a warning, instead of NaN or a LinAlgError."""
+    pts = sample_sphere(30, 10, 0).points
+    with pytest.raises(DataError, match=what):
+        genericity(Dataset(scale * pts, np.zeros(30)))
 
 
 def test_genericity_omega_consistency():

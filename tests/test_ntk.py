@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from memnet import ntk
 from memnet.data import Dataset, genericity, rademacher_labels, sample_sphere
 from memnet.errors import ConvergenceError, ParameterError
 from memnet.hermite import hermite_eval
-from memnet.network import FitTrace, evaluate, total_weight
+from memnet.network import FitTrace, TwoLayerNetwork, evaluate, total_weight
 from memnet.ntk import ntk_fit, ntk_kd_bound, ntk_step
 from probes import arcsin_gram, gram_lower_bound_check, hermite_coefficients, linearized_values
 
@@ -60,6 +61,43 @@ def test_step_single_point():
             assert np.allclose(step.v, 2.0 * ds.points[0])
             return
     pytest.fail("point never fell in the active halfspace across 20 seeds")
+
+
+def test_step_and_proposal_match_their_definition(monkeypatch):
+    """Row by row: v = sum of r_i x_i over u . x_i >= 0 (1e-12 relative),
+    delta = (1/2) min |u . x_i| / |v . x_i| over slopes |v . x_i| >= 1e-14,
+    and every proposal ntk_fit hands the driver holds the values of its two
+    neurons, ``evaluate`` within 1e-12 of their outputs' scale |a| max|u . x|
+    (evaluate sums the two outputs, which cancel to the difference)."""
+    ds = _labeled(200, 20, 1)
+    X, r = ds.points, ds.labels
+    for seed in range(10):
+        step = ntk_step(ds, r, seed)
+        rows = [(X[i] @ step.u, X[i] @ step.v) for i in range(ds.n)]
+        v_ref = sum(r[i] * X[i] for i, (m, _) in enumerate(rows) if m >= 0.0)
+        assert np.linalg.norm(step.v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
+        delta_ref = 0.5 * min(abs(m) / abs(s) for m, s in rows if abs(s) >= 1e-14)
+        assert step.delta == pytest.approx(delta_ref, rel=1e-12)
+
+    proposals = []
+    real_boost_fit = ntk.boost_fit
+
+    def recording_boost_fit(builder, *args, **kwargs):
+        def record(residual, attempt_seed):
+            proposal = builder(residual, attempt_seed)
+            if proposal is not None:
+                proposals.append(proposal)
+            return proposal
+        return real_boost_fit(record, *args, **kwargs)
+
+    monkeypatch.setattr(ntk, "boost_fit", recording_boost_fit)
+    ntk_fit(ds, 0.25, seed=0)
+    assert len(proposals) > 20
+    for proposal in proposals:
+        upper, lower = proposal.neurons
+        scale = abs(upper.a) * np.max(np.abs(X @ lower.w))
+        diff = evaluate(TwoLayerNetwork(tuple(proposal.neurons)), ds) - proposal.values
+        assert np.max(np.abs(diff)) <= 1e-12 * scale
 
 
 # -- arcsin Gram --------------------------------------------------------------
