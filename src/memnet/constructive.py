@@ -1,6 +1,10 @@
 """Exact memorization constructions: generic n-neuron fit, Baum threshold
 networks, and the four-ReLU-per-group derivative-neuron network.
 
+Both Baum fits run on one partition-and-certify loop over slabs whose width
+is measured in a power of two near each group's scale, so scaling the points
+by 2^k rescales a Baum network exactly.
+
 The derivative neuron of psi is the finite difference
 
     f_{delta,u,v,b}(x) = [psi((u + delta v) . x - b) - psi(u . x - b)] / delta
@@ -11,6 +15,7 @@ coincides on every data point with psi'(u . x - b) * (v . x).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,45 +114,42 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     return net
 
 
-def _hyperplane_through(points_group: np.ndarray) -> tuple[np.ndarray, float]:
-    """(u, b) with ||u|| = 1 and u . x = b for each group row.
-
-    Solves the homogeneous system [X, -1] (u, b) = 0 by SVD null space.
-    """
-    g, d = points_group.shape
-    M = np.hstack([points_group, -np.ones((g, 1))])
-    _, _, Vt = np.linalg.svd(M, full_matrices=True)
-    null = Vt[-1]
-    u, b = null[:d], null[d]
-    norm = np.linalg.norm(u)
+def _slab(ds: Dataset, group: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray, float]:
+    """(u, b, tau, X u, s): the hyperplane u . x = b, ||u|| = 1, through the group
+    from the null vector of [X_group, -s], s the power of two nearest the
+    group's largest row norm; tau half the distance to the nearest other point
+    (s when there is none); and the projections X u of all n points."""
+    Xg = ds.points[group]
+    s = 2.0 ** min(round(math.log2(np.hypot.reduce(Xg, axis=1).max())), 1023)
+    null = np.linalg.svd(np.hstack([Xg, np.full((len(group), 1), -s)]))[2][-1]
+    norm = float(np.linalg.norm(null[:-1]))
     if norm < 1e-12:
         raise DegenerateDataError("degenerate hyperplane (zero normal)")
-    return u / norm, float(b / norm)
-
-
-def _slab_half_width(offsets: np.ndarray, group: np.ndarray) -> float:
-    """tau: half the distance from the hyperplane u . x = b through the group
-    to the nearest other point (1 when there is none), from the offsets
-    u . x_i - b of all n points."""
-    others = np.ones(len(offsets), dtype=bool)
-    others[group] = False
-    tau = 0.5 * float(np.min(np.abs(offsets[others]))) if others.any() else 1.0
-    if tau <= 1e-12:
+    u, b = null[:-1] / norm, s * float(null[-1]) / norm
+    xu = ds.points @ u
+    rest = np.delete(xu, group) - b
+    tau = 0.5 * float(np.min(np.abs(rest))) if len(rest) else s
+    if tau <= 1e-12 * s:
         raise DegenerateDataError(
             f"another point lies on the group hyperplane (group {group.tolist()})")
-    return tau
+    return u, b, tau, xu, s
 
 
-def _retry_partitions(ds: Dataset, indices: np.ndarray, build, seed: int, what: str):
-    """``build(groups)`` over random partitions of ``indices`` into groups of
-    at most d points, drawing a fresh partition while it raises
-    DegenerateDataError, at most 20 times."""
+def _partition_fit(ds: Dataset, indices: np.ndarray, group_neurons, activation: str,
+                   labels: np.ndarray, tol: float, seed: int, what: str) -> TwoLayerNetwork:
+    """``group_neurons`` over a random partition of ``indices`` into groups of
+    at most d, certified to fit ``labels`` within ``tol``; a new partition is
+    drawn on DegenerateDataError from a group or the certificate, 20 at most."""
     last_err: Exception | None = None
     for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         idx = indices[rng.permutation(len(indices))]
         try:
-            return build([idx[i:i + ds.d] for i in range(0, len(idx), ds.d)])
+            net = TwoLayerNetwork(tuple(nr for i in range(0, len(idx), ds.d)
+                                        for nr in group_neurons(ds, idx[i:i + ds.d])), activation)
+            if np.max(np.abs(evaluate(net, ds) - labels)) > tol:
+                raise DegenerateDataError(f"{what} failed to certify the fit")
+            return net
         except DegenerateDataError as err:
             last_err = err
     raise DegenerateDataError(f"{what} failed after 20 partitions: {last_err}")
@@ -158,39 +160,27 @@ def baum_threshold_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
 
     Groups of at most d minority points are each captured by the indicator
     of a thin slab around a hyperplane through the group (two threshold
-    neurons); one extra constant neuron flips the picture when label 1 is
-    the majority.  Exact fit with at most 2*ceil(n_minority/d) + 1 neurons.
+    neurons).  When label 1 is the majority, negating them and adding one
+    constant neuron gives f = 1 - g exactly (sums of +-1), so certifying g
+    certifies f.  Exact fit with at most 2*ceil(n_minority/d) + 1 neurons.
     """
     y = ds.labels
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("baum_threshold_fit needs labels in {0, 1}")
-    ones = int(np.sum(y == 1.0))
-    minority_label = 1.0 if ones <= ds.n - ones else 0.0
-    minority_idx = np.flatnonzero(y == minority_label)
-
-    neurons: list[Neuron] = []
-    if len(minority_idx) > 0:
-        neurons = _retry_partitions(ds, minority_idx,
-                                    lambda groups: _indicator_slabs(ds, groups),
-                                    seed, "indicator construction")
-    if minority_label == 0.0:
-        # f = 1 - (indicator of 0-points): negate and add the constant neuron.
-        neurons = [Neuron(-nr.a, nr.w, nr.b) for nr in neurons]
-        neurons.append(Neuron(1.0, np.zeros(ds.d), 1.0))
-    net = TwoLayerNetwork(tuple(neurons), "threshold")
-    if np.max(np.abs(evaluate(net, ds) - y), initial=0.0) > 1e-9:
-        raise DegenerateDataError("threshold construction failed to certify the fit")
+    flip = float(2 * np.sum(y) > ds.n)
+    g = np.abs(y - flip)                              # indicator of the minority points
+    net = _partition_fit(ds, np.flatnonzero(g), _slab_neurons, "threshold", g, 1e-9,
+                         seed, "indicator construction")
+    if flip:
+        net = TwoLayerNetwork(tuple(nr.scaled(-1.0) for nr in net.neurons)
+                              + (Neuron(1.0, np.zeros(ds.d), 1.0),), "threshold")
     return net
 
 
-def _indicator_slabs(ds: Dataset, groups: list[np.ndarray]) -> list[Neuron]:
-    """Two threshold neurons per group realizing the indicator of its points."""
-    neurons: list[Neuron] = []
-    for group in groups:
-        u, b = _hyperplane_through(ds.points[group])
-        tau = _slab_half_width(ds.points @ u - b, group)
-        neurons += [Neuron(1.0, u, -(b - tau)), Neuron(-1.0, u, -(b + tau))]
-    return neurons
+def _slab_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
+    """Two threshold neurons realizing the indicator of the group's points."""
+    u, b, tau, _, _ = _slab(ds, group)
+    return [Neuron(1.0, u, -(b - tau)), Neuron(-1.0, u, -(b + tau))]
 
 
 def baum_relu_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
@@ -201,20 +191,14 @@ def baum_relu_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     neurons at biases b -+ tau, which is supported on a thin slab around the
     hyperplane and linear (equal to v . x) on it.
     """
-    def build(groups):
-        net = TwoLayerNetwork(tuple(nr for group in groups
-                                    for nr in _group_neurons(ds, group)), "relu")
-        if np.max(np.abs(evaluate(net, ds) - ds.labels)) > 1e-6:
-            raise DegenerateDataError("construction failed to certify the fit")
-        return net
-
-    return _retry_partitions(ds, np.arange(ds.n), build, seed, "baum_relu_fit")
+    return _partition_fit(ds, np.arange(ds.n), _group_neurons, "relu", ds.labels, 1e-6,
+                          seed, "baum_relu_fit")
 
 
 def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
-    """The group's four neurons; u and v each project the n points once."""
-    Xg, yg = ds.points[group], ds.labels[group]
-    u, b = _hyperplane_through(Xg)
+    """The group's four neurons, v solved on the rows over s; u and v project once."""
+    u, b, tau, xu, s = _slab(ds, group)
+    Xg, yg = ds.points[group] / s, ds.labels[group]
     if len(group) == ds.d:
         try:
             v = np.linalg.solve(Xg, yg)
@@ -224,8 +208,8 @@ def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
         v = np.linalg.lstsq(Xg, yg, rcond=None)[0]
     if np.max(np.abs(Xg @ v - yg), initial=0.0) > 1e-8 * max(1.0, np.max(np.abs(yg), initial=0.0)):
         raise DegenerateDataError(f"group labels not realizable (group {group.tolist()})")
-    xu, xv = ds.points @ u, ds.points @ v
-    tau = _slab_half_width(xu - b, group)
+    v = v / s
+    xv = ds.points @ v
     out: list[Neuron] = []
     for bias, sign in ((b - tau, 1.0), (b + tau, -1.0)):
         pair = DerivativeNeuronPair(u, v, bias, safe_delta(xu - bias, xv))

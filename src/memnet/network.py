@@ -59,7 +59,10 @@ class Neuron:
 
     @property
     def weight(self) -> float:
-        return abs(self.a) * math.sqrt(float(self.w @ self.w) + self.b ** 2)
+        try:
+            return abs(self.a) * math.sqrt(float(self.w @ self.w) + self.b ** 2)
+        except OverflowError:  # b ** 2 past the float range
+            return abs(self.a) * math.hypot(math.sqrt(float(self.w @ self.w)), self.b)
 
     def scaled(self, c: float) -> "Neuron":
         """a * c, sharing this neuron's checked read-only w: only a * c is checked."""

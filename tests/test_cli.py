@@ -1,11 +1,13 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from memnet.cli import main
@@ -181,6 +183,35 @@ def test_fit_rows_outside_float_range_is_a_data_error(tmp_path, capsys, method, 
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "float64 range" in err and err.count("\n") == 1
     assert not (tmp_path / "ds.network.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+@pytest.mark.parametrize("method", ["baum-relu", "baum-threshold"])
+def test_baum_fits_rows_outside_float_range(tmp_path, capsys, method, scale):
+    """The rows ntk and harmonic reject above fit exactly with both Baum
+    constructions, which measure each slab in a power of two near its group's
+    row norms (exit 3 before: no slab cleared the absolute 1e-12 floors)."""
+    ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
+    if method == "baum-threshold":
+        ds = ds.with_labels((ds.labels > 0).astype(float))
+    path = str(tmp_path / "ds.bin")
+    save_dataset(Dataset(scale * ds.points, ds.labels), path)
+    assert main(["fit", "--method", method, path]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["error_ratio"] < 1e-12 and math.isfinite(summary["total_weight"])
+
+
+def test_baum_fits_on_conflicting_duplicates_are_a_data_error(tmp_path, capsys):
+    """Two copies of one point with different labels: no partition certifies."""
+    pts = sample_sphere(12, 4, 0).points
+    path = str(tmp_path / "dup.bin")
+    save_dataset(Dataset(np.vstack([pts, pts[:1]]), np.r_[np.zeros(12), 1.0]), path)
+    for method in ("baum-relu", "baum-threshold"):
+        assert main(["fit", "--method", method, path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "after 20 partitions" in err
+    assert not (tmp_path / "dup.network.json").exists()
 
 
 def test_harmonic_on_one_point_is_a_data_error(tmp_path, capsys):

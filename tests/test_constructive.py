@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memnet.cli import sweep_cell
-from memnet.constructive import (DerivativeNeuronPair, _hyperplane_through,
-                                 baum_relu_fit, baum_threshold_fit,
-                                 exact_fit_generic, safe_delta)
+from memnet import constructive
+from memnet.constructive import (DerivativeNeuronPair, _slab, baum_relu_fit,
+                                 baum_threshold_fit, exact_fit_generic, safe_delta)
 from memnet.data import Dataset, gaussian_labels, rademacher_labels, sample_sphere
-from memnet.errors import DataError, RankDeficiencyError
+from memnet.errors import DataError, DegenerateDataError, RankDeficiencyError
 from memnet.network import Neuron, TwoLayerNetwork, evaluate, relu
 from probes import linearized_values
 
@@ -242,6 +242,54 @@ def test_baum_threshold_majority_ones():
     assert np.array_equal(evaluate(net, ds), y)
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 120), d=st.integers(2, 20), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 2))
+def test_baum_threshold_exact_property(n, d, share, seed):
+    """On sphere points with any share of ones, all-zero and all-one labels
+    included, baum_threshold_fit is exact with at most 2 ceil(minority/d)
+    neurons, plus the constant one when label 1 is the majority."""
+    ds = sample_sphere(n, d, seed)
+    y = np.zeros(n)
+    y[:round(share * n)] = 1.0
+    net = baum_threshold_fit(ds.with_labels(y), seed=seed)
+    ones = int(y.sum())
+    assert net.k <= 2 * math.ceil(min(ones, n - ones) / d) + (2 * ones > n)
+    assert np.array_equal(evaluate(net, ds), y)
+
+
+def test_baum_threshold_redraws_a_partition_that_fails_to_certify(monkeypatch):
+    """A slab pair that does not realize its group's indicator fails the
+    certificate inside the retry loop, and the next partition fits."""
+    ds = sample_sphere(40, 5, 3)
+    y = np.zeros(40)
+    y[:12] = 1.0
+    calls = []
+    slab_neurons = constructive._slab_neurons
+
+    def corrupt_first(ds, group):
+        calls.append(group)
+        neurons = slab_neurons(ds, group)
+        return [nr.scaled(2.0) for nr in neurons] if len(calls) == 1 else neurons
+
+    monkeypatch.setattr(constructive, "_slab_neurons", corrupt_first)
+    net = baum_threshold_fit(ds.with_labels(y))
+    assert len(calls) == 2 * math.ceil(12 / 5)  # two partitions of three groups
+    assert net.k == 2 * math.ceil(12 / 5)
+    assert np.array_equal(evaluate(net, ds), y)
+
+
+def test_baum_fits_give_up_on_conflicting_duplicates():
+    """Two copies of one point with different labels: a group holding both
+    cannot realize its labels, and a group holding one has the other on its
+    hyperplane, so every partition fails."""
+    pts = sample_sphere(12, 4, 0).points
+    ds = Dataset(np.vstack([pts, pts[:1]]), np.r_[np.zeros(12), 1.0])
+    for fit in (baum_relu_fit, baum_threshold_fit):
+        with pytest.raises(DegenerateDataError, match="after 20 partitions"):
+            fit(ds)
+
+
 def test_baum_threshold_rejects_nonbinary():
     ds = _sphere(10, 4, 0)
     with pytest.raises(DataError):
@@ -292,9 +340,41 @@ def test_baum_relu_exact_property(n, d, seed):
 def test_hyperplane_through_points():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((5, 5))
-    u, b = _hyperplane_through(X)
+    u, b = _slab(Dataset(X, np.zeros(5)), np.arange(5))[:2]
     assert abs(np.linalg.norm(u) - 1.0) < 1e-12
     assert np.max(np.abs(X @ u - b)) < 1e-9
+
+
+def _params(net):
+    return [(nr.a, nr.w.tolist(), nr.b) for nr in net.neurons]
+
+
+@pytest.mark.parametrize("k", [-600, -450, -400, -100, 100, 400, 450, 500])
+def test_baum_fits_scale_exactly(k):
+    """Points scaled by c = 2^k give the unit fit rescaled bit for bit: ReLU
+    neurons (a / c, w, c b) and threshold neurons (a, w, c b), the constant
+    neuron of a majority-ones fit aside."""
+    c = 2.0 ** k
+    for i, (n, d) in enumerate([(30, 10), (61, 7), (5, 5), (100, 20)]):
+        ds = gaussian_labels(sample_sphere(n, d, i), i + 1)
+        scaled = Dataset(c * ds.points, ds.labels)
+        assert _params(baum_relu_fit(scaled, seed=i)) == [
+            (a / c, w, c * b) for a, w, b in _params(baum_relu_fit(ds, seed=i))]
+        for cut in (0.3, -0.3):  # minority and majority ones
+            y = (ds.labels > cut).astype(float)
+            unit = _params(baum_threshold_fit(ds.with_labels(y), seed=i))
+            flip = int(2 * y.sum() > n)
+            want = [(a, w, c * b) for a, w, b in unit[:len(unit) - flip]] + unit[len(unit) - flip:]
+            assert _params(baum_threshold_fit(scaled.with_labels(y), seed=i)) == want
+
+
+def test_baum_threshold_at_the_top_of_the_float_range():
+    """Rows of norm 1.5e308 round to 2^1024, past float64; the slab's power
+    of two stops at 2^1023."""
+    big = Dataset(1.5e308 * sample_sphere(30, 10, 0).points, np.arange(30) % 3 == 0)
+    net = baum_threshold_fit(big)
+    assert net.k <= 2 * math.ceil(10 / 10)
+    assert np.array_equal(evaluate(net, big), big.labels)
 
 
 def test_weight_scaling_table():

@@ -1,5 +1,6 @@
 """Golden networks: one fit per construction on a fixed sphere dataset, with
-k, total weight and stop reason pinned.
+k, total weight and stop reason pinned, and both Baum fits on a multi-group
+dataset where label 1 is the majority.
 
 A change that alters the networks a method builds fails here.  Such a change
 updates these values in the same commit and records the drift in CHANGES.md.
@@ -8,7 +9,7 @@ The values hold with one BLAS thread and with two.
 
 import pytest
 
-from memnet.constructive import baum_relu_fit
+from memnet.constructive import baum_relu_fit, baum_threshold_fit
 from memnet.data import rademacher_labels, sample_sphere
 from memnet.harmonic import harmonic_fit
 from memnet.network import total_weight
@@ -32,4 +33,19 @@ def _fit(method):
 def test_golden_network(method, k, weight, stop_reason):
     net, stop = _fit(method)
     assert (net.k, stop) == (k, stop_reason)
+    assert total_weight(net) == pytest.approx(weight, rel=1e-12)
+
+
+@pytest.mark.parametrize("fit, k, weight", [
+    (baum_relu_fit, 40, 1691336.0297384853),
+    (baum_threshold_fit, 11, 11.010703939646286),
+])
+def test_golden_baum_majority_ones(fit, k, weight):
+    """Ten groups of 20 points for the ReLU fit; the threshold fit slabs the
+    96 zeros and adds the constant neuron."""
+    ds = rademacher_labels(sample_sphere(200, 20, 0), 1)
+    ds = ds.with_labels((ds.labels + 1.0) / 2.0)
+    assert ds.labels.sum() == 104
+    net = fit(ds, seed=0)
+    assert net.k == k
     assert total_weight(net) == pytest.approx(weight, rel=1e-12)

@@ -137,6 +137,12 @@ def test_neuron_weight_read_only_and_shared_by_scaled():
         nr.scaled(np.inf)
 
 
+def test_neuron_weight_when_the_bias_square_overflows():
+    """b ** 2 is past the float range at |b| = 1e160 (a Baum network of rows
+    of that scale); the weight is then taken with hypot."""
+    assert Neuron(1e-160, [1, 0, 0], 1e160).weight == pytest.approx(1.0, rel=1e-15)
+
+
 def test_neuron_leaves_callers_array_writable():
     for w in (np.zeros(3), np.zeros(3, dtype=np.float32), np.zeros((2, 3))[1]):
         nr = Neuron(1.0, w, 0.0)
