@@ -1,9 +1,9 @@
 """Exact memorization constructions: generic n-neuron fit, Baum threshold
 networks, and the four-ReLU-per-group derivative-neuron network.
 
-Both Baum fits run on one partition-and-certify loop over slabs whose width
-is measured in a power of two near each group's scale, so scaling the points
-by 2^k rescales a Baum network exactly.
+All three fits measure the points in a power of two near their scale (the
+exact fit globally, both Baum fits, which share one partition-and-certify
+loop, per group), so scaling the points by 2^k rescales a network exactly.
 
 The derivative neuron of psi is the finite difference
 
@@ -16,7 +16,6 @@ coincides on every data point with psi'(u . x - b) * (v . x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,25 +26,11 @@ from .network import Neuron, TwoLayerNetwork, evaluate, relu
 _SLOPE_EPS = 1e-14
 
 
-@dataclass(frozen=True)
-class DerivativeNeuronPair:
-    """Two ReLU neurons realizing the derivative neuron f_{delta,u,v,b}."""
-
-    u: np.ndarray
-    v: np.ndarray
-    b: float
-    delta: float
-
-    def neurons(self, sign: float = 1.0) -> tuple[Neuron, Neuron]:
-        s = sign / self.delta
-        return (Neuron(s, self.u + self.delta * self.v, -self.b),
-                Neuron(-s, self.u, -self.b))
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """Exact finite-difference evaluation (the two-ReLU realization)."""
-        hi = np.maximum(points @ (self.u + self.delta * self.v) - self.b, 0.0)
-        lo = np.maximum(points @ self.u - self.b, 0.0)
-        return (hi - lo) / self.delta
+def derivative_neurons(u: np.ndarray, v: np.ndarray, b: float, delta: float,
+                       sign: float = 1.0) -> tuple[Neuron, Neuron]:
+    """Two ReLU neurons realizing sign * f_{delta,u,v,b}."""
+    s = sign / delta
+    return Neuron(s, u + delta * v, -b), Neuron(-s, u, -b)
 
 
 def safe_delta(margins: np.ndarray, slopes: np.ndarray) -> float:
@@ -64,10 +49,14 @@ def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray,
     computed in float64 for n rows of W at a time."""
     n = len(points)
     A = np.empty((len(W), n), dtype)
-    with np.errstate(over="ignore"):  # past float32's range: inf, which fails its rank test
-        for s in range(0, len(W), n):
-            A[s:s + n] = relu(W[s:s + n] @ points.T + b[s:s + n, None])
+    for s in range(0, len(W), n):
+        A[s:s + n] = relu(W[s:s + n] @ points.T + b[s:s + n, None])
     return A.T
+
+
+def _pow2_scale(rows: np.ndarray) -> float:
+    """The power of two nearest the largest row norm (by hypot: no overflow), at most 2^1023."""
+    return 2.0 ** min(round(math.log2(np.hypot.reduce(rows, axis=1).max())), 1023)
 
 
 def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
@@ -75,6 +64,8 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
 
     Samples 10 n random (w, b) pairs, selects n independent columns of the
     evaluation matrix by pivoted QR, and solves for the outer coefficients.
+    It fits the points over s = ``_pow2_scale`` and emits (a, w / s, b), so the
+    N(0, 1) biases meet features of their own scale, far inside float32's range.
 
     The pivots come from LAPACK sgeqp3 on a float32 n x 10n matrix (160 MB
     at n=2000), factored in place: a pivot order is only a heuristic, which
@@ -87,6 +78,8 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     selects the blocked algorithm.
     """
     n, d = ds.n, ds.d
+    s = _pow2_scale(ds.points)
+    X = ds.points / s
     rng = np.random.default_rng(seed)
     K = 10 * n
     W = rng.standard_normal((K, d))
@@ -94,7 +87,7 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     from scipy.linalg import lapack
     for geqp3, dtype, tol in ((lapack.sgeqp3, np.float32, 100 * np.finfo(np.float32).eps),
                               (lapack.dgeqp3, np.float64, 1e-10)):
-        A = _features(ds.points, W, b, dtype)
+        A = _features(X, W, b, dtype)
         lwork = int(geqp3(A, lwork=-1, overwrite_a=1)[3][0])
         A, piv = geqp3(A, lwork=lwork, overwrite_a=1)[:2]
         diag = np.abs(np.diagonal(A))
@@ -106,8 +99,8 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
             f"rank {int(np.sum(diag > tol * max(diag[0], 1.0)))} < n={n} "
             f"within {K} candidates")
     cols = piv[:n] - 1                                # geqp3 pivots are 1-based
-    a = np.linalg.solve(_features(ds.points, W[cols], b[cols]), ds.labels)
-    net = TwoLayerNetwork(tuple(Neuron(a[j], W[cols[j]], b[cols[j]]) for j in range(n)))
+    a = np.linalg.solve(_features(X, W[cols], b[cols]), ds.labels)
+    net = TwoLayerNetwork(tuple(Neuron(a[j], W[cols[j]] / s, b[cols[j]]) for j in range(n)))
     resid = np.linalg.norm(evaluate(net, ds) - ds.labels)
     if resid > 1e-6 * max(1.0, np.linalg.norm(ds.labels)):
         raise RankDeficiencyError(f"selected columns too ill-conditioned (residual {resid:.3e})")
@@ -120,7 +113,7 @@ def _slab(ds: Dataset, group: np.ndarray) -> tuple[np.ndarray, float, float, np.
     group's largest row norm; tau half the distance to the nearest other point
     (s when there is none); and the projections X u of all n points."""
     Xg = ds.points[group]
-    s = 2.0 ** min(round(math.log2(np.hypot.reduce(Xg, axis=1).max())), 1023)
+    s = _pow2_scale(Xg)
     null = np.linalg.svd(np.hstack([Xg, np.full((len(group), 1), -s)]))[2][-1]
     norm = float(np.linalg.norm(null[:-1]))
     if norm < 1e-12:
@@ -212,6 +205,6 @@ def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
     xv = ds.points @ v
     out: list[Neuron] = []
     for bias, sign in ((b - tau, 1.0), (b + tau, -1.0)):
-        pair = DerivativeNeuronPair(u, v, bias, safe_delta(xu - bias, xv))
-        out.extend(pair.neurons(sign))
+        delta = s * safe_delta((xu - bias) / s, xv)  # margins over s: their quotients stay finite
+        out.extend(derivative_neurons(u, v, bias, delta, sign))
     return out

@@ -60,9 +60,12 @@ class Neuron:
     @property
     def weight(self) -> float:
         try:
-            return abs(self.a) * math.sqrt(float(self.w @ self.w) + self.b ** 2)
+            with np.errstate(over="ignore"):
+                out = abs(self.a) * math.sqrt(float(self.w @ self.w) + self.b ** 2)
         except OverflowError:  # b ** 2 past the float range
-            return abs(self.a) * math.hypot(math.sqrt(float(self.w @ self.w)), self.b)
+            out = math.inf
+        # w . w or b ** 2 past the float range (inf, or nan when a = 0)
+        return out if math.isfinite(out) else abs(self.a) * math.hypot(*self.w, self.b)
 
     def scaled(self, c: float) -> "Neuron":
         """a * c, sharing this neuron's checked read-only w: only a * c is checked."""

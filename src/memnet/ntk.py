@@ -6,12 +6,12 @@ in the active halfspace {u . x >= 0}, and realizes psi'(u . x) (v . x) as
 two ReLU neurons via a small finite difference.  The step's correlation
 with the residual is exactly ||v||^2.
 
-A step makes one product with the n x d points X per quantity: the margins
-X u, then v = (r on the halfspace, 0 off it) X, then the slopes X v, from
-which with the margins comes delta.  The proposal's values, its two neurons
-on the data, take two more, X (u + delta v) and X u, as matrix-vector
-products: one X [u + delta v, u] would round differently, and the 1/delta
-of a small delta carries that into the fit's weights (1e-8 relative).
+A step makes four matrix-vector products with the n x d points X: the
+margins X u, v = (r on the halfspace, 0 off it) X, the slopes X v (with the
+margins, delta), and X (u + delta v) for the upper ReLU.  The lower ReLU has
+bias 0, so its pre-activations are the margins, bit for bit.  One product
+X [u + delta v, u] would round differently, and the 1/delta of a small delta
+carries that into the fit's weights (1e-8 relative).
 
 The lemmas behind the size bound (the arcsin Gram matrix and its eigenvalue
 floor, and the Hermite-tail bound for other activations) are checked by
@@ -22,19 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .constructive import DerivativeNeuronPair, safe_delta
+from .constructive import derivative_neurons, safe_delta
 from .data import Dataset, GenericityReport, genericity
 from .errors import DataError, ParameterError
 from .network import FitTrace, StepProposal, TwoLayerNetwork, boost_fit
 
 
-def ntk_step(ds: Dataset, residual: np.ndarray, seed: int
-             ) -> DerivativeNeuronPair | None:
-    """One NTK step for the given residual, the pair (u, v, b = 0, delta);
-    None signals v = 0 (resample).
+def ntk_step(ds: Dataset, residual: np.ndarray, seed: int) -> StepProposal | None:
+    """One NTK step for the given residual: the two neurons of the derivative
+    neuron (u, v, b = 0, delta) and their values; None signals v = 0 (resample).
 
     u is resampled, at most 16 times, on the (measure-zero) event that some
     u . x_i is exactly zero, so the two-ReLU realization is exact on every
@@ -52,7 +52,10 @@ def ntk_step(ds: Dataset, residual: np.ndarray, seed: int
         v = np.where(margins >= 0.0, r, 0.0) @ ds.points
         if float(v @ v) == 0.0:
             return None
-        return DerivativeNeuronPair(u, v, 0.0, safe_delta(margins, ds.points @ v))
+        delta = safe_delta(margins, ds.points @ v)
+        upper, lower = derivative_neurons(u, v, 0.0, delta)
+        values = (np.maximum(ds.points @ upper.w, 0.0) - np.maximum(margins, 0.0)) / delta
+        return StepProposal(neurons=(upper, lower), values=values)
     raise DataError("could not draw u avoiding exact ties u . x_i = 0")
 
 
@@ -84,13 +87,6 @@ def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
     the fit itself stands.
     """
     report = genericity(ds)
-
-    def builder(r: np.ndarray, attempt_seed: int) -> StepProposal | None:
-        pair = ntk_step(ds, r, attempt_seed)
-        if pair is None:
-            return None
-        return StepProposal(neurons=pair.neurons(), values=pair.values(ds.points))
-
-    net, trace, _ = boost_fit(builder, ds, epsilon, max_iters=max_iters, seed=seed)
+    net, trace, _ = boost_fit(partial(ntk_step, ds), ds, epsilon, max_iters=max_iters, seed=seed)
     return NtkFitResult(network=net, trace=trace,
                         kd_bound=ntk_kd_bound(ds.n, epsilon, report), report=report)

@@ -26,11 +26,21 @@ def network_from_json(text):
     return TwoLayerNetwork(neurons, obj["activation"])
 
 
-def linearized_values(pair, points):
-    """psi'(u.x - b) (v.x) of a DerivativeNeuronPair; equals ``pair.values``
-    on points where its delta is safe."""
-    gate = (points @ pair.u - pair.b >= 0.0).astype(float)
-    return gate * (points @ pair.v)
+def linearized_values(u, v, b, points):
+    """psi'(u.x - b) (v.x), which the two neurons of a derivative neuron
+    (u, v, b, delta) equal on points where its delta is safe."""
+    gate = (points @ u - b >= 0.0).astype(float)
+    return gate * (points @ v)
+
+
+def halfspace_sum(points, r, u):
+    """sum of r_i x_i over the points with u . x_i >= 0, row by row: the
+    NTK step's v."""
+    v = np.zeros(points.shape[1])
+    for x, r_i in zip(points, r):
+        if x @ u >= 0.0:
+            v += r_i * x
+    return v
 
 
 def horner(coeffs, z):

@@ -202,6 +202,20 @@ def test_baum_fits_rows_outside_float_range(tmp_path, capsys, method, scale):
     assert summary["error_ratio"] < 1e-12 and math.isfinite(summary["total_weight"])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-170, 1e-100])
+def test_exact_fit_rows_far_below_unit_scale(tmp_path, capsys, scale):
+    """The exact fit runs on the rows over the power of two nearest their
+    largest norm (exit 3 before: the N(0, 1) biases swamped every feature,
+    "rank 1 < n=30"); its weight, near 1e172 at 1e-170, stays finite."""
+    ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
+    path = str(tmp_path / "ds.bin")
+    save_dataset(Dataset(scale * ds.points, ds.labels), path)
+    assert main(["fit", "--method", "exact", path]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["error_ratio"] < 1e-12 and math.isfinite(summary["total_weight"])
+
+
 def test_baum_fits_on_conflicting_duplicates_are_a_data_error(tmp_path, capsys):
     """Two copies of one point with different labels: no partition certifies."""
     pts = sample_sphere(12, 4, 0).points

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from memnet.cli import sweep_cell
 from memnet import constructive
-from memnet.constructive import (DerivativeNeuronPair, _slab, baum_relu_fit,
-                                 baum_threshold_fit, exact_fit_generic, safe_delta)
+from memnet.constructive import (_slab, baum_relu_fit, baum_threshold_fit,
+                                 derivative_neurons, exact_fit_generic, safe_delta)
 from memnet.data import Dataset, gaussian_labels, rademacher_labels, sample_sphere
 from memnet.errors import DataError, DegenerateDataError, RankDeficiencyError
 from memnet.network import Neuron, TwoLayerNetwork, evaluate, relu
@@ -35,19 +35,23 @@ def test_derivative_pair_matches_linearization():
         v = rng.standard_normal(6)
         b = rng.standard_normal() * 0.3
         delta = safe_delta(pts @ u - b, pts @ v)
-        pair = DerivativeNeuronPair(u, v, b, delta)
-        assert np.max(np.abs(pair.values(pts) - linearized_values(pair, pts))) < 1e-9
+        values = _values(derivative_neurons(u, v, b, delta), pts)
+        assert np.max(np.abs(values - linearized_values(u, v, b, pts))) < 1e-9
 
 
 def test_derivative_pair_two_relu_neurons():
     u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    pair = DerivativeNeuronPair(u, v, 0.5, 0.01)
-    n1, n2 = pair.neurons()
+    n1, n2 = derivative_neurons(u, v, 0.5, 0.01)
     assert n1.a == pytest.approx(100.0) and n2.a == pytest.approx(-100.0)
     pts = np.array([[2.0, 3.0], [-1.0, 1.0]])
     direct = (np.maximum(pts @ (u + 0.01 * v) - 0.5, 0)
               - np.maximum(pts @ u - 0.5, 0)) / 0.01
-    assert np.allclose(pair.values(pts), direct)
+    assert np.allclose(_values((n1, n2), pts), direct)
+
+
+def _values(neurons, pts):
+    """The two neurons' summed outputs on the points, by ``evaluate``."""
+    return evaluate(TwoLayerNetwork(neurons), Dataset(pts, np.zeros(len(pts))))
 
 
 def test_safe_delta_skips_flat_slopes():
@@ -166,20 +170,21 @@ def test_exact_fit_near_duplicate_takes_float64_pass(monkeypatch):
     assert net.to_json() == _exact_fit_scipy_qr(ds, seed=0).to_json()
 
 
-def test_exact_fit_past_single_precision_range_warns_nothing():
-    """Points of norm 1e40 give features past float32's range: they are
-    stored as inf without numpy's cast warning, fail the float32 rank test,
-    and the float64 pass builds the network a run with warnings off builds,
-    the float64 reference's."""
+@pytest.mark.parametrize("k", [-600, -400, -100, 133, 500])
+def test_exact_fit_scales_exactly(k):
+    """Points scaled by c = 2^k give the unit fit with w / c, byte for byte,
+    and no warning: the fit runs on the points over the power of two nearest
+    their largest row norm, so the features stay at unit scale (at 2^133
+    they were past float32's range before, and at 2^-600 the N(0, 1) biases
+    swamped them)."""
+    c = 2.0 ** k
     ds = _sphere(30, 5, 0)
-    ds = Dataset(ds.points * 1e40, ds.labels)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        quiet = exact_fit_generic(ds)
+    unit = exact_fit_generic(ds)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        net = exact_fit_generic(ds)
-    assert net.to_json() == quiet.to_json() == _exact_fit_scipy_qr(ds, seed=0).to_json()
+        net = exact_fit_generic(Dataset(c * ds.points, ds.labels))
+    want = TwoLayerNetwork(tuple(Neuron(nr.a, nr.w / c, nr.b) for nr in unit.neurons))
+    assert net.to_json() == want.to_json()
 
 
 def _traced_peak(ds):
@@ -375,6 +380,19 @@ def test_baum_threshold_at_the_top_of_the_float_range():
     net = baum_threshold_fit(big)
     assert net.k <= 2 * math.ceil(10 / 10)
     assert np.array_equal(evaluate(net, big), big.labels)
+
+
+def test_baum_relu_at_the_top_of_the_float_range():
+    """Rows of norm 2^1023: delta's margin-to-slope quotients are taken on the
+    margins over the group's power of two, so none overflows (an overflow
+    warning in the divide before, which fails under error::RuntimeWarning)."""
+    ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
+    big = Dataset(2.0 ** 1023 * ds.points, ds.labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        net = baum_relu_fit(big)
+    assert net.k <= 4 * math.ceil(30 / 10)
+    assert np.max(np.abs(evaluate(net, big) - big.labels)) <= 1e-6
 
 
 def test_weight_scaling_table():

@@ -143,6 +143,16 @@ def test_neuron_weight_when_the_bias_square_overflows():
     assert Neuron(1e-160, [1, 0, 0], 1e160).weight == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_neuron_weight_when_the_weight_square_overflows():
+    """w . w is past the float range at |w| = 1e200 (an exact network of rows
+    of norm 1e-170 has |w| near 1e170): inf before, now taken with hypot,
+    also when a = 0 turns the overflow into nan."""
+    assert Neuron(1.0, [1e200, 0, 0], 0.0).weight == 1e200
+    assert Neuron(2.0, [3e200, -4e200], 0.0).weight == pytest.approx(1e201, rel=1e-15)
+    assert Neuron(0.0, [1e200, 0, 0], 0.0).weight == 0.0
+
+
 def test_neuron_leaves_callers_array_writable():
     for w in (np.zeros(3), np.zeros(3, dtype=np.float32), np.zeros((2, 3))[1]):
         nr = Neuron(1.0, w, 0.0)

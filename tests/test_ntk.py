@@ -9,7 +9,8 @@ from memnet.errors import ConvergenceError, ParameterError
 from memnet.hermite import hermite_eval
 from memnet.network import FitTrace, TwoLayerNetwork, evaluate, total_weight
 from memnet.ntk import ntk_fit, ntk_kd_bound, ntk_step
-from probes import arcsin_gram, gram_lower_bound_check, hermite_coefficients, linearized_values
+from probes import (arcsin_gram, gram_lower_bound_check, halfspace_sum, hermite_coefficients,
+                    linearized_values)
 
 
 def _labeled(n, d, seed):
@@ -18,21 +19,27 @@ def _labeled(n, d, seed):
 
 # -- single step --------------------------------------------------------------
 
+def _u_and_v(step, ds, r):
+    """The step's u (its lower neuron's w, an exact copy) and v by the oracle."""
+    u = step.neurons[1].w
+    return u, halfspace_sum(ds.points, r, u)
+
+
 def test_step_correlation_is_v_norm_squared():
     """r . f = ||v||^2 where f_i = 1{u.x_i >= 0} (v . x_i)."""
     ds = _labeled(50, 10, 0)
     r = ds.labels
     for seed in range(10):
         step = ntk_step(ds, r, seed)
-        f = linearized_values(step, ds.points)
-        assert float(r @ f) == pytest.approx(float(step.v @ step.v), rel=1e-9)
+        _, v = _u_and_v(step, ds, r)
+        assert float(r @ step.values) == pytest.approx(float(v @ v), rel=1e-9)
 
 
 def test_step_two_relu_realization_exact():
     ds = _labeled(30, 8, 2)
-    pair = ntk_step(ds, ds.labels, 0)
-    assert np.max(np.abs(pair.values(ds.points)
-                         - linearized_values(pair, ds.points))) < 1e-9
+    step = ntk_step(ds, ds.labels, 0)
+    u, v = _u_and_v(step, ds, ds.labels)
+    assert np.max(np.abs(step.values - linearized_values(u, v, 0.0, ds.points))) < 1e-9
 
 
 def test_step_norm_controlled_by_covariance():
@@ -41,9 +48,9 @@ def test_step_norm_controlled_by_covariance():
     rep = genericity(ds)
     for seed in range(5):
         step = ntk_step(ds, ds.labels, seed)
-        f = linearized_values(step, ds.points)
-        cap = ds.n * rep.omega / ds.d * float(step.v @ step.v)
-        assert float(f @ f) <= cap * (1 + 1e-9)
+        _, v = _u_and_v(step, ds, ds.labels)
+        cap = ds.n * rep.omega / ds.d * float(v @ v)
+        assert float(step.values @ step.values) <= cap * (1 + 1e-9)
 
 
 def test_step_zero_residual_rejected():
@@ -58,26 +65,32 @@ def test_step_single_point():
     for seed in range(20):
         step = ntk_step(ds, ds.labels, seed)
         if step is not None:
-            assert np.allclose(step.v, 2.0 * ds.points[0])
+            upper, lower = step.neurons
+            assert np.allclose((upper.w - lower.w) * upper.a, 2.0 * ds.points[0])
+            assert np.allclose(step.values, [2.0])
             return
     pytest.fail("point never fell in the active halfspace across 20 seeds")
 
 
 def test_step_and_proposal_match_their_definition(monkeypatch):
-    """Row by row: v = sum of r_i x_i over u . x_i >= 0 (1e-12 relative),
-    delta = (1/2) min |u . x_i| / |v . x_i| over slopes |v . x_i| >= 1e-14,
-    and every proposal ntk_fit hands the driver holds the values of its two
-    neurons, ``evaluate`` within 1e-12 of their outputs' scale |a| max|u . x|
-    (evaluate sums the two outputs, which cancel to the difference)."""
+    """Row by row, with v_ref = sum of r_i x_i over u . x_i >= 0 and delta_ref
+    = (1/2) min |u . x_i| / |v_ref . x_i| over slopes |v_ref . x_i| >= 1e-14:
+    the upper neuron has 1/a = delta_ref and w = u + delta_ref v_ref (1e-12
+    relative), and every proposal ntk_fit hands boost_fit holds the values
+    of its two neurons, ``evaluate`` within 1e-12 of their outputs' scale
+    |a| max|u . x| (evaluate sums the two outputs, which cancel to the
+    difference)."""
     ds = _labeled(200, 20, 1)
     X, r = ds.points, ds.labels
     for seed in range(10):
         step = ntk_step(ds, r, seed)
-        rows = [(X[i] @ step.u, X[i] @ step.v) for i in range(ds.n)]
-        v_ref = sum(r[i] * X[i] for i, (m, _) in enumerate(rows) if m >= 0.0)
-        assert np.linalg.norm(step.v - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
+        u, v_ref = _u_and_v(step, ds, r)
+        rows = [(X[i] @ u, X[i] @ v_ref) for i in range(ds.n)]
         delta_ref = 0.5 * min(abs(m) / abs(s) for m, s in rows if abs(s) >= 1e-14)
-        assert step.delta == pytest.approx(delta_ref, rel=1e-12)
+        upper = step.neurons[0]
+        assert 1.0 / upper.a == pytest.approx(delta_ref, rel=1e-12)
+        w_ref = u + delta_ref * v_ref
+        assert np.linalg.norm(upper.w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
 
     proposals = []
     real_boost_fit = ntk.boost_fit
