@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DataError, ParameterError
 
 _MAGIC = b"MEMNETDS"
-_BLOCK = 128  # rows per block of the coherence scan: a 128 x n Gram block
+_BLOCK = 128  # rows per block of the coherence scan, which reuses two 128 x n buffers
 _MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))  # squared norm still normal
 
 
@@ -126,9 +126,10 @@ def genericity(ds: Dataset) -> GenericityReport:
         if not (np.isfinite(norms).all() and norms.min() >= _MIN_NORM):
             raise DataError("squared row norms leave the float64 range")
         gamma = 0.0
+        gram, outer = np.empty((min(_BLOCK, n), n)), np.empty((min(_BLOCK, n), n))
         for s in range(0, n, _BLOCK):
-            C = X[s:s + _BLOCK] @ X.T
-            C /= np.outer(norms[s:s + _BLOCK], norms)
+            C = np.matmul(X[s:s + _BLOCK], X.T, out=gram[:min(_BLOCK, n - s)])
+            C /= np.multiply.outer(norms[s:s + _BLOCK], norms, out=outer[:len(C)])
             rows = np.arange(len(C))
             C[rows, s + rows] = 0.0  # a single point has coherence 0
             gamma = np.max([gamma, C.max(), -C.min()])  # a NaN propagates

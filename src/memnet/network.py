@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -151,15 +151,10 @@ class FitTrace:
     notes: dict = field(default_factory=dict)
 
     def to_csv(self, path: str) -> None:
-        cols = ["iteration", "residual_sq", "step_correlation_alpha",
-                "step_norm_beta", "eta", "neurons_added", "active_set_size"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(cols)
-            for i, rec in enumerate(self.iterations):
-                writer.writerow([i, rec.residual_sq, rec.step_correlation_alpha,
-                                 rec.step_norm_beta, rec.eta, rec.neurons_added,
-                                 rec.active_set_size])
+            writer.writerow(["iteration", *(f.name for f in fields(IterationRecord))])
+            writer.writerows((i, *astuple(rec)) for i, rec in enumerate(self.iterations))
 
 
 def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,

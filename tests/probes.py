@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from memnet.data import genericity
-from memnet.harmonic import _mixture_basis, _mixture_f2, relu_mixture
+from memnet.harmonic import _mixture_basis, bump_eval, decompose_directions, relu_mixture
 from memnet.hermite import gl_grid, hermite_eval
 from memnet.network import Neuron, TwoLayerNetwork
 
@@ -142,11 +142,28 @@ def hermite_gram(ds, m):
     return (ds.points @ ds.points.T) ** m
 
 
+def f2_rows(m, M, panels):
+    """Nodes, weights and the z = 1 and z = i rows of f'' = (p chi_M)'' on
+    ``panels`` Gauss-Legendre panels of [-2M, 2M], each p a row of
+    ``decompose_directions`` times 1/(sqrt(m!) sqrt(m)), by Horner's rule on
+    its ``polyder`` derivatives: p'' chi + 2 p' chi' + p chi''."""
+    P = np.polynomial.polynomial
+    scale = 1.0 / (math.sqrt(math.factorial(m)) * math.sqrt(m))
+    nodes, wts = gl_grid(-2.0 * M, 2.0 * M, panels)
+    chi, chi1, chi2 = bump_eval(nodes, M)
+
+    def rows(z):
+        return np.array([horner(P.polyder(c, 2), nodes) * chi
+                         + 2.0 * horner(P.polyder(c), nodes) * chi1 + horner(c, nodes) * chi2
+                         for c in decompose_directions(z, m).polys * scale])
+
+    return nodes, wts, rows(1), rows(1j)
+
+
 @functools.lru_cache(maxsize=None)
 def mixture_rows(m, M):
-    """Nodes, weights and the z = 1 and z = i rows of f'' on [-2M, 2M] at the
-    panel count of the mass table."""
-    return _mixture_f2(m, M, _mixture_basis(m, M)[0])
+    """``f2_rows`` at the panel count of the mass table."""
+    return f2_rows(m, M, _mixture_basis(m, M)[0])
 
 
 def mixture_quadrature(dd, M):

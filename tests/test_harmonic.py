@@ -11,14 +11,13 @@ import memnet.harmonic as harmonic
 from memnet.errors import (ConvergenceError, DegenerateDataError, InvariantError,
                            ParameterError, QuadratureResolutionError,
                            SamplerFailureError)
-from memnet.harmonic import (CONSTANTS, ComplexNeuron, _basis_second_derivatives,
-                             _breakpoint_argmax, _decomp_basis, _mixture_basis, _mixture_f2,
-                             bump_eval, choose_degree, decompose_directions,
+from memnet.harmonic import (CONSTANTS, ComplexNeuron, _breakpoint_argmax, _decomp_basis,
+                             _mixture_basis, bump_eval, choose_degree, decompose_directions,
                              harmonic_fit, perturbation_vector, projection_cutoff,
                              relu_mixture, sample_complex_neuron, single_neuron_step)
 from memnet.hermite import he_coeffs, hermite_eval
 from memnet.network import evaluate, total_weight
-from probes import (direct_masses, directional_sum, hermite_gram, hermite_textbook, horner,
+from probes import (direct_masses, directional_sum, f2_rows, hermite_gram, hermite_textbook,
                     mixture_expectation, mixture_quadrature, mixture_rows)
 
 
@@ -374,24 +373,12 @@ def test_decompose_float_matches_exact_recombination():
             assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
-def _deriv(coeffs):
-    return coeffs[1:] * np.arange(1, len(coeffs)) if len(coeffs) > 1 else np.zeros(1)
-
-
 def test_polynomial_evaluations_bit_identical_to_horner():
-    """The mixture's (p chi)'' rows equal textbook Horner loops bit for bit."""
-    rng = np.random.default_rng(5)
-    nodes = np.linspace(-3.0, 3.0, 301)
-    chi, chi1, chi2 = bump_eval(nodes, 1.5)
+    """The mass table's (p chi)'' rows are the probe's textbook Horner rows
+    times the quadrature weights, bit for bit."""
     for m in range(1, 13):
-        theta = rng.uniform(0, 2 * math.pi)
-        dd = decompose_directions(complex(math.cos(theta), math.sin(theta)), m)
-        got = _basis_second_derivatives(dd.polys, nodes, (chi, chi1, chi2))
-        for row, c in zip(got, dd.polys):
-            c1 = _deriv(c)
-            want = (horner(_deriv(c1), nodes) * chi + 2.0 * horner(c1, nodes) * chi1
-                    + horner(c, nodes) * chi2)
-            assert np.array_equal(row, want)
+        _, wts, f2_re, f2_im = mixture_rows(m, 1.5)
+        assert np.array_equal(_mixture_basis(m, 1.5)[1], np.vstack([f2_re, f2_im]) * wts)
 
 
 # -- ReLU mixture -------------------------------------------------------------
@@ -520,7 +507,6 @@ def test_bump_derivatives_match_symbolic_oracle():
 
 
 def test_bump_eval_flat_and_support():
-    from memnet.harmonic import bump_eval
 
     t = np.array([-3.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.5])
     chi, d1, d2 = bump_eval(t, 1.0)
@@ -857,8 +843,8 @@ def test_float_range_check_matches_table_build(monkeypatch):
     monkeypatch.setattr(harmonic, "_in_float_range", lambda m, M: True)
     for n, first in TABLE_OVERFLOW_FROM.items():
         with np.errstate(over="ignore", invalid="ignore"):
-            _, wts, f2_re, f2_im = _mixture_f2(first - 1, 2.0 * (first - 1)
-                                               * projection_cutoff(n, first - 1), 64)
+            _, wts, f2_re, f2_im = f2_rows(first - 1, 2.0 * (first - 1)
+                                           * projection_cutoff(n, first - 1), 64)
             assert np.isfinite(np.vstack([f2_re, f2_im]) * wts).all()
             with pytest.raises(QuadratureResolutionError, match="64-panel"):
                 _mixture_basis(first, 2.0 * first * projection_cutoff(n, first))

@@ -143,16 +143,22 @@ def unread_members(sources: dict[str, str], users: dict[str, str]) -> list[str]:
     module-level class of the package ``sources`` that no module of
     ``sources`` or ``users`` reads as an attribute, a method's reads inside
     its own body aside.  Keyword arguments and assignments are not reads,
-    and reads match by name, whatever the object."""
-    reads = attribute_reads(ast.parse(source) for source in (*sources.values(),
-                                                              *users.values()))
+    and reads match by name, whatever the object.  ``fields(Class)`` reads
+    every field of that class."""
+    trees = [ast.parse(source) for source in (*sources.values(), *users.values())]
+    reads = attribute_reads(trees)
+    enumerated = {arg.id for tree in trees for call in ast.walk(tree)
+                  if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", getattr(call.func, "attr", None)) == "fields"
+                  for arg in call.args if isinstance(arg, ast.Name)}
     flagged = []
     for module, source in sources.items():
         for cls in ast.parse(source).body:
             for node in cls.body if isinstance(cls, ast.ClassDef) else ():
                 if isinstance(node, ast.FunctionDef):
                     name, own = node.name, attribute_reads([node])[node.name]
-                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                      and cls.name not in enumerated):
                     name, own = node.target.id, 0
                 else:
                     continue
@@ -170,6 +176,8 @@ def test_unread_member_detector():
               "    def by_bench(self):\n        pass\n"
               "    def __repr__(self):\n        return ''\n"
               "@dataclass\nclass Log:\n    entries: dict\n"
+              "@dataclass\nclass Row:\n    col: int\n"
+              "def header():\n    return [f.name for f in dataclasses.fields(Row)]\n"
               "def make():\n    r = Rec(kept=1, gone=2, _private=3)\n"
               "    r.gone = 4\n    Log({}).entries['k'] = 1\n    return r.used()\n"),
         "b": "class Plain:\n    label: str\n    def show(self):\n        return self.label\n",
@@ -250,10 +258,13 @@ def test_import_leaves_scipy_unloaded():
     """Importing the CLI, which imports every fit, and ``bounds`` does not
     import scipy: only ``exact_fit_generic`` needs it and imports it inside,
     so a process that never runs the exact fit (a harmonic fit) pays neither
-    its import time nor its memory."""
+    its import time nor its memory.  Nor does it import numpy.polynomial,
+    which ``hermite.gl_grid`` and the mixture table builder load on first
+    use."""
     code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
             "import memnet.cli, memnet.bounds; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from memnet.data import Dataset, rademacher_labels, sample_sphere
 from memnet.errors import ConvergenceError, InvariantError, ParameterError
-from memnet.network import (FitTrace, Neuron, StepProposal, TwoLayerNetwork,
+from memnet.network import (FitTrace, IterationRecord, Neuron, StepProposal, TwoLayerNetwork,
                             boost_fit, evaluate, get_activation,
                             relu, threshold, total_weight)
 from probes import network_from_json
@@ -426,3 +427,15 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("iteration,residual_sq")
     assert len(lines) == 1 + len(trace.iterations)
+
+
+def test_trace_csv_header_names_the_record_fields(tmp_path):
+    """The header is ``iteration`` followed by IterationRecord's field names,
+    in order, and each row is the iteration index followed by its record."""
+    trace = FitTrace(iterations=[IterationRecord(4.0, 0.5, 0.25, 2.0, 1, 7)])
+    path = tmp_path / "trace.csv"
+    trace.to_csv(str(path))
+    header, row = path.read_text().splitlines()
+    names = [f.name for f in dataclasses.fields(IterationRecord)]
+    assert header.split(",") == ["iteration", *names]
+    assert row == "0,4.0,0.5,0.25,2.0,1,7"
