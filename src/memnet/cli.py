@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import data as data_mod
+from . import bounds, data as data_mod
 from .constructive import baum_relu_fit, baum_threshold_fit, exact_fit_generic
 from .errors import (ConvergenceError, DataError, MemnetError, ParameterError)
 from .harmonic import harmonic_fit
@@ -91,7 +91,8 @@ def _summary(method: str, ds, net, epsilon, extras: dict) -> dict:
         "method": method, "n": ds.n, "d": ds.d, "epsilon": epsilon,
         "k": net.k, "total_weight": total_weight(net),
         "error_ratio": ratio,
-        "weight_floor": math.sqrt(ds.n) / 8.0,
+        "weight_floor": bounds.weight_floor(ds),
+        "max_row_norm": data_mod.max_row_norm(ds.points),
         "weight_floor_hypothesis_met": rademacher and ratio <= 0.5,
     }
     out.update(extras)

@@ -80,6 +80,18 @@ class GenericityReport:
         return max(self.gamma, 1.0 / (2.0 * n))
 
 
+def max_row_norm(points: np.ndarray) -> float:
+    """The largest row norm, by hypot: finite for rows whose squares leave the float64 range."""
+    return float(np.hypot.reduce(points, axis=1).max())
+
+
+def pow2_scale(points: np.ndarray) -> float:
+    """The power of two s nearest the largest row norm, at most 2^1023.  A fit
+    that runs on the points over s and emits its hidden weights over s maps
+    the points scaled by 2^k to the unit network with w / 2^k, bit for bit."""
+    return 2.0 ** min(round(math.log2(max_row_norm(points))), 1023)
+
+
 def sample_sphere(n: int, d: int, seed: int) -> Dataset:
     """i.i.d. uniform points on the unit sphere S^{d-1}, labels zero.
 

@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import Dataset, genericity
+from .data import Dataset, genericity, pow2_scale
 from .errors import (ConvergenceError, DegenerateDataError, InvariantError,
                      ParameterError, QuadratureResolutionError, SamplerFailureError)
 from .hermite import gl_grid, he_coeffs, he_eval, hermite_eval
@@ -379,10 +379,18 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     checked on exit (InvariantError).  The fit stops when the trimmed
     residual reaches epsilon * ||y||^2; each step gets 20 attempts (a failed
     sampler draw is one), else ConvergenceError.
+
+    The fit runs on the points over s = ``pow2_scale`` and emits (a, w / s, b),
+    so the sampler's Hermite scores see rows of norm near 1, the paper's
+    unit-norm setting, and scaling the points by 2^k divides the hidden
+    weights by 2^k exactly.
     """
     n = ds.n
     if n < 2:  # log n = 0 makes the projection cutoff, hence M, zero
         raise DegenerateDataError(f"harmonic_fit needs n >= 2 points, got n={n}")
+    s = pow2_scale(ds.points)
+    if s != 1.0:  # unit rows skip the copies, here and on the way out
+        ds = Dataset(ds.points / s, ds.labels)
     y_sq = float(ds.labels @ ds.labels)
     report = genericity(ds)
     gamma = report.gamma_clamped(n)
@@ -412,6 +420,8 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
         raise
     trace.notes.update(notes)
     net = TwoLayerNetwork(tuple(nr.scaled(1.0 / norm_scale) for nr in net.neurons))
+    if s != 1.0:
+        net = TwoLayerNetwork(tuple(Neuron(nr.a, nr.w / s, nr.b) for nr in net.neurons))
     min_active = n - math.ceil(1.0 / (gamma * gamma))
     if int(active.sum()) < min_active:
         raise InvariantError(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from memnet.bounds import verify_weight_bound
 from memnet.constructive import baum_relu_fit
-from memnet.data import rademacher_labels, sample_sphere
+from memnet.data import Dataset, rademacher_labels, sample_sphere
 from memnet.errors import DataError
 from memnet.network import TwoLayerNetwork, evaluate, relu, total_weight
 from memnet.ntk import ntk_fit
@@ -40,6 +40,21 @@ def test_harmonic_clears_weight_floor():
     report = verify_weight_bound(ds, [("harmonic", res.network)])
     assert total_weight(res.network) >= report.bound
     assert not report.falsified
+
+
+def test_floor_scales_with_the_largest_row_norm():
+    """ntk on sphere rows x 2^40 half-fits with W = 1.7e-7, far under
+    sqrt(n)/8 = 1.77 and no falsification: by positive homogeneity the floor
+    on rows of norm at most R is sqrt(n)/(8 max(1, R))."""
+    ds = _rademacher(200, 20, 3)
+    big = Dataset(2.0 ** 40 * ds.points, ds.labels)
+    net = ntk_fit(big, 0.25).network
+    report = verify_weight_bound(big, [("ntk", net)])
+    assert _error_ratio(big, net) <= 0.5 and total_weight(net) < math.sqrt(200) / 8.0
+    assert report.bound == pytest.approx(math.sqrt(200) / 8.0 / 2.0 ** 40)
+    assert not report.falsified
+    inside = Dataset(0.5 * ds.points, ds.labels)  # rows inside the ball keep sqrt(n)/8
+    assert verify_weight_bound(inside, []).bound == math.sqrt(200) / 8.0
 
 
 def test_half_fitting_exemption():
@@ -106,6 +121,19 @@ def test_correlation_cap_rademacher_ceiling():
     """Random restarts never push past 2 sqrt(n) by more than the seed spread."""
     caps = [_correlation_cap(_rademacher(400, 40, s), 200, s)
             for s in range(5)]
+    slack = 3.0 * float(np.std(caps))
+    assert max(caps) <= 2.0 * math.sqrt(400) + slack
+
+
+def test_correlation_cap_rademacher_ceiling_inside_the_ball():
+    """Rows of norm at most 1, not only 1: the ceiling, hence the sqrt(n)/8
+    floor, holds on the unit ball (the proof reads a row only through
+    ||(x_i, 1)||^2 <= 2)."""
+    caps = []
+    for s in range(3):
+        ds = _rademacher(400, 40, s)
+        radii = np.random.default_rng(s).uniform(0.05, 1.0, size=(400, 1))
+        caps.append(_correlation_cap(Dataset(radii * ds.points, ds.labels), 200, s))
     slack = 3.0 * float(np.std(caps))
     assert max(caps) <= 2.0 * math.sqrt(400) + slack
 

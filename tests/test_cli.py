@@ -171,7 +171,7 @@ def test_fit_harmonic_past_float64_degree_is_a_data_error(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
-@pytest.mark.parametrize("method", ["ntk", "harmonic"])
+@pytest.mark.parametrize("method", ["ntk"])
 def test_fit_rows_outside_float_range_is_a_data_error(tmp_path, capsys, method, scale):
     """Rows scaled by 1e160 (squared norms overflow: a LAPACK traceback
     before) or by 1e-170 (they underflow: a NaN gamma, exit 2 or 4 before)
@@ -183,6 +183,37 @@ def test_fit_rows_outside_float_range_is_a_data_error(tmp_path, capsys, method, 
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "float64 range" in err and err.count("\n") == 1
     assert not (tmp_path / "ds.network.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_harmonic_fits_rows_outside_float_range(tmp_path, capsys, scale):
+    """The rows ntk rejects above fit with harmonic (exit 3 before), which
+    runs on the rows over the power of two nearest their largest norm; the
+    summary's floor knows the rows' radius."""
+    ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
+    path = str(tmp_path / "ds.bin")
+    save_dataset(Dataset(scale * ds.points, ds.labels), path)
+    assert main(["fit", "--method", "harmonic", "--epsilon", "0.3", path]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["error_ratio"] <= 0.3 and math.isfinite(summary["total_weight"])
+    assert summary["max_row_norm"] == pytest.approx(scale)
+    assert summary["weight_floor"] == pytest.approx(math.sqrt(30) / (8.0 * max(1.0, scale)))
+
+
+def test_fit_harmonic_on_an_unnormalized_gaussian_cloud(tmp_path, capsys):
+    """N(0, I) rows, n=200, d=20, norms up to about 7: the fit runs on the
+    rows over 8 and exits 0 (before: the sampler's scores overflowed and the
+    fit stopped at iteration 0, exit 4)."""
+    pts = np.random.default_rng(0).standard_normal((200, 20))
+    path = str(tmp_path / "cloud.bin")
+    save_dataset(rademacher_labels(Dataset(pts, np.zeros(200)), 1), path)
+    assert main(["fit", "--method", "harmonic", "--epsilon", "0.25", "--seed", "1", path]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["error_ratio"] <= 0.25 and summary["trimmed_out"] == 0
+    assert (summary["m"], summary["k"]) == (24, 961)
+    assert 4.0 < summary["max_row_norm"] < 8.0
+    assert summary["weight_floor"] == math.sqrt(200) / (8.0 * summary["max_row_norm"])
 
 
 @pytest.mark.filterwarnings("error")

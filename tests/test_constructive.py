@@ -1,6 +1,10 @@
+import importlib.machinery
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,7 +149,7 @@ def test_exact_fit_sphere_fixtures_skip_float64_pass(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("float64 pivoting pass")
 
-    monkeypatch.setattr("scipy.linalg.lapack.dgeqp3", refuse)
+    monkeypatch.setattr(constructive._lapack(), "dgeqp3", refuse)
     for n, d in REFERENCE_SHAPES:
         assert exact_fit_generic(_sphere(n, d, 2, labels="rademacher"), seed=4).k == n
     assert exact_fit_generic(_sphere(200, 20, 1, labels="rademacher")).k == 200
@@ -155,19 +159,66 @@ def test_exact_fit_sphere_fixtures_skip_float64_pass(monkeypatch):
 def test_exact_fit_near_duplicate_takes_float64_pass(monkeypatch):
     """Two points 1e-6 apart leave the float32 |R_nn| within 100 float32 eps
     of |R_11|: the fit pivots again in float64 and equals the float64
-    reference."""
-    from scipy.linalg import lapack
+    reference, computed first: scipy's ``qr`` looks its routine up in the
+    module that the counter patches."""
+    lapack = constructive._lapack()
     dgeqp3, calls = lapack.dgeqp3, []
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("lwork"))
         return dgeqp3(*args, **kwargs)
 
-    monkeypatch.setattr(lapack, "dgeqp3", counted)
     ds = _near_duplicate()
+    ref = _exact_fit_scipy_qr(ds, seed=0)
+    monkeypatch.setattr(lapack, "dgeqp3", counted)
     net = exact_fit_generic(ds)
     assert len(calls) == 2                       # workspace query, factorization
-    assert net.to_json() == _exact_fit_scipy_qr(ds, seed=0).to_json()
+    assert net.to_json() == ref.to_json()
+
+
+def _fresh_process(code):
+    """stdout of ``code`` run by a new interpreter with the package on its path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n"
+                          + code], capture_output=True, text=True, check=True, timeout=60)
+    return out.stdout.split()
+
+
+_FIT = ("from memnet.constructive import _lapack, exact_fit_generic\n"
+        "from memnet.data import sample_sphere\n"
+        "exact_fit_generic(sample_sphere(30, 5, 0))\n")
+
+
+def test_exact_fit_leaves_scipy_linalg_unimported():
+    """An exact fit loads scipy's compiled LAPACK wrappers alone: neither the
+    ``scipy.linalg`` package nor any other module under it is imported.
+    (The extension registers itself under its own name.)"""
+    code = _FIT + ("print(*sorted(m for m in sys.modules\n"
+                   "             if m == 'scipy.linalg' or m.startswith('scipy.linalg.')))")
+    assert _fresh_process(code) == ["scipy.linalg._flapack"]
+
+
+def test_exact_fit_routines_are_scipys_own():
+    """The routines the fit calls are the objects ``scipy.linalg.lapack``
+    exports when ``scipy.linalg`` is imported after the fit."""
+    code = _FIT + ("import scipy.linalg.lapack as lapack\n"
+                   "print(_lapack().sgeqp3 is lapack.sgeqp3, _lapack().dgeqp3 is lapack.dgeqp3)")
+    assert _fresh_process(code) == ["True", "True"]
+
+
+def test_exact_fit_fallback_fits_the_same_bytes(monkeypatch):
+    """Where scipy's LAPACK extension file is not found, the loader falls
+    back to ``scipy.linalg.lapack``, and the fit is the same network."""
+    from scipy.linalg import lapack
+    ds = _sphere(200, 20, 1, labels="rademacher")
+    want = exact_fit_generic(ds).to_json()
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    constructive._lapack.cache_clear()
+    try:
+        assert constructive._lapack() is lapack
+        assert exact_fit_generic(ds).to_json() == want
+    finally:
+        constructive._lapack.cache_clear()
 
 
 @pytest.mark.parametrize("k", [-600, -400, -100, 133, 500])
@@ -188,7 +239,7 @@ def test_exact_fit_scales_exactly(k):
 
 
 def _traced_peak(ds):
-    exact_fit_generic(ds)                 # imports scipy outside the trace
+    exact_fit_generic(ds)                 # loads LAPACK outside the trace
     tracemalloc.start()
     try:
         exact_fit_generic(ds)

@@ -256,9 +256,9 @@ def test_traced_layers_are_called(monkeypatch):
 
 def test_import_leaves_scipy_unloaded():
     """Importing the CLI, which imports every fit, and ``bounds`` does not
-    import scipy: only ``exact_fit_generic`` needs it and imports it inside,
-    so a process that never runs the exact fit (a harmonic fit) pays neither
-    its import time nor its memory.  Nor does it import numpy.polynomial,
+    import scipy: only ``exact_fit_generic`` needs it, and loads scipy's
+    LAPACK extension inside, so a process that never runs the exact fit (a
+    harmonic fit) pays neither its load time nor its memory.  Nor does it import numpy.polynomial,
     which ``hermite.gl_grid`` and the mixture table builder load on first
     use."""
     code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "

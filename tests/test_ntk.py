@@ -7,7 +7,7 @@ from memnet import ntk
 from memnet.data import Dataset, genericity, rademacher_labels, sample_sphere
 from memnet.errors import ConvergenceError, ParameterError
 from memnet.hermite import hermite_eval
-from memnet.network import FitTrace, TwoLayerNetwork, evaluate, total_weight
+from memnet.network import FitTrace, Neuron, TwoLayerNetwork, evaluate, total_weight
 from memnet.ntk import ntk_fit, ntk_kd_bound, ntk_step
 from probes import (arcsin_gram, gram_lower_bound_check, halfspace_sum, hermite_coefficients,
                     linearized_values)
@@ -222,6 +222,22 @@ def test_ntk_fit_deterministic():
     a = ntk_fit(ds, epsilon=0.3, seed=7)
     b = ntk_fit(ds, epsilon=0.3, seed=7)
     assert a.network.to_json() == b.network.to_json()
+
+
+@pytest.mark.parametrize("k", [-20, -3, 3, 40])
+def test_ntk_fit_scales_exactly(k):
+    """Points scaled by c = 2^k give the unit fit with a / c, byte for byte, so
+    W scales by exactly 2^-k: each step's margins and v scale by c, its slopes
+    by c^2 and delta by 1/c, so u + delta v is unchanged, and the line search
+    scales the step by 1/c^2.  From about 2^-30 down, the slopes fall under
+    ``safe_delta``'s absolute 1e-14 floor and the fit stops being a rescaling."""
+    c = 2.0 ** k
+    ds = _labeled(100, 20, 3)
+    unit = ntk_fit(ds, epsilon=0.25, seed=1).network
+    net = ntk_fit(Dataset(c * ds.points, ds.labels), epsilon=0.25, seed=1).network
+    want = TwoLayerNetwork(tuple(Neuron(nr.a / c, nr.w, nr.b) for nr in unit.neurons))
+    assert net.to_json() == want.to_json()
+    assert total_weight(net) == total_weight(unit) / c
 
 
 def test_ntk_fit_iteration_cap_raises_with_trace():
