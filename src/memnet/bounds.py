@@ -27,7 +27,7 @@ from .network import TwoLayerNetwork, evaluate, total_weight
 
 def weight_floor(ds: Dataset) -> float:
     """The ReLU floor sqrt(n) / (8 max(1, R)), R the largest row norm."""
-    return math.sqrt(ds.n) / (8.0 * max(1.0, max_row_norm(ds.points)))
+    return math.sqrt(ds.n) / 8.0 / max(1.0, max_row_norm(ds.points))  # 8 R overflows at 2^1021
 
 
 @dataclass

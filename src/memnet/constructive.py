@@ -1,9 +1,10 @@
 """Exact memorization constructions: generic n-neuron fit, Baum threshold
 networks, and the four-ReLU-per-group derivative-neuron network.
 
-All three fits measure the points in a power of two near their scale (the
-exact fit globally, both Baum fits, which share one partition-and-certify
-loop, per group), so scaling the points by 2^k rescales a network exactly.
+All three fits run on ``data.unit_frame``'s points and return their network
+through ``network.from_unit_frame``: the points times 2^k give the unit network
+with w 2^-k, bit for bit.  A Baum slab is measured in the power of two nearest
+its group's largest row norm.
 
 The derivative neuron of psi is the finite difference
 
@@ -18,13 +19,14 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 
 import numpy as np
 
-from .data import Dataset, pow2_scale
+from .data import Dataset, max_row_norm, unit_frame
 from .errors import DataError, DegenerateDataError, RankDeficiencyError
-from .network import Neuron, TwoLayerNetwork, evaluate, relu
+from .network import Neuron, TwoLayerNetwork, evaluate, from_unit_frame, relu
 
 _SLOPE_EPS = 1e-14
 
@@ -84,8 +86,8 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
 
     Samples 10 n random (w, b) pairs, selects n independent columns of the
     evaluation matrix by pivoted QR, and solves for the outer coefficients.
-    It fits the points over s = ``pow2_scale`` and emits (a, w / s, b), so the
-    N(0, 1) biases meet features of their own scale, far inside float32's range.
+    It fits ``unit_frame``'s points, so the N(0, 1) biases meet features of
+    their own scale, far inside float32's range.
 
     The pivots come from LAPACK sgeqp3 on a float32 n x 10n matrix (160 MB
     at n=2000), factored in place: a pivot order is only a heuristic, which
@@ -104,9 +106,8 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     process.  They are the very objects ``scipy.linalg.lapack`` exports, so
     the pivots and networks are those of scipy's own routines.
     """
-    n, d = ds.n, ds.d
-    s = pow2_scale(ds.points)
-    X = ds.points / s
+    ds, k = unit_frame(ds)
+    n, d, X = ds.n, ds.d, ds.points
     rng = np.random.default_rng(seed)
     K = 10 * n
     W = rng.standard_normal((K, d))
@@ -127,20 +128,20 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
             f"within {K} candidates")
     cols = piv[:n] - 1                                # geqp3 pivots are 1-based
     a = np.linalg.solve(_features(X, W[cols], b[cols]), ds.labels)
-    net = TwoLayerNetwork(tuple(Neuron(a[j], W[cols[j]] / s, b[cols[j]]) for j in range(n)))
+    net = TwoLayerNetwork(tuple(Neuron(a[j], W[cols[j]], b[cols[j]]) for j in range(n)))
     resid = np.linalg.norm(evaluate(net, ds) - ds.labels)
     if resid > 1e-6 * max(1.0, np.linalg.norm(ds.labels)):
         raise RankDeficiencyError(f"selected columns too ill-conditioned (residual {resid:.3e})")
-    return net
+    return from_unit_frame(net, k)
 
 
-def _slab(ds: Dataset, group: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray, float]:
-    """(u, b, tau, X u, s): the hyperplane u . x = b, ||u|| = 1, through the group
+def _slab(ds: Dataset, group: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """(u, b, tau, X u): the hyperplane u . x = b, ||u|| = 1, through the group
     from the null vector of [X_group, -s], s the power of two nearest the
     group's largest row norm; tau half the distance to the nearest other point
     (s when there is none); and the projections X u of all n points."""
     Xg = ds.points[group]
-    s = pow2_scale(Xg)
+    s = 2.0 ** round(math.log2(max_row_norm(Xg)))
     null = np.linalg.svd(np.hstack([Xg, np.full((len(group), 1), -s)]))[2][-1]
     norm = float(np.linalg.norm(null[:-1]))
     if norm < 1e-12:
@@ -152,7 +153,7 @@ def _slab(ds: Dataset, group: np.ndarray) -> tuple[np.ndarray, float, float, np.
     if tau <= 1e-12 * s:
         raise DegenerateDataError(
             f"another point lies on the group hyperplane (group {group.tolist()})")
-    return u, b, tau, xu, s
+    return u, b, tau, xu
 
 
 def _partition_fit(ds: Dataset, indices: np.ndarray, group_neurons, activation: str,
@@ -160,6 +161,7 @@ def _partition_fit(ds: Dataset, indices: np.ndarray, group_neurons, activation: 
     """``group_neurons`` over a random partition of ``indices`` into groups of
     at most d, certified to fit ``labels`` within ``tol``; a new partition is
     drawn on DegenerateDataError from a group or the certificate, 20 at most."""
+    ds, k = unit_frame(ds)
     last_err: Exception | None = None
     for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
@@ -169,7 +171,7 @@ def _partition_fit(ds: Dataset, indices: np.ndarray, group_neurons, activation: 
                                         for nr in group_neurons(ds, idx[i:i + ds.d])), activation)
             if np.max(np.abs(evaluate(net, ds) - labels)) > tol:
                 raise DegenerateDataError(f"{what} failed to certify the fit")
-            return net
+            return from_unit_frame(net, k)
         except DegenerateDataError as err:
             last_err = err
     raise DegenerateDataError(f"{what} failed after 20 partitions: {last_err}")
@@ -199,7 +201,7 @@ def baum_threshold_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
 
 def _slab_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
     """Two threshold neurons realizing the indicator of the group's points."""
-    u, b, tau, _, _ = _slab(ds, group)
+    u, b, tau, _ = _slab(ds, group)
     return [Neuron(1.0, u, -(b - tau)), Neuron(-1.0, u, -(b + tau))]
 
 
@@ -216,9 +218,9 @@ def baum_relu_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
 
 
 def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
-    """The group's four neurons, v solved on the rows over s; u and v project once."""
-    u, b, tau, xu, s = _slab(ds, group)
-    Xg, yg = ds.points[group] / s, ds.labels[group]
+    """The group's four neurons; u and v project once."""
+    u, b, tau, xu = _slab(ds, group)
+    Xg, yg = ds.points[group], ds.labels[group]
     if len(group) == ds.d:
         try:
             v = np.linalg.solve(Xg, yg)
@@ -228,10 +230,6 @@ def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
         v = np.linalg.lstsq(Xg, yg, rcond=None)[0]
     if np.max(np.abs(Xg @ v - yg), initial=0.0) > 1e-8 * max(1.0, np.max(np.abs(yg), initial=0.0)):
         raise DegenerateDataError(f"group labels not realizable (group {group.tolist()})")
-    v = v / s
     xv = ds.points @ v
-    out: list[Neuron] = []
-    for bias, sign in ((b - tau, 1.0), (b + tau, -1.0)):
-        delta = s * safe_delta((xu - bias) / s, xv)  # margins over s: their quotients stay finite
-        out.extend(derivative_neurons(u, v, bias, delta, sign))
-    return out
+    return [nr for bias, sign in ((b - tau, 1.0), (b + tau, -1.0))
+            for nr in derivative_neurons(u, v, bias, safe_delta(xu - bias, xv), sign)]

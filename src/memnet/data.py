@@ -81,15 +81,17 @@ class GenericityReport:
 
 
 def max_row_norm(points: np.ndarray) -> float:
-    """The largest row norm, by hypot: finite for rows whose squares leave the float64 range."""
-    return float(np.hypot.reduce(points, axis=1).max())
+    """The largest row norm; by hypot, 3-14x slower, when squares leave float64's normal range."""
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(np.einsum("ij,ij->i", points, points).max())
+    return norm if _MIN_NORM <= norm < math.inf else float(np.hypot.reduce(points, axis=1).max())
 
 
-def pow2_scale(points: np.ndarray) -> float:
-    """The power of two s nearest the largest row norm, at most 2^1023.  A fit
-    that runs on the points over s and emits its hidden weights over s maps
-    the points scaled by 2^k to the unit network with w / 2^k, bit for bit."""
-    return 2.0 ** min(round(math.log2(max_row_norm(points))), 1023)
+def unit_frame(ds: Dataset) -> tuple[Dataset, int]:
+    """(ds', k): the points times 2^-k by ``np.ldexp``, k the integer nearest log2 of
+    the largest row norm (no float64 cap); ``ds`` itself when k = 0."""
+    k = round(math.log2(max_row_norm(ds.points)))
+    return (ds, 0) if k == 0 else (Dataset(np.ldexp(ds.points, -k), ds.labels), k)
 
 
 def sample_sphere(n: int, d: int, seed: int) -> Dataset:

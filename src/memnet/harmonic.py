@@ -26,8 +26,9 @@ suite checks the domination on every step of an acceptance fit.  One builder,
 ``_mixture_basis``, writes the table's node-weighted f'' rows (35-58 ms and a
 6.6 MB allocation peak cold at m = 9, n = 200 on a 2-core VM).
 
-The tuning constants (cutoff, correlation floor) are calibrated once on a
-reference fixture and frozen in ``CONSTANTS``.
+The fit runs on ``data.unit_frame``'s rows, of norm near 1 as in the paper.  The
+tuning constants (cutoff, correlation floor) are calibrated once on a reference
+fixture and frozen in ``CONSTANTS``.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from functools import partial
 
 import numpy as np
 
-from .data import Dataset, genericity, pow2_scale
+from .data import Dataset, genericity, unit_frame
 from .errors import (ConvergenceError, DegenerateDataError, InvariantError,
                      ParameterError, QuadratureResolutionError, SamplerFailureError)
 from .hermite import gl_grid, he_coeffs, he_eval, hermite_eval
-from .network import FitTrace, Neuron, StepProposal, TwoLayerNetwork, boost_fit
+from .network import FitTrace, Neuron, StepProposal, TwoLayerNetwork, boost_fit, from_unit_frame
 
 
 # Frozen on 2026-08-25 from pilot Monte Carlo on the reference fixture
@@ -379,18 +380,11 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     checked on exit (InvariantError).  The fit stops when the trimmed
     residual reaches epsilon * ||y||^2; each step gets 20 attempts (a failed
     sampler draw is one), else ConvergenceError.
-
-    The fit runs on the points over s = ``pow2_scale`` and emits (a, w / s, b),
-    so the sampler's Hermite scores see rows of norm near 1, the paper's
-    unit-norm setting, and scaling the points by 2^k divides the hidden
-    weights by 2^k exactly.
     """
     n = ds.n
     if n < 2:  # log n = 0 makes the projection cutoff, hence M, zero
         raise DegenerateDataError(f"harmonic_fit needs n >= 2 points, got n={n}")
-    s = pow2_scale(ds.points)
-    if s != 1.0:  # unit rows skip the copies, here and on the way out
-        ds = Dataset(ds.points / s, ds.labels)
+    ds, k = unit_frame(ds)
     y_sq = float(ds.labels @ ds.labels)
     report = genericity(ds)
     gamma = report.gamma_clamped(n)
@@ -419,9 +413,8 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
         err.trace.notes.update(notes)
         raise
     trace.notes.update(notes)
-    net = TwoLayerNetwork(tuple(nr.scaled(1.0 / norm_scale) for nr in net.neurons))
-    if s != 1.0:
-        net = TwoLayerNetwork(tuple(Neuron(nr.a, nr.w / s, nr.b) for nr in net.neurons))
+    net = from_unit_frame(TwoLayerNetwork(tuple(nr.scaled(1.0 / norm_scale)
+                                                for nr in net.neurons)), k)
     min_active = n - math.ceil(1.0 / (gamma * gamma))
     if int(active.sum()) < min_active:
         raise InvariantError(

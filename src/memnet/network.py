@@ -59,13 +59,11 @@ class Neuron:
 
     @property
     def weight(self) -> float:
-        try:
-            with np.errstate(over="ignore"):
-                out = abs(self.a) * math.sqrt(float(self.w @ self.w) + self.b ** 2)
-        except OverflowError:  # b ** 2 past the float range
-            out = math.inf
-        # w . w or b ** 2 past the float range (inf, or nan when a = 0)
-        return out if math.isfinite(out) else abs(self.a) * math.hypot(*self.w, self.b)
+        with np.errstate(over="ignore"):
+            sq = float(self.w @ self.w) + self.b * self.b
+        # hypot when the squares leave the float range or its normal numbers (lost bits)
+        return abs(self.a) * (math.sqrt(sq) if 2.0 ** -1022 <= sq < math.inf
+                              else math.hypot(*self.w, self.b))
 
     def scaled(self, c: float) -> "Neuron":
         """a * c, sharing this neuron's checked read-only w: only a * c is checked."""
@@ -115,6 +113,13 @@ def evaluate(net: TwoLayerNetwork, ds: Dataset) -> np.ndarray:
     a = np.array([nr.a for nr in net.neurons])
     b = np.array([nr.b for nr in net.neurons])
     return (psi(ds.points @ W.T + b) @ a)
+
+
+def from_unit_frame(net: TwoLayerNetwork, k: int) -> TwoLayerNetwork:
+    """``net``, fitted on ``data.unit_frame``'s points of exponent k, for the points
+    themselves: hidden weights w 2^-k by ``np.ldexp``; ``net`` itself when k = 0."""
+    return net if k == 0 else TwoLayerNetwork(
+        tuple(Neuron(nr.a, np.ldexp(nr.w, -k), nr.b) for nr in net.neurons), net.activation)
 
 
 def total_weight(net: TwoLayerNetwork) -> float:

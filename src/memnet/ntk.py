@@ -13,9 +13,10 @@ bias 0, so its pre-activations are the margins, bit for bit.  One product
 X [u + delta v, u] would round differently, and the 1/delta of a small delta
 carries that into the fit's weights (1e-8 relative).
 
-The lemmas behind the size bound (the arcsin Gram matrix and its eigenvalue
-floor, and the Hermite-tail bound for other activations) are checked by
-test code, in ``tests/probes.py`` and ``tests/test_ntk.py``.
+The fit runs on ``data.unit_frame``'s rows, so its size bound is scale-free.  The
+lemmas behind it (the arcsin Gram matrix and its eigenvalue floor, and the
+Hermite-tail bound for other activations) are checked by test code, in
+``tests/probes.py`` and ``tests/test_ntk.py``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from functools import partial
 import numpy as np
 
 from .constructive import derivative_neurons, safe_delta
-from .data import Dataset, GenericityReport, genericity
+from .data import Dataset, GenericityReport, genericity, unit_frame
 from .errors import DataError, ParameterError
-from .network import FitTrace, StepProposal, TwoLayerNetwork, boost_fit
+from .network import FitTrace, StepProposal, TwoLayerNetwork, boost_fit, from_unit_frame
 
 
 def ntk_step(ds: Dataset, residual: np.ndarray, seed: int) -> StepProposal | None:
@@ -86,7 +87,8 @@ def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
     measured (gamma, omega), None when the bound is vacuous (gamma >= 1);
     the fit itself stands.
     """
+    ds, k = unit_frame(ds)
     report = genericity(ds)
     net, trace, _ = boost_fit(partial(ntk_step, ds), ds, epsilon, max_iters=max_iters, seed=seed)
-    return NtkFitResult(network=net, trace=trace,
+    return NtkFitResult(network=from_unit_frame(net, k), trace=trace,
                         kd_bound=ntk_kd_bound(ds.n, epsilon, report), report=report)

@@ -43,9 +43,9 @@ def test_harmonic_clears_weight_floor():
 
 
 def test_floor_scales_with_the_largest_row_norm():
-    """ntk on sphere rows x 2^40 half-fits with W = 1.7e-7, far under
-    sqrt(n)/8 = 1.77 and no falsification: by positive homogeneity the floor
-    on rows of norm at most R is sqrt(n)/(8 max(1, R))."""
+    """ntk on sphere rows x 2^40 half-fits with W = 1.72e-7, 2^-40 times the
+    unit rows' W, far under sqrt(n)/8 = 1.77 and no falsification: by positive
+    homogeneity the floor on rows of norm at most R is sqrt(n)/(8 max(1, R))."""
     ds = _rademacher(200, 20, 3)
     big = Dataset(2.0 ** 40 * ds.points, ds.labels)
     net = ntk_fit(big, 0.25).network

@@ -171,34 +171,60 @@ def test_fit_harmonic_past_float64_degree_is_a_data_error(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
-@pytest.mark.parametrize("method", ["ntk"])
+@pytest.mark.parametrize("method", ["ntk", "harmonic"])
 def test_fit_rows_outside_float_range_is_a_data_error(tmp_path, capsys, method, scale):
-    """Rows scaled by 1e160 (squared norms overflow: a LAPACK traceback
-    before) or by 1e-170 (they underflow: a NaN gamma, exit 2 or 4 before)
-    exit 3 with one error line and no warning."""
+    """One row scaled by 1e160 or 1e-170 among unit rows: no power of two
+    brings every squared row norm into float64's normal range, so the
+    coherence check exits 3 with one error line and no warning."""
     ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
+    pts = ds.points.copy()
+    pts[0] *= scale
     path = str(tmp_path / "ds.bin")
-    save_dataset(Dataset(scale * ds.points, ds.labels), path)
+    save_dataset(Dataset(pts, ds.labels), path)
     assert main(["fit", "--method", method, "--epsilon", "0.3", path]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "float64 range" in err and err.count("\n") == 1
-    assert not (tmp_path / "ds.network.json").exists()
+    assert err.startswith("data error: squared row norms leave the float64 range")
+    assert err.count("\n") == 1 and not (tmp_path / "ds.network.json").exists()
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
-def test_harmonic_fits_rows_outside_float_range(tmp_path, capsys, scale):
-    """The rows ntk rejects above fit with harmonic (exit 3 before), which
-    runs on the rows over the power of two nearest their largest norm; the
-    summary's floor knows the rows' radius."""
+@pytest.mark.parametrize("method", ["exact", "baum-relu", "baum-threshold", "ntk", "harmonic"])
+def test_fit_rows_far_from_unit_scale(tmp_path, capsys, method, scale):
+    """Rows scaled by 1e160 (squared norms overflow) or 1e-170 (they
+    underflow) fit with every method, which runs on the rows times the power
+    of two nearest their largest norm.  Each used to exit 3 on some of them:
+    ntk on both, harmonic before its scale, the Baum fits before their slab
+    scale, exact at 1e-170 ("rank 1 < n=30").  The floor knows the radius."""
     ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
+    if method == "baum-threshold":
+        ds = ds.with_labels((ds.labels > 0).astype(float))
     path = str(tmp_path / "ds.bin")
     save_dataset(Dataset(scale * ds.points, ds.labels), path)
-    assert main(["fit", "--method", "harmonic", "--epsilon", "0.3", path]) == 0
+    target = ["--epsilon", "0.3"] if method in ("ntk", "harmonic") else []
+    assert main(["fit", "--method", method, *target, path]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["error_ratio"] <= 0.3 and math.isfinite(summary["total_weight"])
+    assert summary["error_ratio"] <= (0.3 if target else 1e-12)
+    assert 0.0 < summary["total_weight"] < math.inf
     assert summary["max_row_norm"] == pytest.approx(scale)
     assert summary["weight_floor"] == pytest.approx(math.sqrt(30) / (8.0 * max(1.0, scale)))
+
+
+def test_fit_ntk_summary_is_scale_free(tmp_path, capsys):
+    """Rows x 2^-40 report the unit rows' size bound, (gamma, omega) and
+    hypothesis, and 2^40 times their weight (kd_bound read 2.6e-20, and the
+    hypothesis false, for a network that fits)."""
+    ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
+    summaries = []
+    for c in (1.0, 2.0 ** -40):
+        path = str(tmp_path / "ds.bin")
+        save_dataset(Dataset(c * ds.points, ds.labels), path)
+        assert main(["fit", "--method", "ntk", "--epsilon", "0.3", path]) == 0
+        summaries.append(json.loads(capsys.readouterr().out))
+    unit, small = summaries
+    for key in ("k", "kd_bound", "kd_hypothesis_met", "gamma", "omega", "error_ratio"):
+        assert small[key] == unit[key]
+    assert small["total_weight"] == 2.0 ** 40 * unit["total_weight"]
 
 
 def test_fit_harmonic_on_an_unnormalized_gaussian_cloud(tmp_path, capsys):
@@ -214,37 +240,6 @@ def test_fit_harmonic_on_an_unnormalized_gaussian_cloud(tmp_path, capsys):
     assert (summary["m"], summary["k"]) == (24, 961)
     assert 4.0 < summary["max_row_norm"] < 8.0
     assert summary["weight_floor"] == math.sqrt(200) / (8.0 * summary["max_row_norm"])
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [1e160, 1e-170])
-@pytest.mark.parametrize("method", ["baum-relu", "baum-threshold"])
-def test_baum_fits_rows_outside_float_range(tmp_path, capsys, method, scale):
-    """The rows ntk and harmonic reject above fit exactly with both Baum
-    constructions, which measure each slab in a power of two near its group's
-    row norms (exit 3 before: no slab cleared the absolute 1e-12 floors)."""
-    ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
-    if method == "baum-threshold":
-        ds = ds.with_labels((ds.labels > 0).astype(float))
-    path = str(tmp_path / "ds.bin")
-    save_dataset(Dataset(scale * ds.points, ds.labels), path)
-    assert main(["fit", "--method", method, path]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["error_ratio"] < 1e-12 and math.isfinite(summary["total_weight"])
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [1e-170, 1e-100])
-def test_exact_fit_rows_far_below_unit_scale(tmp_path, capsys, scale):
-    """The exact fit runs on the rows over the power of two nearest their
-    largest norm (exit 3 before: the N(0, 1) biases swamped every feature,
-    "rank 1 < n=30"); its weight, near 1e172 at 1e-170, stays finite."""
-    ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
-    path = str(tmp_path / "ds.bin")
-    save_dataset(Dataset(scale * ds.points, ds.labels), path)
-    assert main(["fit", "--method", "exact", path]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["error_ratio"] < 1e-12 and math.isfinite(summary["total_weight"])
 
 
 def test_baum_fits_on_conflicting_duplicates_are_a_data_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from memnet.data import (Dataset, gaussian_labels, general_position,
                          genericity, load_csv, load_dataset, rademacher_labels,
-                         sample_sphere, save_dataset)
+                         sample_sphere, save_dataset, unit_frame)
 from memnet.errors import DataError, ParameterError
 from probes import dense_genericity
 
@@ -135,6 +135,19 @@ def test_genericity_outside_float_range_is_a_data_error(scale, what):
     pts = sample_sphere(30, 10, 0).points
     with pytest.raises(DataError, match=what):
         genericity(Dataset(scale * pts, np.zeros(30)))
+
+
+@pytest.mark.parametrize("scale, k", [(1.0, 0), (0.6, -1), (1e-170, -565),
+                                      (1e160, 532), (1.5e308, 1024)])
+def test_unit_frame_exponent_has_no_float64_cap(scale, k):
+    """k is the integer nearest log2 of the largest row norm, 1024 for rows of
+    norm 1.5e308 (2^1024 is past float64), and the points are scaled by
+    ``np.ldexp``; unit rows give the dataset itself."""
+    ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
+    big = Dataset(scale * ds.points, ds.labels)
+    framed, got = unit_frame(big)
+    assert got == k and framed.labels is big.labels
+    assert framed is big if k == 0 else np.array_equal(framed.points, np.ldexp(big.points, -k))
 
 
 def test_genericity_omega_consistency():

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from memnet.data import Dataset, rademacher_labels, sample_sphere
+from memnet.constructive import baum_relu_fit, baum_threshold_fit, exact_fit_generic
+from memnet.data import Dataset, gaussian_labels, rademacher_labels, sample_sphere
 from memnet.errors import ConvergenceError, InvariantError, ParameterError
+from memnet.harmonic import harmonic_fit
 from memnet.network import (FitTrace, IterationRecord, Neuron, StepProposal, TwoLayerNetwork,
-                            boost_fit, evaluate, get_activation,
+                            boost_fit, evaluate, from_unit_frame, get_activation,
                             relu, threshold, total_weight)
+from memnet.ntk import ntk_fit
 from probes import network_from_json
 
 
@@ -139,7 +144,7 @@ def test_neuron_weight_read_only_and_shared_by_scaled():
 
 
 def test_neuron_weight_when_the_bias_square_overflows():
-    """b ** 2 is past the float range at |b| = 1e160 (a Baum network of rows
+    """b * b is past the float range at |b| = 1e160 (a Baum network of rows
     of that scale); the weight is then taken with hypot."""
     assert Neuron(1e-160, [1, 0, 0], 1e160).weight == pytest.approx(1.0, rel=1e-15)
 
@@ -147,11 +152,21 @@ def test_neuron_weight_when_the_bias_square_overflows():
 @pytest.mark.filterwarnings("error")
 def test_neuron_weight_when_the_weight_square_overflows():
     """w . w is past the float range at |w| = 1e200 (an exact network of rows
-    of norm 1e-170 has |w| near 1e170): inf before, now taken with hypot,
-    also when a = 0 turns the overflow into nan."""
+    of norm 1e-170 has |w| near 1e170): inf once, now taken with hypot, also
+    when a = 0 (it read nan)."""
     assert Neuron(1.0, [1e200, 0, 0], 0.0).weight == 1e200
     assert Neuron(2.0, [3e200, -4e200], 0.0).weight == pytest.approx(1e201, rel=1e-15)
     assert Neuron(0.0, [1e200, 0, 0], 0.0).weight == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_neuron_weight_when_the_weight_square_underflows():
+    """w . w under float64's normal numbers (a network fitted on rows of norm
+    2^1023 has |w| near 2^-1023): the square read 0.0 at |w| = 1e-200 and
+    lost bits at 1e-160 (9.99994e-161); the weight is then taken with hypot."""
+    assert Neuron(1.0, [1e-200, 0, 0], 0.0).weight == 1e-200
+    assert Neuron(1.0, [1e-160, 0, 0], 0.0).weight == 1e-160
+    assert Neuron(3.0, [3e-170, 0, -4e-170], 0.0).weight == pytest.approx(1.5e-169, rel=1e-15)
 
 
 def test_neuron_leaves_callers_array_writable():
@@ -160,6 +175,55 @@ def test_neuron_leaves_callers_array_writable():
         assert w.flags.writeable and nr.w is not w and not nr.w.flags.writeable
         w[0] = 1.0
         assert np.array_equal(nr.w, np.zeros(3))
+
+
+# -- the unit frame -----------------------------------------------------------
+
+@functools.cache
+def _unit_fits(method: str) -> list:
+    """(fit, unit-scale dataset, its network) for ``method``; the Baum datasets
+    include majority-ones threshold labels (a constant neuron)."""
+    if method == "exact":
+        pairs = [(exact_fit_generic, gaussian_labels(sample_sphere(30, 5, 0), 1))]
+    elif method == "ntk":
+        pairs = [(lambda ds: ntk_fit(ds, 0.25, seed=1).network,
+                  rademacher_labels(sample_sphere(100, 20, 3), 4))]
+    elif method == "harmonic":
+        pairs = [(lambda ds: harmonic_fit(ds, 0.3, seed=0).network,
+                  rademacher_labels(sample_sphere(40, 80, 0), 1))]
+    else:
+        sets = [gaussian_labels(sample_sphere(n, d, i), i + 1)
+                for i, (n, d) in enumerate([(30, 10), (61, 7), (5, 5), (100, 20)])]
+        if method == "baum-relu":
+            pairs = [(functools.partial(baum_relu_fit, seed=i), ds) for i, ds in enumerate(sets)]
+        else:
+            pairs = [(functools.partial(baum_threshold_fit, seed=i),
+                      ds.with_labels((ds.labels > cut).astype(float)))
+                     for i, ds in enumerate(sets) for cut in (0.3, -0.3)]
+    return [(fit, ds, fit(ds)) for fit, ds in pairs]
+
+
+@pytest.mark.parametrize("k", [-600, -450, -40, -3, 3, 300, 450, 600])
+@pytest.mark.parametrize("method", ["exact", "baum-relu", "baum-threshold", "ntk", "harmonic"])
+def test_every_fit_scales_exactly(method, k):
+    """Points times 2^k give the unit network with w 2^-k, byte for byte and
+    with no warning: every fit runs on ``unit_frame``'s points and returns
+    ``from_unit_frame``'s network.  ntk had no frame: its W grew 4e8-fold too
+    much at 2^-40 and its step overflowed at 2^300."""
+    for fit, ds, unit in _unit_fits(method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = fit(Dataset(2.0 ** k * ds.points, ds.labels))
+        want = TwoLayerNetwork(tuple(Neuron(nr.a, nr.w / 2.0 ** k, nr.b) for nr in unit.neurons),
+                               unit.activation)
+        assert net.to_json() == want.to_json()
+
+
+def test_from_unit_frame_at_exponent_zero_is_the_network():
+    net = _net([Neuron(2.0, [1.0, -2.0], 0.5)], "threshold")
+    assert from_unit_frame(net, 0) is net
+    assert from_unit_frame(net, 3).to_json() == _net([Neuron(2.0, [0.125, -0.25], 0.5)],
+                                                     "threshold").to_json()
 
 
 # -- boosting driver ----------------------------------------------------------

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from memnet import ntk
+from memnet.bounds import verify_weight_bound
 from memnet.data import Dataset, genericity, rademacher_labels, sample_sphere
 from memnet.errors import ConvergenceError, ParameterError
 from memnet.hermite import hermite_eval
-from memnet.network import FitTrace, Neuron, TwoLayerNetwork, evaluate, total_weight
+from memnet.network import FitTrace, TwoLayerNetwork, evaluate, total_weight
 from memnet.ntk import ntk_fit, ntk_kd_bound, ntk_step
 from probes import (arcsin_gram, gram_lower_bound_check, halfspace_sum, hermite_coefficients,
                     linearized_values)
@@ -224,20 +225,17 @@ def test_ntk_fit_deterministic():
     assert a.network.to_json() == b.network.to_json()
 
 
-@pytest.mark.parametrize("k", [-20, -3, 3, 40])
-def test_ntk_fit_scales_exactly(k):
-    """Points scaled by c = 2^k give the unit fit with a / c, byte for byte, so
-    W scales by exactly 2^-k: each step's margins and v scale by c, its slopes
-    by c^2 and delta by 1/c, so u + delta v is unchanged, and the line search
-    scales the step by 1/c^2.  From about 2^-30 down, the slopes fall under
-    ``safe_delta``'s absolute 1e-14 floor and the fit stops being a rescaling."""
-    c = 2.0 ** k
-    ds = _labeled(100, 20, 3)
-    unit = ntk_fit(ds, epsilon=0.25, seed=1).network
-    net = ntk_fit(Dataset(c * ds.points, ds.labels), epsilon=0.25, seed=1).network
-    want = TwoLayerNetwork(tuple(Neuron(nr.a / c, nr.w, nr.b) for nr in unit.neurons))
-    assert net.to_json() == want.to_json()
-    assert total_weight(net) == total_weight(unit) / c
+def test_ntk_fit_at_the_top_of_the_float_range():
+    """Rows of norm 2^1023 (squared norms past float64: a data error once) fit
+    in the unit frame.  The hidden weights near 2^-1023 have squares under
+    float64's normal numbers, so W is taken with hypot; their squares' sum read
+    W = 0, under the floor sqrt(n)/(8 R), a falsification.  8 R itself
+    overflows, so the floor divides twice (it read 0 too)."""
+    ds = _labeled(30, 10, 0)
+    big = Dataset(2.0 ** 1023 * ds.points, ds.labels)
+    net = ntk_fit(big, epsilon=0.3).network
+    report = verify_weight_bound(big, [("ntk", net)])
+    assert 0.0 < report.bound < total_weight(net) and not report.falsified
 
 
 def test_ntk_fit_iteration_cap_raises_with_trace():
