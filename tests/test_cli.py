@@ -188,14 +188,15 @@ def test_fit_rows_outside_float_range_is_a_data_error(tmp_path, capsys, method, 
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [1e160, 1e-170])
+@pytest.mark.parametrize("scale", [1e160, 1e-100, 1e-170])
 @pytest.mark.parametrize("method", ["exact", "baum-relu", "baum-threshold", "ntk", "harmonic"])
 def test_fit_rows_far_from_unit_scale(tmp_path, capsys, method, scale):
-    """Rows scaled by 1e160 (squared norms overflow) or 1e-170 (they
+    """Rows scaled by 1e160 (squared norms overflow), 1e-100 or 1e-170 (they
     underflow) fit with every method, which runs on the rows times the power
     of two nearest their largest norm.  Each used to exit 3 on some of them:
-    ntk on both, harmonic before its scale, the Baum fits before their slab
-    scale, exact at 1e-170 ("rank 1 < n=30").  The floor knows the radius."""
+    ntk at 1e160 and 1e-170, harmonic before its scale, the Baum fits before
+    their slab scale, exact at 1e-100 and 1e-170 ("rank 1 < n=30").  The
+    floor knows the radius."""
     ds = rademacher_labels(sample_sphere(30, 10, 0), 1)
     if method == "baum-threshold":
         ds = ds.with_labels((ds.labels > 0).astype(float))

@@ -203,13 +203,16 @@ def _unit_fits(method: str) -> list:
     return [(fit, ds, fit(ds)) for fit, ds in pairs]
 
 
-@pytest.mark.parametrize("k", [-600, -450, -40, -3, 3, 300, 450, 600])
+@pytest.mark.parametrize("k", [-600, -450, -400, -100, -40, -20, -3, 3,
+                               40, 100, 133, 300, 400, 450, 500, 600])
 @pytest.mark.parametrize("method", ["exact", "baum-relu", "baum-threshold", "ntk", "harmonic"])
 def test_every_fit_scales_exactly(method, k):
     """Points times 2^k give the unit network with w 2^-k, byte for byte and
     with no warning: every fit runs on ``unit_frame``'s points and returns
     ``from_unit_frame``'s network.  ntk had no frame: its W grew 4e8-fold too
-    much at 2^-40 and its step overflowed at 2^300."""
+    much at 2^-40 and its step overflowed at 2^300.  The exponents are those
+    of the four per-module scale tests this one replaces, plus -40, 300, 450
+    and 600 for every method."""
     for fit, ds, unit in _unit_fits(method):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
