@@ -19,12 +19,11 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import math
 import os
 
 import numpy as np
 
-from .data import Dataset, max_row_norm, unit_frame
+from .data import Dataset, norm_exponent, unit_frame
 from .errors import DataError, DegenerateDataError, RankDeficiencyError
 from .network import Neuron, TwoLayerNetwork, evaluate, from_unit_frame, relu
 
@@ -136,12 +135,11 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
 
 
 def _slab(ds: Dataset, group: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """(u, b, tau, X u): the hyperplane u . x = b, ||u|| = 1, through the group
-    from the null vector of [X_group, -s], s the power of two nearest the
-    group's largest row norm; tau half the distance to the nearest other point
-    (s when there is none); and the projections X u of all n points."""
+    """(u, b, tau, X u): the hyperplane u . x = b, ||u|| = 1, through the group from
+    the null vector of [X_group, -s], s = 2^``norm_exponent(X_group)``; tau half the
+    distance to the nearest other point (s when there is none); and X u of all n points."""
     Xg = ds.points[group]
-    s = 2.0 ** round(math.log2(max_row_norm(Xg)))
+    s = 2.0 ** norm_exponent(Xg)
     null = np.linalg.svd(np.hstack([Xg, np.full((len(group), 1), -s)]))[2][-1]
     norm = float(np.linalg.norm(null[:-1]))
     if norm < 1e-12:

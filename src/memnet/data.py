@@ -81,16 +81,18 @@ class GenericityReport:
 
 
 def max_row_norm(points: np.ndarray) -> float:
-    """The largest row norm; by hypot, 3-14x slower, when squares leave float64's normal range."""
-    with np.errstate(over="ignore"):
-        norm = math.sqrt(np.einsum("ij,ij->i", points, points).max())
-    return norm if _MIN_NORM <= norm < math.inf else float(np.hypot.reduce(points, axis=1).max())
+    """The largest row norm, by hypot: finite for rows whose squares leave the float64 range."""
+    return float(np.hypot.reduce(points, axis=1).max())
+
+
+def norm_exponent(points: np.ndarray) -> int:
+    """The integer nearest log2 of the largest row norm, with no float64 cap."""
+    return round(math.log2(max_row_norm(points)))
 
 
 def unit_frame(ds: Dataset) -> tuple[Dataset, int]:
-    """(ds', k): the points times 2^-k by ``np.ldexp``, k the integer nearest log2 of
-    the largest row norm (no float64 cap); ``ds`` itself when k = 0."""
-    k = round(math.log2(max_row_norm(ds.points)))
+    """(ds', k): the points times 2^-k by ``np.ldexp``, k = ``norm_exponent``; ``ds`` when k = 0."""
+    k = norm_exponent(ds.points)
     return (ds, 0) if k == 0 else (Dataset(np.ldexp(ds.points, -k), ds.labels), k)
 
 
