@@ -3,8 +3,9 @@ networks, and the four-ReLU-per-group derivative-neuron network.
 
 All three fits run on ``data.unit_frame``'s points and return their network
 through ``network.from_unit_frame``: the points times 2^k give the unit network
-with w 2^-k, bit for bit.  A Baum slab is measured in the power of two nearest
-its group's largest row norm.
+with w 2^-k, bit for bit.  A Baum fit builds a partition's groups at once, one LU
+per full group giving its hyperplane and slopes, each slab measured in the power of
+two nearest its group's largest row norm.
 
 The derivative neuron of psi is the finite difference
 
@@ -37,14 +38,13 @@ def derivative_neurons(u: np.ndarray, v: np.ndarray, b: float, delta: float,
     return Neuron(s, u + delta * v, -b), Neuron(-s, u, -b)
 
 
-def safe_delta(margins: np.ndarray, slopes: np.ndarray) -> float:
-    """delta = (1/2) min_i |margins_i| / |slopes_i|, skipping near-zero slopes,
-    for the margins u.x_i - b and slopes v.x_i of a derivative neuron."""
+def safe_delta(margins: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """delta = (1/2) min_i |margins_i| / |slopes_i| over axis 0, skipping near-zero slopes
+    (1 if all are), for the margins u.x_i - b and slopes v.x_i of derivative neurons."""
     slopes = np.abs(slopes)
     keep = slopes >= _SLOPE_EPS
-    if not keep.any():
-        return 1.0
-    return float(0.5 * np.min(np.abs(margins[keep]) / slopes[keep]))
+    ratio = np.divide(np.abs(margins), slopes, out=np.full(slopes.shape, np.inf), where=keep)
+    return np.where(keep.any(axis=0), 0.5 * ratio.min(axis=0), 1.0)
 
 
 def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray,
@@ -134,29 +134,72 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     return from_unit_frame(net, k)
 
 
-def _slab(ds: Dataset, group: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """(u, b, tau, X u): the hyperplane u . x = b, ||u|| = 1, through the group from
-    the null vector of [X_group, -s], s = 2^``norm_exponent(X_group)``; tau half the
-    distance to the nearest other point (s when there is none); and X u of all n points."""
-    Xg = ds.points[group]
-    s = 2.0 ** norm_exponent(Xg)
-    null = np.linalg.svd(np.hstack([Xg, np.full((len(group), 1), -s)]))[2][-1]
-    norm = float(np.linalg.norm(null[:-1]))
-    if norm < 1e-12:
-        raise DegenerateDataError("degenerate hyperplane (zero normal)")
-    u, b = null[:-1] / norm, s * float(null[-1]) / norm
-    xu = ds.points @ u
-    rest = np.delete(xu, group) - b
-    tau = 0.5 * float(np.min(np.abs(rest))) if len(rest) else s
-    if tau <= 1e-12 * s:
-        raise DegenerateDataError(
-            f"another point lies on the group hyperplane (group {group.tolist()})")
-    return u, b, tau, xu
+def _slabs(ds: Dataset, idx: np.ndarray, relu: bool):
+    """(U, b, tau, XU, V, XV) over the groups of d consecutive points of ``idx``, the last
+    one maybe partial: hyperplanes u_g . x = b_g, ||u_g|| = 1, through group g; tau_g half
+    the distance to it of the nearest other point (s_g if none), s_g =
+    2^``norm_exponent(X_g)``; v_g with X_g v_g = y_g when ``relu``; XU = X U^T, XV = X V^T.
+    One LU per full group solves X_g [u', v_g] = [s_g 1, y_g], u_g = u'/||u'||, b_g =
+    s_g/||u'||; a partial group takes the null vector of [X_g, -s_g] and least squares.
+    DegenerateDataError names the first group that is singular, has another point within
+    1e-12 s_g of its hyperplane, or misses its labels."""
+    X, y, d = ds.points, ds.labels, ds.d
+    G = len(idx) // d
+    full, rest = idx[:G * d].reshape(G, d), idx[G * d:]
+    Xg = X[full]
+    s = np.ldexp(1.0, norm_exponent(Xg))
+    rhs = np.dstack([np.broadcast_to(s[:, None], full.shape), y[full]])[..., :1 + relu]
+    try:
+        sol = np.linalg.solve(Xg, rhs)
+    except np.linalg.LinAlgError:
+        g = int(np.argmin(np.abs(np.linalg.slogdet(Xg)[0])))
+        raise DegenerateDataError(f"singular group system (group {full[g].tolist()})") from None
+    norm = np.linalg.norm(sol[..., 0], axis=1)
+    U, b, V = sol[..., 0] / norm[:, None], s / norm, sol[..., -1] if relu else None
+    if len(rest):
+        sp = np.ldexp(1.0, norm_exponent(X[rest]))
+        null = np.linalg.svd(np.hstack([X[rest], np.full((len(rest), 1), -sp)]))[2][-1]
+        norm = np.linalg.norm(null[:-1])
+        U, b, s = np.vstack([U, null[:-1] / norm]), np.r_[b, sp * null[-1] / norm], np.r_[s, sp]
+        V = np.vstack([V, np.linalg.lstsq(X[rest], y[rest], rcond=None)[0]]) if relu else None
+    XU, group = X @ U.T, np.arange(len(idx)) // d
+    dist = np.abs(XU - b)
+    dist[idx, group] = np.inf
+    tau = 0.5 * dist.min(axis=0)
+    tau = np.where(tau < np.inf, tau, s)
+    near = tau <= 1e-12 * s
+    off, XV = np.zeros_like(near), None
+    if relu:
+        XV, starts = X @ V.T, np.arange(0, len(idx), d)
+        off = (np.maximum.reduceat(np.abs(XV[idx, group] - y[idx]), starts)
+               > 1e-8 * np.maximum(1.0, np.maximum.reduceat(np.abs(y[idx]), starts)))
+    bad = np.flatnonzero(near | off)
+    if len(bad):
+        g = bad[0]
+        what = ("another point lies on the group hyperplane" if near[g]
+                else "group labels not realizable")
+        raise DegenerateDataError(f"{what} (group {idx[g * d:(g + 1) * d].tolist()})")
+    return U, b, tau, XU, V, XV
 
 
-def _partition_fit(ds: Dataset, indices: np.ndarray, group_neurons, activation: str,
-                   labels: np.ndarray, tol: float, seed: int, what: str) -> TwoLayerNetwork:
-    """``group_neurons`` over a random partition of ``indices`` into groups of
+def _partition_neurons(ds: Dataset, idx: np.ndarray, relu: bool) -> list[Neuron]:
+    """Per group of ``_slabs``: two threshold neurons realizing the indicator of its
+    slab, or, when ``relu``, the two derivative neurons of opposite sign at biases
+    b -+ tau, supported on the slab and equal to v . x on it."""
+    U, b, tau, XU, V, XV = _slabs(ds, idx, relu)
+    lo, hi = b - tau, b + tau
+    if not relu:
+        return [nr for g in range(len(b))
+                for nr in (Neuron(1.0, U[g], -lo[g]), Neuron(-1.0, U[g], -hi[g]))]
+    d_lo, d_hi = safe_delta(XU - lo, XV), safe_delta(XU - hi, XV)
+    return [nr for g in range(len(b))
+            for nr in (*derivative_neurons(U[g], V[g], lo[g], d_lo[g]),
+                       *derivative_neurons(U[g], V[g], hi[g], d_hi[g], -1.0))]
+
+
+def _partition_fit(ds: Dataset, indices: np.ndarray, activation: str, labels: np.ndarray,
+                   tol: float, seed: int, what: str) -> TwoLayerNetwork:
+    """``_partition_neurons`` over a random partition of ``indices`` into groups of
     at most d, certified to fit ``labels`` within ``tol``; a new partition is
     drawn on DegenerateDataError from a group or the certificate, 20 at most."""
     ds, k = unit_frame(ds)
@@ -165,8 +208,7 @@ def _partition_fit(ds: Dataset, indices: np.ndarray, group_neurons, activation: 
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         idx = indices[rng.permutation(len(indices))]
         try:
-            net = TwoLayerNetwork(tuple(nr for i in range(0, len(idx), ds.d)
-                                        for nr in group_neurons(ds, idx[i:i + ds.d])), activation)
+            net = TwoLayerNetwork(_partition_neurons(ds, idx, activation == "relu"), activation)
             if np.max(np.abs(evaluate(net, ds) - labels)) > tol:
                 raise DegenerateDataError(f"{what} failed to certify the fit")
             return from_unit_frame(net, k)
@@ -189,18 +231,12 @@ def baum_threshold_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
         raise DataError("baum_threshold_fit needs labels in {0, 1}")
     flip = float(2 * np.sum(y) > ds.n)
     g = np.abs(y - flip)                              # indicator of the minority points
-    net = _partition_fit(ds, np.flatnonzero(g), _slab_neurons, "threshold", g, 1e-9,
-                         seed, "indicator construction")
+    net = _partition_fit(ds, np.flatnonzero(g), "threshold", g, 1e-9, seed,
+                         "indicator construction")
     if flip:
         net = TwoLayerNetwork(tuple(nr.scaled(-1.0) for nr in net.neurons)
                               + (Neuron(1.0, np.zeros(ds.d), 1.0),), "threshold")
     return net
-
-
-def _slab_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
-    """Two threshold neurons realizing the indicator of the group's points."""
-    u, b, tau, _ = _slab(ds, group)
-    return [Neuron(1.0, u, -(b - tau)), Neuron(-1.0, u, -(b + tau))]
 
 
 def baum_relu_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
@@ -211,23 +247,4 @@ def baum_relu_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     neurons at biases b -+ tau, which is supported on a thin slab around the
     hyperplane and linear (equal to v . x) on it.
     """
-    return _partition_fit(ds, np.arange(ds.n), _group_neurons, "relu", ds.labels, 1e-6,
-                          seed, "baum_relu_fit")
-
-
-def _group_neurons(ds: Dataset, group: np.ndarray) -> list[Neuron]:
-    """The group's four neurons; u and v project once."""
-    u, b, tau, xu = _slab(ds, group)
-    Xg, yg = ds.points[group], ds.labels[group]
-    if len(group) == ds.d:
-        try:
-            v = np.linalg.solve(Xg, yg)
-        except np.linalg.LinAlgError:
-            raise DegenerateDataError(f"singular group system (group {group.tolist()})")
-    else:
-        v = np.linalg.lstsq(Xg, yg, rcond=None)[0]
-    if np.max(np.abs(Xg @ v - yg), initial=0.0) > 1e-8 * max(1.0, np.max(np.abs(yg), initial=0.0)):
-        raise DegenerateDataError(f"group labels not realizable (group {group.tolist()})")
-    xv = ds.points @ v
-    return [nr for bias, sign in ((b - tau, 1.0), (b + tau, -1.0))
-            for nr in derivative_neurons(u, v, bias, safe_delta(xu - bias, xv), sign)]
+    return _partition_fit(ds, np.arange(ds.n), "relu", ds.labels, 1e-6, seed, "baum_relu_fit")

@@ -80,19 +80,21 @@ class GenericityReport:
         return max(self.gamma, 1.0 / (2.0 * n))
 
 
-def max_row_norm(points: np.ndarray) -> float:
-    """The largest row norm, by hypot: finite for rows whose squares leave the float64 range."""
-    return float(np.hypot.reduce(points, axis=1).max())
+def max_row_norm(points: np.ndarray) -> np.ndarray:
+    """The largest row norm, by hypot: finite for rows whose squares leave the float64
+    range; over a stack of point sets, one per set."""
+    return np.hypot.reduce(points, axis=-1).max(axis=-1)
 
 
-def norm_exponent(points: np.ndarray) -> int:
-    """The integer nearest log2 of the largest row norm, with no float64 cap."""
-    return round(math.log2(max_row_norm(points)))
+def norm_exponent(points: np.ndarray) -> np.ndarray:
+    """The integer nearest log2 of the largest row norm, with no float64 cap; over a
+    stack of point sets, one per set."""
+    return np.rint(np.log2(max_row_norm(points))).astype(int)
 
 
 def unit_frame(ds: Dataset) -> tuple[Dataset, int]:
     """(ds', k): the points times 2^-k by ``np.ldexp``, k = ``norm_exponent``; ``ds`` when k = 0."""
-    k = norm_exponent(ds.points)
+    k = int(norm_exponent(ds.points))
     return (ds, 0) if k == 0 else (Dataset(np.ldexp(ds.points, -k), ds.labels), k)
 
 

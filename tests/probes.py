@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from memnet.data import genericity
+from memnet.data import genericity, norm_exponent
 from memnet.harmonic import _mixture_basis, bump_eval, decompose_directions, relu_mixture
 from memnet.hermite import gl_grid, hermite_eval
 from memnet.network import Neuron, TwoLayerNetwork
@@ -31,6 +31,21 @@ def linearized_values(u, v, b, points):
     (u, v, b, delta) equal on points where its delta is safe."""
     gate = (points @ u - b >= 0.0).astype(float)
     return gate * (points @ v)
+
+
+def slab_oracle(points, group):
+    """(u, b, tau) of one Baum group, one SVD per group: the hyperplane u . x = b,
+    ||u|| = 1, through the group's points from the null vector of [X_group, -s],
+    s = 2^``norm_exponent(X_group)``, and tau half the distance to it of the nearest
+    other point (s when there is none).  An oracle for ``constructive._slabs``, which
+    takes a full group's hyperplane from the LU of X_group instead."""
+    Xg = points[group]
+    s = 2.0 ** norm_exponent(Xg)
+    null = np.linalg.svd(np.hstack([Xg, np.full((len(group), 1), -s)]))[2][-1]
+    norm = float(np.linalg.norm(null[:-1]))
+    u, b = null[:-1] / norm, s * float(null[-1]) / norm
+    rest = np.delete(points @ u, group) - b
+    return u, b, 0.5 * float(np.min(np.abs(rest))) if len(rest) else s
 
 
 def halfspace_sum(points, r, u):

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from memnet.cli import sweep_cell
 from memnet import constructive
-from memnet.constructive import (_slab, baum_relu_fit, baum_threshold_fit,
+from memnet.constructive import (_slabs, baum_relu_fit, baum_threshold_fit,
                                  derivative_neurons, exact_fit_generic, safe_delta)
-from memnet.data import Dataset, gaussian_labels, rademacher_labels, sample_sphere
+from memnet.data import Dataset, gaussian_labels, norm_exponent, rademacher_labels, sample_sphere
 from memnet.errors import DataError, DegenerateDataError, RankDeficiencyError
 from memnet.network import Neuron, TwoLayerNetwork, evaluate, relu
-from probes import linearized_values
+from probes import linearized_values, slab_oracle
 
 
 def _sphere(n, d, seed, labels="gaussian"):
@@ -62,6 +62,19 @@ def test_safe_delta_skips_flat_slopes():
     pts = np.array([[1.0, 0.0]])
     # v orthogonal to the only point: no constraint, fall back to 1
     assert safe_delta(pts @ np.array([1.0, 0.0]) - 0.3, pts @ np.array([0.0, 1.0])) == 1.0
+
+
+def test_safe_delta_columns_are_its_one_dimensional_calls():
+    """Over an (n, G) stack, column j is the 1-D call on column j, bit for bit,
+    a column of flat slopes and one with some slopes skipped included."""
+    rng = np.random.default_rng(0)
+    margins, slopes = rng.standard_normal((2, 50, 7))
+    slopes[:, 3] = 1e-15
+    slopes[::4, 1] = 0.0
+    deltas = safe_delta(margins, slopes)
+    assert deltas[3] == 1.0
+    assert deltas.tobytes() == b"".join(safe_delta(margins[:, j], slopes[:, j]).tobytes()
+                                        for j in range(7))
 
 
 # -- generic exact fit --------------------------------------------------------
@@ -298,24 +311,60 @@ def test_baum_threshold_exact_property(n, d, share, seed):
 
 
 def test_baum_threshold_redraws_a_partition_that_fails_to_certify(monkeypatch):
-    """A slab pair that does not realize its group's indicator fails the
+    """Slab pairs that do not realize their groups' indicator fail the
     certificate inside the retry loop, and the next partition fits."""
     ds = sample_sphere(40, 5, 3)
     y = np.zeros(40)
     y[:12] = 1.0
     calls = []
-    slab_neurons = constructive._slab_neurons
+    partition_neurons = constructive._partition_neurons
 
-    def corrupt_first(ds, group):
-        calls.append(group)
-        neurons = slab_neurons(ds, group)
+    def corrupt_first(ds, idx, relu):
+        calls.append(idx)
+        neurons = partition_neurons(ds, idx, relu)
         return [nr.scaled(2.0) for nr in neurons] if len(calls) == 1 else neurons
 
-    monkeypatch.setattr(constructive, "_slab_neurons", corrupt_first)
+    monkeypatch.setattr(constructive, "_partition_neurons", corrupt_first)
     net = baum_threshold_fit(ds.with_labels(y))
-    assert len(calls) == 2 * math.ceil(12 / 5)  # two partitions of three groups
+    assert len(calls) == 2                      # two partitions of three groups
     assert net.k == 2 * math.ceil(12 / 5)
     assert np.array_equal(evaluate(net, ds), y)
+
+
+def test_baum_fits_solve_once_per_partition(monkeypatch):
+    """One stacked ``np.linalg.solve`` per partition drawn, and an SVD only for
+    a partial group: no per-group loop of factorizations."""
+    calls = {"solve": 0, "svd": 0, "partitions": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in ("solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(constructive, "_partition_neurons",
+                        counted("partitions", constructive._partition_neurons))
+    for n, ones in ((200, 40), (207, 47)):
+        ds = _sphere(n, 20, n, labels="rademacher")
+        y = np.r_[np.ones(ones), np.zeros(n - ones)]
+        for fit, labeled, partial in ((baum_relu_fit, ds, n % 20),
+                                      (baum_threshold_fit, ds.with_labels(y), ones % 20)):
+            calls.update(solve=0, svd=0, partitions=0)
+            fit(labeled)
+            assert calls["partitions"] >= 1
+            assert calls["solve"] == calls["partitions"]
+            assert calls["svd"] == calls["partitions"] * (partial > 0)
+
+
+def test_singular_group_is_named():
+    """Two equal points in a full group make its system singular; the stacked
+    solve fails and the error names that group."""
+    pts = np.array(sample_sphere(10, 5, 0).points)
+    pts[7] = pts[6]
+    with pytest.raises(DegenerateDataError, match=r"singular group system \(group \[5, 6, 7, 8, 9\]"):
+        _slabs(Dataset(pts, np.zeros(10)), np.arange(10), False)
 
 
 def test_baum_fits_give_up_on_conflicting_duplicates():
@@ -379,20 +428,71 @@ def test_baum_relu_exact_property(n, d, seed):
 def test_hyperplane_through_points():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((5, 5))
-    u, b = _slab(Dataset(X, np.zeros(5)), np.arange(5))[:2]
-    assert abs(np.linalg.norm(u) - 1.0) < 1e-12
-    assert np.max(np.abs(X @ u - b)) < 1e-9
+    U, b, tau = _slabs(Dataset(X, np.zeros(5)), np.arange(5), False)[:3]
+    assert abs(np.linalg.norm(U[0]) - 1.0) < 1e-12
+    assert np.max(np.abs(X @ U[0] - b[0])) < 1e-9
+    assert b[0] > 0.0 and tau[0] == 2.0 ** norm_exponent(X)  # no other point
+
+
+def _twelve_decades():
+    """Threshold labels on sphere rows whose norms spread over 12 decades."""
+    ds = sample_sphere(60, 6, 3)
+    y = (rademacher_labels(ds, 4).labels > 0).astype(float)
+    return Dataset(ds.points * 10 ** np.random.default_rng(3).uniform(-6, 6, 60)[:, None], y)
+
+
+def _oracle_cases():
+    """(dataset, the indices the fit partitions, relu) of each oracle case."""
+    ds = _sphere(37, 5, 2)
+    majority = sample_sphere(50, 8, 4).with_labels(np.r_[np.zeros(12), np.ones(38)])
+    het = _twelve_decades()
+    return {"full-groups": (_sphere(200, 20, 1), np.arange(200), True),
+            "partial-group": (ds, np.arange(37), True),
+            "partial-group-threshold": (ds, np.arange(37), False),
+            "majority-ones": (majority, np.arange(12), False),
+            "twelve-decades": (het, np.flatnonzero(het.labels == 0.0), False),
+            "2^600": (Dataset(np.ldexp(ds.points, 600), ds.labels), np.arange(37), True),
+            "2^-600": (Dataset(np.ldexp(ds.points, -600), ds.labels), np.arange(37), True)}
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()))
+def test_slabs_match_the_svd_oracle(case):
+    """On the partitions a fit draws, each group's (u, b) is the SVD oracle's up
+    to one common sign, and tau is the oracle's.  u is a unit vector; b and tau
+    are measured in the group's power of two s.  Two backward-stable methods
+    agree to about eps kappa, kappa the condition number of [X_group, -s]:
+    within 1e-12 on the sphere rows, and 1e-15 kappa on the 12-decade ones,
+    whose groups reach kappa 1e11.  A full group's hyperplane has b > 0."""
+    ds, indices, relu = _oracle_cases()[case]
+    built = 0
+    for attempt in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence((3, attempt)))
+        idx = indices[rng.permutation(len(indices))]
+        try:
+            U, b, tau = _slabs(ds, idx, relu)[:3]
+        except DegenerateDataError:
+            continue
+        built += 1
+        for g in range(len(b)):
+            group = idx[g * ds.d:(g + 1) * ds.d]
+            u0, b0, tau0 = slab_oracle(ds.points, group)
+            s = 2.0 ** norm_exponent(ds.points[group])
+            kappa = np.linalg.cond(np.hstack([ds.points[group], np.full((len(group), 1), -s)]))
+            sign = np.sign(U[g] @ u0)
+            err = max(np.max(np.abs(U[g] - sign * u0)), abs(b[g] - sign * b0) / s,
+                      abs(tau[g] - tau0) / s)
+            assert err <= (1e-15 * kappa if case == "twelve-decades" else 1e-12)
+            assert b[g] > 0.0 or len(group) < ds.d
+    assert built >= (1 if case == "twelve-decades" else 20)
 
 
 def test_baum_threshold_keeps_each_group_slab_scale():
     """Rows whose norms spread over 12 decades: in the frame alone, a group of
     the smallest rows meets the slab's column of 1 and tau floor of 1e-12 and
     no partition certifies; measured in its own power of two, every group fits."""
-    ds = sample_sphere(60, 6, 3)
-    y = (rademacher_labels(ds, 4).labels > 0).astype(float)
-    het = Dataset(ds.points * 10 ** np.random.default_rng(3).uniform(-6, 6, 60)[:, None], y)
+    het = _twelve_decades()
     net = baum_threshold_fit(het, seed=3)
-    assert np.array_equal(evaluate(net, het), y)
+    assert np.array_equal(evaluate(net, het), het.labels)
 
 
 def test_baum_threshold_at_the_top_of_the_float_range():

@@ -37,7 +37,7 @@ def test_golden_network(method, k, weight, stop_reason):
 
 
 @pytest.mark.parametrize("fit, k, weight", [
-    (baum_relu_fit, 40, 1691336.0297384853),
+    (baum_relu_fit, 40, 1692170.7136158303),
     (baum_threshold_fit, 11, 11.010703939646286),
 ])
 def test_golden_baum_majority_ones(fit, k, weight):
