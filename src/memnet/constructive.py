@@ -127,7 +127,7 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
             f"within {K} candidates")
     cols = piv[:n] - 1                                # geqp3 pivots are 1-based
     a = np.linalg.solve(_features(X, W[cols], b[cols]), ds.labels)
-    net = TwoLayerNetwork(tuple(Neuron(a[j], W[cols[j]], b[cols[j]]) for j in range(n)))
+    net = TwoLayerNetwork(zip(a, W[cols], b[cols]))
     resid = np.linalg.norm(evaluate(net, ds) - ds.labels)
     if resid > 1e-6 * max(1.0, np.linalg.norm(ds.labels)):
         raise RankDeficiencyError(f"selected columns too ill-conditioned (residual {resid:.3e})")
@@ -234,8 +234,8 @@ def baum_threshold_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     net = _partition_fit(ds, np.flatnonzero(g), "threshold", g, 1e-9, seed,
                          "indicator construction")
     if flip:
-        net = TwoLayerNetwork(tuple(nr.scaled(-1.0) for nr in net.neurons)
-                              + (Neuron(1.0, np.zeros(ds.d), 1.0),), "threshold")
+        net = TwoLayerNetwork([*zip(-net.a, net.W, net.b), Neuron(1.0, np.zeros(ds.d), 1.0)],
+                              "threshold")
     return net
 
 

@@ -80,16 +80,26 @@ class GenericityReport:
         return max(self.gamma, 1.0 / (2.0 * n))
 
 
+def row_norms(A: np.ndarray) -> np.ndarray:
+    """The 2-norms along the last axis: the square root of the sum of squares, and
+    ``np.hypot.reduce`` for the rows whose sum of squares leaves float64's normal
+    numbers (overflows, or loses bits)."""
+    norms = np.sqrt(np.einsum("...i,...i->...", A, A))
+    bad = (norms < _MIN_NORM) | (norms == np.inf)
+    norms[bad] = np.hypot.reduce(A[bad], axis=-1)
+    return norms
+
+
 def max_row_norm(points: np.ndarray) -> np.ndarray:
-    """The largest row norm, by hypot: finite for rows whose squares leave the float64
-    range; over a stack of point sets, one per set."""
-    return np.hypot.reduce(points, axis=-1).max(axis=-1)
+    """The largest ``row_norms``; over a stack of point sets, one per set."""
+    return row_norms(points).max(axis=-1)
 
 
 def norm_exponent(points: np.ndarray) -> np.ndarray:
-    """The integer nearest log2 of the largest row norm, with no float64 cap; over a
-    stack of point sets, one per set."""
-    return np.rint(np.log2(max_row_norm(points))).astype(int)
+    """The integer nearest log2 of the largest row norm m 2^e (m in [1/2, 1)), exact under
+    powers of two: e - 1 when m < 2^-1/2, else e; over a stack of point sets, one per set."""
+    m, e = np.frexp(max_row_norm(points))
+    return e - (m < 2 ** -0.5)
 
 
 def unit_frame(ds: Dataset) -> tuple[Dataset, int]:

@@ -413,8 +413,7 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
         err.trace.notes.update(notes)
         raise
     trace.notes.update(notes)
-    net = from_unit_frame(TwoLayerNetwork(tuple(nr.scaled(1.0 / norm_scale)
-                                                for nr in net.neurons)), k)
+    net = from_unit_frame(TwoLayerNetwork(zip(net.a * (1.0 / norm_scale), net.W, net.b)), k)
     min_active = n - math.ceil(1.0 / (gamma * gamma))
     if int(active.sum()) < min_active:
         raise InvariantError(

@@ -1,13 +1,13 @@
 """Two-layer networks: representation, evaluation, total weight, and the
 generic residual-boosting driver.
 
-A network computes ``x -> sum_l a_l * psi(w_l . x + b_l)`` and its total
-weight is ``sum_l |a_l| * sqrt(||w_l||^2 + b_l^2)``.  The boosting driver
-consumes a user-supplied one-step constructor that proposes a small network
-correlating with the current residual, and accumulates scaled copies of the
-proposals until the residual is small.  With a finite trimming threshold
-(harmonic construction) it drops points whose residual grew too large from
-an active set, which only shrinks, and fits the residual on that set.
+A network ``x -> sum_l a_l psi(w_l . x + b_l)`` is three frozen arrays a, W and b, stacked
+from its rows (``Neuron``) and checked once when built; its total weight
+``sum_l |a_l| ||(w_l, b_l)||`` takes the row norms of [W | b] by ``data.row_norms``.  The
+boosting driver consumes a one-step constructor that proposes a small network correlating
+with the current residual, and accumulates scaled copies of the proposals until the
+residual is small.  With a finite trimming threshold (harmonic construction) it drops points
+whose residual grew too large from an active set, which only shrinks, and fits on that set.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ import csv
 import json
 import math
 from dataclasses import astuple, dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, row_norms
 from .errors import ConvergenceError, InvariantError, ParameterError
 
 
@@ -42,88 +42,79 @@ def get_activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
     raise ParameterError(f"unknown activation {name!r}")
 
 
-@dataclass(frozen=True)
-class Neuron:
-    """One neuron ``a * psi(w . x + b)``."""
+class Neuron(NamedTuple):
+    """One neuron ``a * psi(w . x + b)``: a row of a network."""
 
     a: float
     w: np.ndarray
     b: float
 
-    def __post_init__(self):
-        w = np.array(self.w, dtype=np.float64)  # a copy: the caller's array stays writable
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and np.isfinite(w).all()):
+
+@dataclass(frozen=True, init=False, eq=False)
+class TwoLayerNetwork:
+    """The rows ``neurons`` stacked once into read-only float64 copies a (k,), W (k, d)
+    ((0, 0) when k = 0) and b (k,), and checked there: finite, with one input dimension."""
+
+    a: np.ndarray
+    W: np.ndarray
+    b: np.ndarray
+    activation: str
+
+    def __init__(self, neurons: Iterable[Neuron], activation: str = "relu"):
+        get_activation(activation)  # validate name eagerly
+        try:
+            a, W, b = ([np.array(col, dtype=np.float64) for col in zip(*neurons)]
+                       or (np.empty(0), np.empty((0, 0)), np.empty(0)))
+        except ValueError:
+            raise ParameterError("all neurons must share the input dimension") from None
+        if (a.ndim, W.ndim, b.ndim) != (1, 2, 1):
+            raise ParameterError("all neurons must share the input dimension")
+        if not (np.isfinite(a).all() and np.isfinite(W).all() and np.isfinite(b).all()):
             raise ParameterError("neuron parameters must be finite")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+        for arr in (a, W, b):
+            arr.setflags(write=False)
+        self.__dict__.update(a=a, W=W, b=b, activation=activation)
 
     @property
-    def weight(self) -> float:
-        with np.errstate(over="ignore"):
-            sq = float(self.w @ self.w) + self.b * self.b
-        # hypot when the squares leave the float range or its normal numbers (lost bits)
-        return abs(self.a) * (math.sqrt(sq) if 2.0 ** -1022 <= sq < math.inf
-                              else math.hypot(*self.w, self.b))
-
-    def scaled(self, c: float) -> "Neuron":
-        """a * c, sharing this neuron's checked read-only w: only a * c is checked."""
-        out = object.__new__(Neuron)
-        out.__dict__.update(a=self.a * c, w=self.w, b=self.b)
-        if not math.isfinite(out.a):
-            raise ParameterError("neuron parameters must be finite")
-        return out
-
-
-@dataclass(frozen=True)
-class TwoLayerNetwork:
-    neurons: tuple
-    activation: str = "relu"
-
-    def __post_init__(self):
-        object.__setattr__(self, "neurons", tuple(self.neurons))
-        get_activation(self.activation)  # validate name eagerly
-        if self.neurons:
-            d = self.neurons[0].w.shape[0]
-            if any(nr.w.shape != (d,) for nr in self.neurons):
-                raise ParameterError("all neurons must share the input dimension")
+    def neurons(self) -> tuple:
+        """The rows as ``Neuron``s of views into a, W and b."""
+        return tuple(map(Neuron, self.a, self.W, self.b))
 
     @property
     def k(self) -> int:
-        return len(self.neurons)
+        return len(self.a)
 
     @property
     def d(self):
-        return self.neurons[0].w.shape[0] if self.neurons else None
+        return self.W.shape[1] if self.k else None
 
     def to_json(self) -> str:
         return json.dumps({
             "activation": self.activation,
-            "neurons": [{"a": nr.a, "w": nr.w.tolist(), "b": nr.b} for nr in self.neurons],
+            "neurons": [{"a": a, "w": w, "b": b}
+                        for a, w, b in zip(self.a.tolist(), self.W.tolist(), self.b.tolist())],
         })
 
 
 def evaluate(net: TwoLayerNetwork, ds: Dataset) -> np.ndarray:
     """Network values on the points of ``ds``."""
-    if not net.neurons:
+    if not net.k:
         return np.zeros(ds.n)
     if ds.d != net.d:
         raise ParameterError(f"dimension mismatch: network d={net.d}, points d={ds.d}")
-    psi = get_activation(net.activation)
-    W = np.stack([nr.w for nr in net.neurons])          # (k, d)
-    a = np.array([nr.a for nr in net.neurons])
-    b = np.array([nr.b for nr in net.neurons])
-    return (psi(ds.points @ W.T + b) @ a)
+    return get_activation(net.activation)(ds.points @ net.W.T + net.b) @ net.a
 
 
 def from_unit_frame(net: TwoLayerNetwork, k: int) -> TwoLayerNetwork:
     """``net``, fitted on ``data.unit_frame``'s points of exponent k, for the points
-    themselves: hidden weights w 2^-k by ``np.ldexp``; ``net`` itself when k = 0."""
-    return net if k == 0 else TwoLayerNetwork(
-        tuple(Neuron(nr.a, np.ldexp(nr.w, -k), nr.b) for nr in net.neurons), net.activation)
+    themselves: hidden weights W 2^-k by ``np.ldexp``; ``net`` itself when k = 0."""
+    return net if k == 0 else TwoLayerNetwork(zip(net.a, np.ldexp(net.W, -k), net.b),
+                                              net.activation)
 
 
 def total_weight(net: TwoLayerNetwork) -> float:
-    return float(sum(nr.weight for nr in net.neurons))
+    """W(f) = sum_l |a_l| ||(w_l, b_l)||, the norms by ``data.row_norms``."""
+    return float(np.abs(net.a) @ row_norms(np.column_stack([net.W, net.b])))
 
 
 @dataclass(frozen=True)
@@ -215,7 +206,7 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
                                    f"{trace.final_error_ratio:.3g}", trace=trace)
 
         eta = corr / norm_sq
-        neurons.extend(nr.scaled(eta) for nr in proposal.neurons)
+        neurons.extend(Neuron(nr.a * eta, nr.w, nr.b) for nr in proposal.neurons)
         r = r - eta * proposal.values
         trace.iterations.append(IterationRecord(
             residual_sq=r_sq,
@@ -231,4 +222,4 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
 
     trace.notes["stop_reason"] = "epsilon reached"
     trace.final_error_ratio = r_sq / y_sq if y_sq > 0 else 0.0
-    return TwoLayerNetwork(tuple(neurons)), trace, active
+    return TwoLayerNetwork(neurons), trace, active

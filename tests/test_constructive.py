@@ -322,7 +322,7 @@ def test_baum_threshold_redraws_a_partition_that_fails_to_certify(monkeypatch):
     def corrupt_first(ds, idx, relu):
         calls.append(idx)
         neurons = partition_neurons(ds, idx, relu)
-        return [nr.scaled(2.0) for nr in neurons] if len(calls) == 1 else neurons
+        return [Neuron(nr.a * 2.0, nr.w, nr.b) for nr in neurons] if len(calls) == 1 else neurons
 
     monkeypatch.setattr(constructive, "_partition_neurons", corrupt_first)
     net = baum_threshold_fit(ds.with_labels(y))
@@ -493,6 +493,26 @@ def test_baum_threshold_keeps_each_group_slab_scale():
     het = _twelve_decades()
     net = baum_threshold_fit(het, seed=3)
     assert np.array_equal(evaluate(net, het), het.labels)
+
+
+def _decades_apart(s):
+    """The s-th of twelve datasets: sphere rows times 10^U(-6, 6), Rademacher labels."""
+    ds = sample_sphere(60, 6, s)
+    scale = 10.0 ** np.random.default_rng(s).uniform(-6, 6, 60)
+    return rademacher_labels(Dataset(ds.points * scale[:, None], ds.labels), s + 1)
+
+
+@pytest.mark.xfail(strict=True, raises=DegenerateDataError,
+                   reason="a group mixing rows of norm 1e-6 and 1e6 gets slopes near 1e6, "
+                          "whose rounding on its largest rows fails the 1e-8 label check")
+def test_baum_relu_fits_rows_whose_norms_spread_over_twelve_decades():
+    """baum_relu_fit (fit seed s) fits none of the twelve datasets ``_decades_apart(s)``,
+    each after 20 partitions, while baum_threshold_fit fits 11 of their 0/1
+    versions.  A fix of the ReLU fit makes this test pass, and strict xfail then fails."""
+    for s in range(12):
+        ds = _decades_apart(s)
+        net = baum_relu_fit(ds, seed=s)
+        assert np.max(np.abs(evaluate(net, ds) - ds.labels)) <= 1e-6
 
 
 def test_baum_threshold_at_the_top_of_the_float_range():

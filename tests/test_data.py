@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from memnet.data import (Dataset, gaussian_labels, general_position,
-                         genericity, load_csv, load_dataset, rademacher_labels,
-                         sample_sphere, save_dataset, unit_frame)
+                         genericity, load_csv, load_dataset, max_row_norm, norm_exponent,
+                         rademacher_labels, row_norms, sample_sphere, save_dataset, unit_frame)
 from memnet.errors import DataError, ParameterError
 from probes import dense_genericity
 
@@ -148,6 +150,33 @@ def test_unit_frame_exponent_has_no_float64_cap(scale, k):
     framed, got = unit_frame(big)
     assert got == k and framed.labels is big.labels
     assert framed is big if k == 0 else np.array_equal(framed.points, np.ldexp(big.points, -k))
+
+
+_ENTRIES = st.floats(1 / 64, 64) | st.floats(-64, -1 / 64) | st.just(0.0)
+_ROW_SCALES = [1.0, 2.0 ** 600, 2.0 ** -600, 1e160, 1e-170, 0.0]
+
+
+@st.composite
+def _row_stacks(draw):
+    """(G, n, d) stacks of point sets, each row scaled by one of ``_ROW_SCALES``."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    X = draw(hnp.arrays(np.float64, shape, elements=_ENTRIES))
+    return X * draw(hnp.arrays(np.float64, (*shape[:2], 1), elements=st.sampled_from(_ROW_SCALES)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(X=_row_stacks(), j=st.integers(-60, 60))
+@example(X=np.ones((1, 1, 2)), j=2)
+def test_row_norms_match_hypot_and_scale_exactly(X, j):
+    """Every row norm is within 4 ulp of ``math.hypot`` of the row, zero rows and rows
+    whose sum of squares overflows or leaves the normal numbers included, and the
+    frame's exponent is exact under powers of two: norm_exponent(X 2^j) = that of X
+    plus j for every set with a nonzero row (rint(log2) gave 1 for [[1, 1]] and 2 for
+    [[4, 4]], where log2 4 sqrt(2) = 2.5 + 1e-16 rounds to 2.5)."""
+    want = np.array([[math.hypot(*row) for row in rows] for rows in X])
+    assert np.all(np.abs(row_norms(X) - want) <= 4 * np.spacing(want))
+    some = max_row_norm(X) > 0.0
+    assert np.array_equal(norm_exponent(np.ldexp(X, j))[some], (norm_exponent(X) + j)[some])
 
 
 def test_genericity_omega_consistency():

@@ -21,7 +21,7 @@ from probes import network_from_json
 
 
 def _net(neurons, activation="relu"):
-    return TwoLayerNetwork(tuple(neurons), activation)
+    return TwoLayerNetwork(neurons, activation)
 
 
 def test_activations():
@@ -125,28 +125,54 @@ def test_network_json_roundtrip_property(net):
         assert _bits(got.b) == _bits(want.b)
 
 
-def test_neuron_rejects_nonfinite():
-    with pytest.raises(ParameterError):
-        Neuron(np.inf, np.zeros(2), 0.0)
-    for a, w, b in ((1.0, [0.0, np.nan], 0.0), (1.0, [0.0, 1.0], -np.inf),
-                    (np.float64(np.nan), [0.0, 1.0], 0.0)):
-        with pytest.raises(ParameterError):
-            Neuron(a, np.array(w), b)
+def test_network_rejects_nonfinite_rows():
+    """A non-finite a, w or b in any row is refused when the network stacks its rows."""
+    ok = Neuron(1.0, np.zeros(2), 0.0)
+    for a, w, b in ((np.inf, [0.0, 0.0], 0.0), (1.0, [0.0, np.nan], 0.0),
+                    (1.0, [0.0, 1.0], -np.inf), (np.float64(np.nan), [0.0, 1.0], 0.0)):
+        with pytest.raises(ParameterError, match="finite"):
+            _net([ok, Neuron(a, np.array(w), b)])
 
 
-def test_neuron_weight_read_only_and_shared_by_scaled():
-    nr = Neuron(2.0, [1.0, -2.0], 0.5)
-    assert nr.w.dtype == np.float64 and not nr.w.flags.writeable
-    half = nr.scaled(0.5)
-    assert (half.a, half.b) == (1.0, 0.5) and half.w is nr.w
-    with pytest.raises(ParameterError):
-        nr.scaled(np.inf)
+def test_network_refuses_rows_of_two_input_dimensions():
+    for w in (np.zeros(3), np.zeros((2, 2)), 0.0):
+        with pytest.raises(ParameterError, match="input dimension"):
+            _net([Neuron(1.0, np.zeros(2), 0.0), Neuron(1.0, w, 0.0)])
+
+
+def test_network_arrays_are_read_only_copies():
+    """a, W and b are read-only float64 copies of the rows, whose arrays stay
+    writable, and the rows the network hands back are views of them."""
+    for w in (np.zeros(3), np.zeros(3, dtype=np.float32), np.zeros((2, 3))[1],
+              np.zeros((3, 2))[:, 0], [0.0, 0.0, 0.0]):
+        net = _net([Neuron(1.0, w, 0.0)])
+        for arr in (net.a, net.W, net.b):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+        if isinstance(w, np.ndarray):
+            assert w.flags.writeable and not np.shares_memory(w, net.W)
+            w[0] = 1.0
+        assert np.array_equal(net.W, np.zeros((1, 3)))
+    a, W, b = np.ones(2), np.zeros((2, 3)), np.zeros(2)
+    net = _net(zip(a, W, b))
+    a[0], W[0, 0], b[0] = 2.0, 1.0, 1.0
+    assert (net.a.tolist(), net.W.any(), net.b.any()) == ([1.0, 1.0], False, False)
+    (nr, _) = net.neurons
+    assert np.shares_memory(nr.w, net.W) and not nr.w.flags.writeable
+    with pytest.raises(ValueError):
+        net.W[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.a = a
+
+
+def _weight(a, w, b):
+    """The weight of the neuron (a, w, b): the total weight of its one-neuron network."""
+    return total_weight(_net([Neuron(a, np.array(w, dtype=float), b)]))
 
 
 def test_neuron_weight_when_the_bias_square_overflows():
     """b * b is past the float range at |b| = 1e160 (a Baum network of rows
     of that scale); the weight is then taken with hypot."""
-    assert Neuron(1e-160, [1, 0, 0], 1e160).weight == pytest.approx(1.0, rel=1e-15)
+    assert _weight(1e-160, [1, 0, 0], 1e160) == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.filterwarnings("error")
@@ -154,9 +180,9 @@ def test_neuron_weight_when_the_weight_square_overflows():
     """w . w is past the float range at |w| = 1e200 (an exact network of rows
     of norm 1e-170 has |w| near 1e170): inf once, now taken with hypot, also
     when a = 0 (it read nan)."""
-    assert Neuron(1.0, [1e200, 0, 0], 0.0).weight == 1e200
-    assert Neuron(2.0, [3e200, -4e200], 0.0).weight == pytest.approx(1e201, rel=1e-15)
-    assert Neuron(0.0, [1e200, 0, 0], 0.0).weight == 0.0
+    assert _weight(1.0, [1e200, 0, 0], 0.0) == 1e200
+    assert _weight(2.0, [3e200, -4e200], 0.0) == pytest.approx(1e201, rel=1e-15)
+    assert _weight(0.0, [1e200, 0, 0], 0.0) == 0.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -164,17 +190,35 @@ def test_neuron_weight_when_the_weight_square_underflows():
     """w . w under float64's normal numbers (a network fitted on rows of norm
     2^1023 has |w| near 2^-1023): the square read 0.0 at |w| = 1e-200 and
     lost bits at 1e-160 (9.99994e-161); the weight is then taken with hypot."""
-    assert Neuron(1.0, [1e-200, 0, 0], 0.0).weight == 1e-200
-    assert Neuron(1.0, [1e-160, 0, 0], 0.0).weight == 1e-160
-    assert Neuron(3.0, [3e-170, 0, -4e-170], 0.0).weight == pytest.approx(1.5e-169, rel=1e-15)
+    assert _weight(1.0, [1e-200, 0, 0], 0.0) == 1e-200
+    assert _weight(1.0, [1e-160, 0, 0], 0.0) == 1e-160
+    assert _weight(3.0, [3e-170, 0, -4e-170], 0.0) == pytest.approx(1.5e-169, rel=1e-15)
 
 
-def test_neuron_leaves_callers_array_writable():
-    for w in (np.zeros(3), np.zeros(3, dtype=np.float32), np.zeros((2, 3))[1]):
-        nr = Neuron(1.0, w, 0.0)
-        assert w.flags.writeable and nr.w is not w and not nr.w.flags.writeable
-        w[0] = 1.0
-        assert np.array_equal(nr.w, np.zeros(3))
+_MODERATE = st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100) | st.just(0.0)
+
+
+@st.composite
+def _scaled_networks(draw):
+    """Networks whose rows (w, b) are scaled by c in {1, 1e160, 1e-170, 2^600, 2^-600},
+    and a by 1/c, so every |a| ||(w, b)|| is finite and normal."""
+    d = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        c = draw(st.sampled_from([1.0, 1e160, 1e-170, 2.0 ** 600, 2.0 ** -600]))
+        w = draw(hnp.arrays(np.float64, d, elements=_MODERATE))
+        rows.append(Neuron(draw(_MODERATE) / c, w * c, draw(_MODERATE) * c))
+    return _net(rows)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(net=_scaled_networks())
+def test_total_weight_is_the_sum_of_neuron_weights_property(net):
+    """W(f) = sum_l |a_l| ||(w_l, b_l)||, held to an fsum of math.hypot norms: a
+    total_weight that under-reports (or over-reports) it by any factor fails here."""
+    want = math.fsum(abs(nr.a) * math.hypot(*nr.w, nr.b) for nr in net.neurons)
+    assert total_weight(net) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert total_weight(_net([])) == 0.0
 
 
 # -- the unit frame -----------------------------------------------------------
@@ -354,11 +398,12 @@ def test_boost_weight_is_sum_of_scaled_steps():
         vals = np.maximum(ds.points @ w + b, 0.0)
         sign = 1.0 if float(r @ vals) >= 0 else -1.0
         nr = Neuron(sign, w, b)
-        proposed[len(proposed)] = nr.weight  # unit outer coefficient
+        proposed[len(proposed)] = total_weight(_net([nr]))  # unit outer coefficient
         return StepProposal(neurons=[nr], values=sign * vals)
 
     net, trace, _ = boost_fit(builder, ds, epsilon=0.5, max_iters=2000)
-    unit_weights = [nr.weight / abs(nr.a) for nr in net.neurons]
+    unit_weights = [total_weight(_net([Neuron(nr.a * (1.0 / abs(nr.a)), nr.w, nr.b)]))
+                    for nr in net.neurons]
     assert total_weight(net) == pytest.approx(
         sum(abs(rec.eta) * uw for rec, uw in zip(trace.iterations, unit_weights)),
         rel=1e-10)
