@@ -247,4 +247,5 @@ def baum_relu_fit(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     neurons at biases b -+ tau, which is supported on a thin slab around the
     hyperplane and linear (equal to v . x) on it.
     """
-    return _partition_fit(ds, np.arange(ds.n), "relu", ds.labels, 1e-6, seed, "baum_relu_fit")
+    tol = 1e-6 * max(1.0, float(np.max(np.abs(ds.labels))))
+    return _partition_fit(ds, np.arange(ds.n), "relu", ds.labels, tol, seed, "baum_relu_fit")

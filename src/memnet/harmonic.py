@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -374,12 +373,12 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     """Trimmed iterative harmonic fit on the boosting driver; ``max_iters``
     defaults to max(4000, 20 n) steps (a fit takes about 5-6 n at d = 100).
 
-    Labels are normalized to ||y||^2 = n internally (undone on output).
-    Indices whose residual exceeds n gamma^2 are trimmed from the active
-    set A, which only shrinks; the guarantee |A| >= n - ceil(1/gamma^2) is
-    checked on exit (InvariantError).  The fit stops when the trimmed
-    residual reaches epsilon * ||y||^2; each step gets 20 attempts (a failed
-    sampler draw is one), else ConvergenceError.
+    The sampler sees the residual in the paper's frame ||y||^2 = n.  Points
+    whose squared residual exceeds gamma^2 ||y||^2 are trimmed from the
+    active set A, which only shrinks; the guarantee |A| >= n - ceil(1/gamma^2)
+    is checked on exit (InvariantError).  The fit stops when the trimmed
+    residual reaches epsilon * ||y||^2; each step gets the driver's 20
+    attempts (a failed sampler draw is one), else ConvergenceError.
     """
     n = ds.n
     if n < 2:  # log n = 0 makes the projection cutoff, hence M, zero
@@ -405,15 +404,14 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     norm_scale = math.sqrt(n / y_sq) if y_sq > 0.0 else 1.0
     notes = {"m": m, "gamma": gamma, "gamma_clamped": gamma != report.gamma}
     try:
-        net, trace, active = boost_fit(partial(single_neuron_step, ds, m=m, gamma=gamma),
-                                       ds.with_labels(ds.labels * norm_scale), epsilon,
-                                       max_iters=max_iters, seed=seed, retry_budget=20,
-                                       trim_sq=n * gamma * gamma)
+        net, trace, active = boost_fit(
+            lambda r, s: single_neuron_step(ds, r * norm_scale, s, m, gamma), ds, epsilon,
+            max_iters=max_iters, seed=seed, trim_sq=y_sq * gamma * gamma)
     except ConvergenceError as err:
         err.trace.notes.update(notes)
         raise
     trace.notes.update(notes)
-    net = from_unit_frame(TwoLayerNetwork(zip(net.a * (1.0 / norm_scale), net.W, net.b)), k)
+    net = from_unit_frame(net, k)
     min_active = n - math.ceil(1.0 / (gamma * gamma))
     if int(active.sum()) < min_active:
         raise InvariantError(

@@ -129,6 +129,8 @@ class StepProposal:
 # proposal, or None to signal a degenerate draw that the driver should retry.
 StepBuilder = Callable[[np.ndarray, int], StepProposal | None]
 
+STEP_ATTEMPTS = 20  # per boosting step; an ntk step never needs a second one
+
 
 @dataclass
 class IterationRecord:
@@ -154,8 +156,7 @@ class FitTrace:
 
 
 def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
-              max_iters: int, seed: int = 0, retry_budget: int = 50,
-              trim_sq: float = math.inf
+              max_iters: int, seed: int = 0, trim_sq: float = math.inf
               ) -> tuple[TwoLayerNetwork, FitTrace, np.ndarray]:
     """Greedy residual fitting: r <- r - eta * f for proposals f.
 
@@ -163,9 +164,9 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
     r_i^2 exceeds ``trim_sq`` at the start of an iteration leaves the active
     set A for good.  The builder, the line search eta = (r_A . f_A)/||f_A||^2
     (which never increases ||r_A||^2) and the stop at ||r_A||^2 <=
-    epsilon ||y||^2 all use the residual restricted to A.  Steps with
-    nonpositive correlation are resampled up to ``retry_budget`` times;
-    exhausting them, or ``max_iters``, raises ConvergenceError with the trace.
+    epsilon ||y||^2 all use the residual restricted to A.  A step gets ``STEP_ATTEMPTS`` =
+    20 attempts at a proposal with positive correlation; exhausting them, or
+    ``max_iters``, raises ConvergenceError with the trace.
     ``trace.notes["stop_reason"]`` is "epsilon reached" or the error's reason.
     """
     if not (0.0 < epsilon < 1.0):
@@ -185,7 +186,7 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
             break
         proposal = None
         # the pass after the last iteration only checks the stopping rule
-        for attempt in range(retry_budget if it < max_iters else 0):
+        for attempt in range(STEP_ATTEMPTS if it < max_iters else 0):
             attempt_seed = int(np.random.SeedSequence(entropy=seed_root.entropy,
                                                       spawn_key=(it, attempt)).generate_state(1)[0])
             cand = step_builder(r_act, attempt_seed)

@@ -762,6 +762,24 @@ def test_harmonic_fit_active_set_guarantee_raises_invariant_error(monkeypatch):
         harmonic_fit(ds, epsilon=0.3, seed=0)
 
 
+def test_harmonic_fit_returns_the_network_boost_fit_built(monkeypatch):
+    """On unit-sphere data the fit's network is the driver's own object: no
+    relabelled copy of the data and no restacked network."""
+    real_boost_fit = harmonic.boost_fit
+    built = []
+
+    def spy(step, ds, *args, **kwargs):
+        built.append((ds, real_boost_fit(step, ds, *args, **kwargs)))
+        return built[-1][1]
+
+    monkeypatch.setattr(harmonic, "boost_fit", spy)
+    ds = gaussian_labels(sample_sphere(40, 80, 3), 4)
+    res = harmonic_fit(ds, epsilon=0.3, seed=3)
+    [(boost_ds, (net, _, _))] = built
+    assert res.network is net
+    assert boost_ds is ds
+
+
 def test_harmonic_fit_small_instance():
     ds = rademacher_labels(sample_sphere(40, 80, 0), 1)
     res = harmonic_fit(ds, epsilon=0.3, seed=0)
@@ -791,7 +809,7 @@ def test_harmonic_fit_on_rows_past_the_largest_power_of_two():
 
 
 def test_harmonic_fit_iteration_cap_raises_with_trace():
-    # Gaussian labels: the internal label normalization is not the identity
+    # Gaussian labels: the sampler's residual rescaling is not the identity
     ds = gaussian_labels(sample_sphere(40, 80, 3), 4)
     with pytest.raises(ConvergenceError, match="iteration cap") as err:
         harmonic_fit(ds, epsilon=0.3, seed=3, max_iters=2)

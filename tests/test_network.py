@@ -266,6 +266,21 @@ def test_every_fit_scales_exactly(method, k):
         assert net.to_json() == want.to_json()
 
 
+@pytest.mark.parametrize("j", [-30, 20, 40])
+@pytest.mark.parametrize("method", ["exact", "baum-relu", "ntk", "harmonic"])
+def test_every_fit_scales_labels_exactly(method, j):
+    """Labels times 2^j give the unit network with a 2^j, byte for byte.  At
+    2^20 baum-relu's certificate was a flat 1e-6: two of its four datasets
+    silently took another partition, and labels of 2^19 on sphere data failed
+    to certify.  baum-threshold is left out: its labels are 0/1."""
+    for fit, ds, unit in _unit_fits(method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = fit(ds.with_labels(ds.labels * 2.0 ** j))
+        want = TwoLayerNetwork(zip(unit.a * 2.0 ** j, unit.W, unit.b), unit.activation)
+        assert net.to_json() == want.to_json()
+
+
 def test_from_unit_frame_at_exponent_zero_is_the_network():
     net = _net([Neuron(2.0, [1.0, -2.0], 0.5)], "threshold")
     assert from_unit_frame(net, 0) is net
@@ -413,13 +428,17 @@ def test_boost_weight_is_sum_of_scaled_steps():
 
 
 def test_boost_retry_exhaustion_raises_with_trace():
+    """Every step gets 20 attempts, for ntk and harmonic alike."""
     ds = _dataset()
+    calls = []
 
     def builder(r, seed):
+        calls.append(seed)
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=-r)
 
-    with pytest.raises(ConvergenceError) as err:
-        boost_fit(builder, ds, epsilon=0.1, max_iters=5, retry_budget=3)
+    with pytest.raises(ConvergenceError, match="step retry budget exhausted") as err:
+        boost_fit(builder, ds, epsilon=0.1, max_iters=5)
+    assert len(calls) == len(set(calls)) == 20
     assert isinstance(err.value.trace, FitTrace)
     assert err.value.trace.notes["stop_reason"] == "step retry budget exhausted"
 
@@ -503,7 +522,7 @@ def test_boost_monotone_property(n, d, data_seed, fit_seed, trim_sq, epsilon, ki
 
     try:
         _, trace, active = boost_fit(builder, ds, epsilon, max_iters=40, seed=fit_seed,
-                                     retry_budget=8, trim_sq=trim_sq)
+                                     trim_sq=trim_sq)
         final = [int(active.sum())]
     except ConvergenceError as err:
         trace, final = err.trace, []
