@@ -78,25 +78,23 @@ def _run_method(method: str, ds, epsilon, seed: int):
     }
 
 
-def _error_ratio(f: np.ndarray, y: np.ndarray) -> float:
-    """||f - y||^2 / ||y||^2, 0 for zero labels."""
+def _fit_cell(method: str, ds, epsilon, seed: int):
+    """(network, trace, summary): ``method`` fitted on ``ds`` and the summary ``fit``
+    prints, from one evaluation of the network."""
+    net, trace, extras = _run_method(method, ds, epsilon, seed)
+    f, y = evaluate(net, ds), ds.labels
     y_sq = float(y @ y)
-    return float(np.sum((f - y) ** 2)) / y_sq if y_sq > 0 else 0.0
-
-
-def _summary(method: str, ds, net, epsilon, extras: dict) -> dict:
-    ratio = _error_ratio(evaluate(net, ds), ds.labels)
-    rademacher = bool(np.all(np.abs(ds.labels) == 1.0))
-    out = {
+    ratio = float(np.sum((f - y) ** 2)) / y_sq if y_sq > 0 else 0.0
+    summary = {
         "method": method, "n": ds.n, "d": ds.d, "epsilon": epsilon,
         "k": net.k, "total_weight": total_weight(net),
         "error_ratio": ratio,
         "weight_floor": bounds.weight_floor(ds),
         "max_row_norm": data_mod.max_row_norm(ds.points),
-        "weight_floor_hypothesis_met": rademacher and ratio <= 0.5,
+        "weight_floor_hypothesis_met": bool(np.all(np.abs(y) == 1.0)) and ratio <= 0.5,
     }
-    out.update(extras)
-    return out
+    summary.update(extras)
+    return net, trace, summary
 
 
 def _check_method(args) -> None:
@@ -112,13 +110,12 @@ def _check_method(args) -> None:
 
 def cmd_fit(args) -> int:
     _check_method(args)
-    ds = _load_any(args.dataset)
-    net, trace, extras = _run_method(args.method, ds, args.epsilon, args.seed)
+    net, trace, summary = _fit_cell(args.method, _load_any(args.dataset), args.epsilon,
+                                    args.seed)
     prefix = args.output or os.path.splitext(args.dataset)[0]
     with open(prefix + ".network.json", "w") as fh:
         fh.write(net.to_json())
     trace.to_csv(prefix + ".trace.csv")
-    summary = _summary(args.method, ds, net, args.epsilon, extras)
     with open(prefix + ".summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     print(json.dumps(summary, indent=2))
@@ -126,22 +123,18 @@ def cmd_fit(args) -> int:
 
 
 def sweep_cell(method, n, d, seed, epsilon, labels):
-    """One sweep row: ``method`` fitted with ``seed`` on ``sample_sphere(n, d,
-    seed)`` with ``labels`` drawn from seed + 1 (made 0/1 for baum-threshold)."""
+    """One sweep row: the ``fit`` summary of ``method`` fitted with ``seed`` on
+    ``sample_sphere(n, d, seed)`` with ``labels`` drawn from seed + 1 (made 0/1 for
+    baum-threshold), plus ``seed``, ``max_residual`` and ``trimmed_out`` (0 unless
+    harmonic trims); the CSV's epsilon of an exact method is ""."""
     ds = data_mod.sample_sphere(n, d, seed)
     ds = LABELS[labels](ds, seed + 1)
     if method == "baum-threshold":
         ds = ds.with_labels((ds.labels > 0).astype(float))
-    net, _, extras = _run_method(method, ds, epsilon, seed)
-    f = evaluate(net, ds)
-    return {
-        "method": method, "n": n, "d": d, "seed": seed,
-        "epsilon": "" if epsilon is None else epsilon,
-        "k": net.k, "total_weight": total_weight(net),
-        "error_ratio": _error_ratio(f, ds.labels),
-        "max_residual": float(np.max(np.abs(f - ds.labels))),
-        "trimmed_out": extras.get("trimmed_out", 0),
-    }
+    net, _, summary = _fit_cell(method, ds, epsilon, seed)
+    return {"seed": seed, "trimmed_out": 0, **summary,
+            "epsilon": "" if epsilon is None else epsilon,
+            "max_residual": float(np.max(np.abs(evaluate(net, ds) - ds.labels)))}
 
 
 def cmd_sweep(args) -> int:
@@ -166,7 +159,7 @@ def cmd_sweep(args) -> int:
     cols = ["method", "n", "d", "seed", "epsilon", "k", "total_weight",
             "error_ratio", "max_residual", "trimmed_out"]
     with open(args.output, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols)
+        writer = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.output}")

@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-from .data import Dataset, norm_exponent, unit_frame
+from .data import Dataset, norm_exponent, row_norms, unit_frame
 from .errors import DataError, DegenerateDataError, RankDeficiencyError
 from .network import Neuron, TwoLayerNetwork, evaluate, from_unit_frame, relu
 
@@ -142,7 +142,8 @@ def _slabs(ds: Dataset, idx: np.ndarray, relu: bool):
     One LU per full group solves X_g [u', v_g] = [s_g 1, y_g], u_g = u'/||u'||, b_g =
     s_g/||u'||; a partial group takes the null vector of [X_g, -s_g] and least squares.
     DegenerateDataError names the first group that is singular, has another point within
-    1e-12 s_g of its hyperplane, or misses its labels."""
+    1e-12 s_g of its hyperplane, or misses its labels, the last two with the spread of its
+    row norms in decades."""
     X, y, d = ds.points, ds.labels, ds.d
     G = len(idx) // d
     full, rest = idx[:G * d].reshape(G, d), idx[G * d:]
@@ -178,7 +179,10 @@ def _slabs(ds: Dataset, idx: np.ndarray, relu: bool):
         g = bad[0]
         what = ("another point lies on the group hyperplane" if near[g]
                 else "group labels not realizable")
-        raise DegenerateDataError(f"{what} (group {idx[g * d:(g + 1) * d].tolist()})")
+        rows = idx[g * d:(g + 1) * d]
+        spread = np.ptp(np.log10(row_norms(X[rows])))
+        raise DegenerateDataError(f"{what} (group {rows.tolist()}, row norms spread over "
+                                  f"{spread:.1f} decades)")
     return U, b, tau, XU, V, XV
 
 

@@ -111,12 +111,16 @@ def unit_frame(ds: Dataset) -> tuple[Dataset, int]:
 def sample_sphere(n: int, d: int, seed: int) -> Dataset:
     """i.i.d. uniform points on the unit sphere S^{d-1}, labels zero.
 
-    Deterministic given ``seed`` (normalized Gaussian rows).
+    Deterministic given ``seed`` (normalized Gaussian rows).  ParameterError
+    when numpy refuses the n x d array (too large, or out of memory).
     """
     if n < 1 or d < 2:
         raise ParameterError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n, d))
+    try:
+        pts = rng.standard_normal((n, d))
+    except (ValueError, MemoryError) as err:
+        raise ParameterError(f"cannot sample {n} x {d} points: {err}") from None
     norms = np.linalg.norm(pts, axis=1, keepdims=True)
     # Resample the (measure-zero) degenerate rows rather than dividing by ~0.
     while np.any(norms < 1e-8):

@@ -129,7 +129,9 @@ class StepProposal:
 # proposal, or None to signal a degenerate draw that the driver should retry.
 StepBuilder = Callable[[np.ndarray, int], StepProposal | None]
 
-STEP_ATTEMPTS = 20  # per boosting step; an ntk step never needs a second one
+# Attempts per boosting step: the only redraw of both steps.  An ntk step returns None
+# when v = 0 or u ties a point, a harmonic step when its sampler misses the floor.
+STEP_ATTEMPTS = 20
 
 
 @dataclass

@@ -29,35 +29,30 @@ import numpy as np
 
 from .constructive import derivative_neurons, safe_delta
 from .data import Dataset, GenericityReport, genericity, unit_frame
-from .errors import DataError, ParameterError
+from .errors import ParameterError
 from .network import FitTrace, StepProposal, TwoLayerNetwork, boost_fit, from_unit_frame
 
 
 def ntk_step(ds: Dataset, residual: np.ndarray, seed: int) -> StepProposal | None:
     """One NTK step for the given residual: the two neurons of the derivative
-    neuron (u, v, b = 0, delta) and their values; None signals v = 0 (resample).
-
-    u is resampled, at most 16 times, on the (measure-zero) event that some
-    u . x_i is exactly zero, so the two-ReLU realization is exact on every
-    data point.
+    neuron (u, v, b = 0, delta) and their values; None when v = 0 or when u
+    ties a point (some u . x_i is exactly zero, a measure-zero event where the
+    two-ReLU realization is not exact), and ``boost_fit`` draws again.
     """
     r = np.asarray(residual, dtype=np.float64)
     if float(r @ r) == 0.0:
         raise ParameterError("residual must be nonzero")
-    rng = np.random.default_rng(seed)
-    for _ in range(16):
-        u = rng.standard_normal(ds.d)
-        margins = ds.points @ u
-        if (margins == 0.0).any():
-            continue
-        v = np.where(margins >= 0.0, r, 0.0) @ ds.points
-        if float(v @ v) == 0.0:
-            return None
-        delta = safe_delta(margins, ds.points @ v)
-        upper, lower = derivative_neurons(u, v, 0.0, delta)
-        values = (np.maximum(ds.points @ upper.w, 0.0) - np.maximum(margins, 0.0)) / delta
-        return StepProposal(neurons=(upper, lower), values=values)
-    raise DataError("could not draw u avoiding exact ties u . x_i = 0")
+    u = np.random.default_rng(seed).standard_normal(ds.d)
+    margins = ds.points @ u
+    if (margins == 0.0).any():
+        return None
+    v = np.where(margins >= 0.0, r, 0.0) @ ds.points
+    if float(v @ v) == 0.0:
+        return None
+    delta = safe_delta(margins, ds.points @ v)
+    upper, lower = derivative_neurons(u, v, 0.0, delta)
+    values = (np.maximum(ds.points @ upper.w, 0.0) - np.maximum(margins, 0.0)) / delta
+    return StepProposal(neurons=(upper, lower), values=values)
 
 
 def ntk_kd_bound(n: int, epsilon: float, report: GenericityReport) -> float | None:

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memnet.cli import main
-from memnet.data import Dataset, rademacher_labels, sample_sphere, save_dataset
+from memnet.cli import main, sweep_cell
+from memnet.data import (Dataset, load_dataset, rademacher_labels, sample_sphere,
+                         save_dataset)
 from memnet.errors import ConvergenceError, InvariantError
 from memnet.network import FitTrace
 
@@ -436,6 +437,56 @@ def test_sweep_csv_sorted_and_deterministic(tmp_path, capsys):
     ns = [int(line.split(",")[1]) for line in lines[1:]]
     assert ns == sorted(ns)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["exact", "baum-threshold", "baum-relu", "ntk", "harmonic"])
+def test_sweep_row_is_the_fit_summary(tmp_path, capsys, method):
+    """A sweep cell and ``fit`` on the ``gen-data`` file of the same (n, d, seed,
+    labels) report the same summary: every key of summary.json is in the row with
+    the same value, the row's "" epsilon standing for null."""
+    n, d, seed = 60, 30, 1
+    path = _gen(tmp_path, n=n, d=d, seed=seed)
+    if method == "baum-threshold":
+        ds = load_dataset(path)
+        save_dataset(ds.with_labels((ds.labels > 0).astype(float)), path)
+    eps = ["--epsilon", "0.3"] if method in ("ntk", "harmonic") else []
+    assert main(["fit", "--method", method, *eps, "--seed", str(seed), path]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "ds.summary.json").read_text())
+    row = sweep_cell(method, n, d, seed, 0.3 if eps else None, "rademacher")
+    assert row["seed"] == seed and row["trimmed_out"] == summary.get("trimmed_out", 0)
+    if not eps:
+        assert row["max_residual"] < 1e-6
+    assert row["epsilon"] == ("" if summary["epsilon"] is None else summary["epsilon"])
+    assert {key: row[key] for key in summary} == {**summary, "epsilon": row["epsilon"]}
+
+
+@pytest.mark.parametrize("n, d", [(5, 10 ** 30), (2 ** 40, 2 ** 30)])
+def test_oversize_sample_is_a_parameter_error(tmp_path, capsys, n, d):
+    """numpy refuses both shapes before it allocates: one error line, exit 2."""
+    for argv in (["gen-data", "--n", str(n), "--d", str(d), "-o", str(tmp_path / "x.bin")],
+                 ["sweep", "--method", "baum-relu", "--d", str(d), "--n-list", str(n),
+                  "-o", str(tmp_path / "x.csv")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot sample {n} x {d} points") and err.count("\n") == 1
+    assert not (tmp_path / "x.bin").exists() and not (tmp_path / "x.csv").exists()
+
+
+def test_out_of_memory_sample_is_a_parameter_error(tmp_path, capsys, monkeypatch):
+    """A generator that runs out of memory (monkeypatched: nothing is allocated)."""
+    class Starved:
+        def __init__(self, seed):
+            pass
+
+        def standard_normal(self, shape):
+            raise MemoryError("Unable to allocate 3.64 TiB")
+
+    monkeypatch.setattr(np.random, "default_rng", Starved)
+    assert main(["gen-data", "--n", "100000000000", "--d", "5",
+                 "-o", str(tmp_path / "x.bin")]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot sample 100000000000 x 5 points: Unable to allocate 3.64 TiB\n")
 
 
 def test_sweep_parallel_matches_serial(tmp_path, capsys, monkeypatch):

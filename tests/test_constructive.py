@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memnet.cli import sweep_cell
+from memnet.cli import main, sweep_cell
 from memnet import constructive
 from memnet.constructive import (_slabs, baum_relu_fit, baum_threshold_fit,
                                  derivative_neurons, exact_fit_generic, safe_delta)
-from memnet.data import Dataset, gaussian_labels, norm_exponent, rademacher_labels, sample_sphere
+from memnet.data import (Dataset, gaussian_labels, norm_exponent, rademacher_labels, sample_sphere,
+                         save_dataset)
 from memnet.errors import DataError, DegenerateDataError, RankDeficiencyError
 from memnet.network import Neuron, TwoLayerNetwork, evaluate, relu
 from probes import linearized_values, slab_oracle
@@ -513,6 +514,18 @@ def test_baum_relu_fits_rows_whose_norms_spread_over_twelve_decades():
         ds = _decades_apart(s)
         net = baum_relu_fit(ds, seed=s)
         assert np.max(np.abs(evaluate(net, ds) - ds.labels)) <= 1e-6
+
+
+def test_baum_relu_failure_names_the_spread_of_the_group_row_norms(tmp_path, capsys):
+    """``fit --method baum-relu`` on ``_decades_apart(0)`` exits 3, and its one error
+    line names the last partition's failing group and how many decades its row norms
+    span: 10.6."""
+    path = str(tmp_path / "decades.bin")
+    save_dataset(_decades_apart(0), path)
+    assert main(["fit", "--method", "baum-relu", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: baum_relu_fit failed after 20 partitions: ")
+    assert err.endswith(", row norms spread over 10.6 decades)\n") and err.count("\n") == 1
 
 
 def test_baum_threshold_at_the_top_of_the_float_range():

@@ -114,6 +114,33 @@ def test_step_and_proposal_match_their_definition(monkeypatch):
         assert np.max(np.abs(diff)) <= 1e-12 * scale
 
 
+def test_step_tie_returns_none_and_boost_fit_draws_again(monkeypatch):
+    """Seed 7 draws u = default_rng(7).standard_normal(d); the row (u_1, -u_0, 0, ...)
+    has margin exactly 0 under it, so that step is None, and the fit's next attempt
+    draws a fresh u and goes on to fit the data."""
+    d = 5
+    u = np.random.default_rng(7).standard_normal(d)
+    row = np.zeros(d)
+    row[:2] = u[1], -u[0]
+    base = _labeled(30, d, 0)
+    ds = Dataset(np.vstack([base.points, row]), np.r_[base.labels, 1.0])
+    assert (ds.points @ u)[-1] == 0.0
+    assert ntk_step(ds, ds.labels, 7) is None
+
+    steps = []
+    real_step = ntk.ntk_step
+
+    def tie_first(ds, residual, seed):
+        steps.append(real_step(ds, residual, 7 if not steps else seed))
+        return steps[-1]
+
+    monkeypatch.setattr(ntk, "ntk_step", tie_first)
+    res = ntk_fit(ds, 0.25, seed=0)
+    assert steps[0] is None and steps[1] is not None
+    assert len(steps) == len(res.trace.iterations) + 1
+    assert res.trace.final_error_ratio <= 0.25
+
+
 # -- arcsin Gram --------------------------------------------------------------
 
 def test_arcsin_gram_closed_form_entries():
