@@ -6,7 +6,9 @@ deterministic given their flags, including ``sweep --parallel`` (rows are
 sorted before writing), except that the outer weights of ``exact`` come
 from a LAPACK solve whose last bits depend on the BLAS thread count (pin it
 with OPENBLAS_NUM_THREADS); its hidden layer does not.  MEMNET_THREADS
-caps sweep parallelism, which never exceeds the number of cells.
+caps sweep parallelism, which never exceeds the number of cells.  An
+argument ``@file`` stands for the whitespace-separated flags written in that
+file, as if typed in its place.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ def cmd_gen_data(args) -> int:
 
 
 def _run_method(method: str, ds, epsilon, seed: int):
-    """Returns (network, trace, extras); ``method`` has passed
-    ``_check_method``, so the last branch is harmonic."""
+    """Returns (network, trace, extras); ``method`` is one of METHODS, so the
+    last branch is harmonic."""
     if method == "exact":
         return exact_fit_generic(ds, seed=seed), FitTrace(), {}
     if method == "baum-threshold":
@@ -79,8 +81,8 @@ def _run_method(method: str, ds, epsilon, seed: int):
 
 
 def _fit_cell(method: str, ds, epsilon, seed: int):
-    """(network, trace, summary): ``method`` fitted on ``ds`` and the summary ``fit``
-    prints, from one evaluation of the network."""
+    """(network, trace, summary, f): ``method`` fitted on ``ds``, the summary ``fit``
+    prints, and the network's values f on ``ds``, evaluated once."""
     net, trace, extras = _run_method(method, ds, epsilon, seed)
     f, y = evaluate(net, ds), ds.labels
     y_sq = float(y @ y)
@@ -94,14 +96,12 @@ def _fit_cell(method: str, ds, epsilon, seed: int):
         "weight_floor_hypothesis_met": bool(np.all(np.abs(y) == 1.0)) and ratio <= 0.5,
     }
     summary.update(extras)
-    return net, trace, summary
+    return net, trace, summary, f
 
 
 def _check_method(args) -> None:
-    """The method must be known; --epsilon is required for the iterative
-    methods and forbidden for the exact ones."""
-    if args.method not in METHODS:
-        raise ParameterError(f"unknown method {args.method!r}")
+    """--epsilon is required for the iterative methods and forbidden for the
+    exact ones."""
     if args.method in ITER_METHODS and args.epsilon is None:
         raise ParameterError(f"--epsilon is required for {args.method}")
     if args.method in EXACT_METHODS and args.epsilon is not None:
@@ -110,8 +110,8 @@ def _check_method(args) -> None:
 
 def cmd_fit(args) -> int:
     _check_method(args)
-    net, trace, summary = _fit_cell(args.method, _load_any(args.dataset), args.epsilon,
-                                    args.seed)
+    net, trace, summary, _ = _fit_cell(args.method, _load_any(args.dataset), args.epsilon,
+                                       args.seed)
     prefix = args.output or os.path.splitext(args.dataset)[0]
     with open(prefix + ".network.json", "w") as fh:
         fh.write(net.to_json())
@@ -131,10 +131,10 @@ def sweep_cell(method, n, d, seed, epsilon, labels):
     ds = LABELS[labels](ds, seed + 1)
     if method == "baum-threshold":
         ds = ds.with_labels((ds.labels > 0).astype(float))
-    net, _, summary = _fit_cell(method, ds, epsilon, seed)
+    _, _, summary, f = _fit_cell(method, ds, epsilon, seed)
     return {"seed": seed, "trimmed_out": 0, **summary,
             "epsilon": "" if epsilon is None else epsilon,
-            "max_residual": float(np.max(np.abs(evaluate(net, ds) - ds.labels)))}
+            "max_residual": float(np.max(np.abs(f - ds.labels)))}
 
 
 def cmd_sweep(args) -> int:
@@ -182,8 +182,8 @@ def _seed_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="memnet")
-    parser.add_argument("--config", help="JSON file with flag defaults")
+    parser = argparse.ArgumentParser(prog="memnet", fromfile_prefix_chars="@")
+    parser.convert_arg_line_to_args = str.split
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="sample sphere data and write a dataset file")
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_data)
 
     f = sub.add_parser("fit", help="fit a dataset file with one construction")
-    f.add_argument("--method", required=True)
+    f.add_argument("--method", required=True, choices=sorted(METHODS))
     f.add_argument("--epsilon", type=float)
     f.add_argument("--seed", type=_seed, default=0)
     f.add_argument("-o", "--output", help="output path prefix")
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_fit)
 
     s = sub.add_parser("sweep", help="run a method x n x seed grid, emit CSV")
-    s.add_argument("--method", required=True)
+    s.add_argument("--method", required=True, choices=sorted(METHODS))
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--n-list", type=_int_list, required=True)
     s.add_argument("--seeds", type=_seed_list, default=[0])
@@ -215,44 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_argv(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """``argv`` with the ``--config`` JSON object's flags put right after the
-    subcommand, where argparse converts and checks them like typed flags and
-    a flag typed later wins; a switch takes true or false."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    pre.add_argument("rest", nargs=argparse.REMAINDER)
-    known = pre.parse_known_args(argv)[0]
-    commands = next(a.choices for a in parser._actions if a.dest == "command")
-    if known.config is None or not known.rest or known.rest[0] not in commands:
-        return argv
-    try:
-        with open(known.config) as fh:
-            config = json.load(fh)
-    except (OSError, ValueError) as err:
-        raise ParameterError(f"cannot read --config {known.config}: {err}") from None
-    if not isinstance(config, dict):
-        raise ParameterError(f"--config {known.config} must hold a JSON object")
-    command = known.rest[0]
-    actions = {a.dest: a for a in commands[command]._actions if a.option_strings}
-    flags = []
-    for key, value in config.items():
-        if key not in actions or key == "help":
-            raise ParameterError(f"--config key {key!r} is not a flag of {command}")
-        flag, switch = actions[key].option_strings[-1], actions[key].nargs == 0
-        if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
-            raise ParameterError(f"--config key {key!r} has a bad value {value!r}")
-        if value is not False:  # a false switch keeps its default
-            flags.append(flag if switch else f"{flag}={value}")
-    at = len(argv) - len(known.rest) + 1
-    return argv[:at] + flags + argv[at:]
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_config_argv(parser, argv))
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParameterError, OSError) as err:  # an OSError here comes from writing output
         print(f"error: {err}", file=sys.stderr)

@@ -134,6 +134,7 @@ def exact_fit_generic(ds: Dataset, seed: int = 0) -> TwoLayerNetwork:
     return from_unit_frame(net, k)
 
 
+@np.errstate(all="ignore")
 def _slabs(ds: Dataset, idx: np.ndarray, relu: bool):
     """(U, b, tau, XU, V, XV) over the groups of d consecutive points of ``idx``, the last
     one maybe partial: hyperplanes u_g . x = b_g, ||u_g|| = 1, through group g; tau_g half
@@ -141,9 +142,9 @@ def _slabs(ds: Dataset, idx: np.ndarray, relu: bool):
     2^``norm_exponent(X_g)``; v_g with X_g v_g = y_g when ``relu``; XU = X U^T, XV = X V^T.
     One LU per full group solves X_g [u', v_g] = [s_g 1, y_g], u_g = u'/||u'||, b_g =
     s_g/||u'||; a partial group takes the null vector of [X_g, -s_g] and least squares.
-    DegenerateDataError names the first group that is singular, has another point within
-    1e-12 s_g of its hyperplane, or misses its labels, the last two with the spread of its
-    row norms in decades."""
+    DegenerateDataError names the first group that is singular, whose solve is not finite
+    (numpy's warnings stay here), has another point within 1e-12 s_g of its hyperplane, or
+    misses its labels, the last three with the spread of its row norms in decades."""
     X, y, d = ds.points, ds.labels, ds.d
     G = len(idx) // d
     full, rest = idx[:G * d].reshape(G, d), idx[G * d:]
@@ -170,14 +171,17 @@ def _slabs(ds: Dataset, idx: np.ndarray, relu: bool):
     tau = np.where(tau < np.inf, tau, s)
     near = tau <= 1e-12 * s
     off, XV = np.zeros_like(near), None
+    finite = np.isfinite(U).all(axis=1) & np.isfinite(b)
     if relu:
+        finite &= np.isfinite(V).all(axis=1)
         XV, starts = X @ V.T, np.arange(0, len(idx), d)
         off = (np.maximum.reduceat(np.abs(XV[idx, group] - y[idx]), starts)
                > 1e-8 * np.maximum(1.0, np.maximum.reduceat(np.abs(y[idx]), starts)))
-    bad = np.flatnonzero(near | off)
+    bad = np.flatnonzero(~finite | near | off)
     if len(bad):
         g = bad[0]
-        what = ("another point lies on the group hyperplane" if near[g]
+        what = ("group solve is not finite" if not finite[g]
+                else "another point lies on the group hyperplane" if near[g]
                 else "group labels not realizable")
         rows = idx[g * d:(g + 1) * d]
         spread = np.ptp(np.log10(row_norms(X[rows])))

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memnet.cli import main, sweep_cell
+from memnet.cli import build_parser, main, sweep_cell
 from memnet.data import (Dataset, load_dataset, rademacher_labels, sample_sphere,
                          save_dataset)
 from memnet.errors import ConvergenceError, InvariantError
@@ -74,8 +76,33 @@ def test_fit_epsilon_rules(tmp_path, capsys):
     path = _gen(tmp_path)
     assert main(["fit", "--method", "exact", "--epsilon", "0.1", path]) == 2
     assert main(["fit", "--method", "ntk", path]) == 2
-    assert main(["fit", "--method", "no-such", path]) == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--method", "no-such", path])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such'" in capsys.readouterr().err
+
+
+def test_readme_cli_section_names_every_flag():
+    """README's CLI section names exactly the long flags of the parser and its
+    commands (--help aside), and --output beside -o."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?", section)) - {"--help"}
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices.values()
+    flags = {opt for p in (parser, *commands) for a in p._actions
+             for opt in a.option_strings if opt.startswith("--")} - {"--help"}
+    assert named == flags
+    assert "`-o`/`--output`" in section
+
+
+def test_fit_help_lists_the_methods(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--help"])
+    assert exc.value.code == 0
+    assert "{baum-relu,baum-threshold,exact,harmonic,ntk}" in capsys.readouterr().out
 
 
 def test_fit_bad_dataset_file(tmp_path, capsys):
@@ -256,6 +283,20 @@ def test_baum_fits_on_conflicting_duplicates_are_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "dup.network.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("big", ["1e308", "1e200"])
+def test_baum_relu_on_rows_near_the_float64_limit_is_a_data_error(tmp_path, capsys, big):
+    """The rows (big, big) and (1, 2): at 1e308 the group solve is inf/NaN, which
+    used to reach the network (exit 2, "neuron parameters must be finite", after
+    two RuntimeWarnings); at 1e200 numpy warned of a norm overflow."""
+    path = tmp_path / "big.csv"
+    path.write_text(f"{big},{big},1\n1,2,3\n")
+    assert main(["fit", "--method", "baum-relu", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: baum_relu_fit failed after 20 partitions")
+    assert err.count("\n") == 1 and not (tmp_path / "big.network.json").exists()
+
+
 def test_harmonic_on_one_point_is_a_data_error(tmp_path, capsys):
     """log n = 0 at n = 1 leaves the harmonic fit no projection cutoff."""
     path = _gen(tmp_path, n=1, d=5)
@@ -304,11 +345,9 @@ def test_sweep_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_config_negative_seed(tmp_path, capsys):
+def test_flag_file_negative_seed(tmp_path, capsys):
     path = _gen(tmp_path, n=20, d=5)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": -4}))
-    _assert_bad_seed(["--config", str(cfg), "fit", "--method", "baum-relu", path],
+    _assert_bad_seed(["fit", "--method", "baum-relu", _flag_file(tmp_path, "--seed -4\n"), path],
                      "--seed", -4, capsys)
 
 
@@ -336,36 +375,10 @@ def test_fit_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "increased the residual" in capsys.readouterr().err
 
 
-def test_config_file_defaults(tmp_path, capsys):
-    path = _gen(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"epsilon": 0.3}))
-    rc = main(["--config", str(cfg), "fit", "--method", "ntk", path])
-    assert rc == 0
-    summary = json.loads(open(str(tmp_path / "ds.summary.json")).read())
-    assert summary["epsilon"] == 0.3
-    capsys.readouterr()
-
-
-def _assert_config_error(tmp_path, capsys, config_path, needle):
-    path = _gen(tmp_path)
-    capsys.readouterr()
-    rc = main(["--config", str(config_path), "fit", "--method", "ntk",
-               "--epsilon", "0.3", path])
-    assert rc == 2
-    assert needle in capsys.readouterr().err
-
-
-def test_config_missing_file(tmp_path, capsys):
-    _assert_config_error(tmp_path, capsys, tmp_path / "none.json", "none.json")
-
-
-def test_config_malformed_json(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"epsilon": 0.3,')
-    _assert_config_error(tmp_path, capsys, cfg, "--config")
-    cfg.write_text("[0.3]")
-    _assert_config_error(tmp_path, capsys, cfg, "JSON object")
+def _flag_file(tmp_path, text):
+    flags = tmp_path / "flags.txt"
+    flags.write_text(text)
+    return f"@{flags}"
 
 
 def _fit_network(tmp_path, argv, name):
@@ -373,55 +386,70 @@ def _fit_network(tmp_path, argv, name):
     return (tmp_path / f"{name}.network.json").read_text()
 
 
-def test_config_seed_matches_flag_and_typed_flag_wins(tmp_path, capsys):
+def test_flag_file_matches_typed_flags(tmp_path, capsys):
+    """A flag file may supply required flags; its network is the typed one's."""
     path = _gen(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 5}))
+    typed = ["--method", "ntk", "--epsilon", "0.3", "--seed", "5"]
+    at = _flag_file(tmp_path, "\n--method ntk\n\n--epsilon 0.3   --seed 5\n")
+    from_file = _fit_network(tmp_path, ["fit", at, path], "a")
+    assert from_file == _fit_network(tmp_path, ["fit", *typed, path], "f")
+    assert from_file != _fit_network(tmp_path, ["fit", *typed[:4], path], "d")
+    command_in_file = _flag_file(tmp_path, "fit " + " ".join(typed))
+    assert _fit_network(tmp_path, [command_in_file, path], "c") == from_file
+    capsys.readouterr()
+
+
+def test_typed_flag_after_flag_file_wins(tmp_path, capsys):
+    path = _gen(tmp_path)
     fit = ["fit", "--method", "ntk", "--epsilon", "0.3"]
-    from_config = _fit_network(tmp_path, ["--config", str(cfg)] + fit + [path], "c")
-    assert from_config == _fit_network(tmp_path, fit + ["--seed", "5", path], "f")
-    assert from_config != _fit_network(tmp_path, fit + [path], "d")
-    typed = _fit_network(tmp_path, ["--config", str(cfg)] + fit + ["--seed", "7", path], "t")
+    at = _flag_file(tmp_path, "--seed 5")
+    typed = _fit_network(tmp_path, fit + [at, "--seed", "7", path], "t")
     assert typed == _fit_network(tmp_path, fit + ["--seed", "7", path], "s")
     capsys.readouterr()
 
 
-def test_config_values_are_converted(tmp_path, capsys):
+def test_config_file_defaults(tmp_path, capsys):
+    """A flag file holds a fit's settings: --method and --epsilon both come from it."""
     path = _gen(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"epsilon": "0.3"}))
-    assert main(["--config", str(cfg), "fit", "--method", "ntk", path]) == 0
-    summary = json.loads(open(str(tmp_path / "ds.summary.json")).read())
-    assert summary["epsilon"] == 0.3
-    capsys.readouterr()
-
-
-def test_config_supplies_required_flag(tmp_path, capsys):
-    path = _gen(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"method": "ntk", "epsilon": 0.3}))
-    assert main(["--config", str(cfg), "fit", path]) == 0
+    at = _flag_file(tmp_path, "--method ntk\n--epsilon 0.3\n")
+    assert main(["fit", at, path]) == 0
     summary = json.loads(open(str(tmp_path / "ds.summary.json")).read())
     assert summary["method"] == "ntk" and summary["epsilon"] == 0.3
     capsys.readouterr()
 
 
-def test_config_bad_value(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": None}))
-    _assert_config_error(tmp_path, capsys, cfg, "'seed'")
-    cfg.write_text(json.dumps({"epsilon": "abc"}))
+def test_config_values_are_converted(tmp_path, capsys):
+    """A flag file is text; its --epsilon reaches summary.json as a float."""
     path = _gen(tmp_path)
-    with pytest.raises(SystemExit) as exc:  # argparse's own error exit
-        main(["--config", str(cfg), "fit", "--method", "ntk", path])
+    assert main(["fit", "--method", "ntk", _flag_file(tmp_path, "--epsilon 0.3"), path]) == 0
+    summary = json.loads(open(str(tmp_path / "ds.summary.json")).read())
+    assert summary["epsilon"] == 0.3 and isinstance(summary["epsilon"], float)
+    capsys.readouterr()
+
+
+def _assert_flag_file_error(tmp_path, capsys, at, needle):
+    """argparse rejects the flag file: exit 2 and its error line."""
+    path = _gen(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--method", "ntk", "--epsilon", "0.3", at, path])
     assert exc.value.code == 2
-    assert "error: argument --epsilon" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "ds.network.json").exists()
 
 
-def test_config_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"metod": "ntk"}))
-    _assert_config_error(tmp_path, capsys, cfg, "'metod'")
+def test_flag_file_missing(tmp_path, capsys):
+    _assert_flag_file_error(tmp_path, capsys, f"@{tmp_path / 'none.txt'}", "none.txt")
+
+
+def test_flag_file_bad_value(tmp_path, capsys):
+    _assert_flag_file_error(tmp_path, capsys, _flag_file(tmp_path, "--epsilon abc"),
+                            "error: argument --epsilon")
+
+
+def test_flag_file_unknown_flag(tmp_path, capsys):
+    _assert_flag_file_error(tmp_path, capsys, _flag_file(tmp_path, "--metod ntk"),
+                            "unrecognized arguments: --metod")
 
 
 def test_sweep_csv_sorted_and_deterministic(tmp_path, capsys):
