@@ -50,11 +50,15 @@ def safe_delta(margins: np.ndarray, slopes: np.ndarray) -> np.ndarray:
 def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray,
               dtype=np.float64) -> np.ndarray:
     """relu(x_i . w_j + b_j) as a column-major (n, len(W)) ``dtype`` array,
-    computed in float64 for n rows of W at a time."""
+    computed in float64 for n rows of W at a time in one reused (n, n) chunk
+    buffer, whose ReLU is written straight into the result."""
     n = len(points)
     A = np.empty((len(W), n), dtype)
+    chunk = np.empty((min(n, len(W)), n))
     for s in range(0, len(W), n):
-        A[s:s + n] = relu(W[s:s + n] @ points.T + b[s:s + n, None])
+        t = np.matmul(W[s:s + n], points.T, out=chunk[:len(W) - s])
+        t += b[s:s + n, None]
+        relu(t, out=A[s:s + n])
     return A.T
 
 

@@ -24,17 +24,18 @@ from .data import Dataset, row_norms
 from .errors import ConvergenceError, InvariantError, ParameterError
 
 
-def relu(t):
-    return np.maximum(t, 0.0)
+def relu(t, out=None):
+    return np.maximum(t, 0.0, out=out)
 
 
-def threshold(t):
-    # Boundary t = 0 maps to 1.
-    return np.where(t >= 0.0, 1.0, 0.0)
+def threshold(t, out=None):
+    # Boundary t = +-0 maps to 1; the values are float64 (in ``out`` when given).
+    return np.greater_equal(t, 0.0, out=np.empty(np.shape(t)) if out is None else out)
 
 
-def get_activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Resolve an activation by name: 'relu' or 'threshold'."""
+def get_activation(name: str) -> Callable[..., np.ndarray]:
+    """Resolve an activation by name: 'relu' or 'threshold'; each takes an optional
+    ``out`` array, which may be its input."""
     if name == "relu":
         return relu
     if name == "threshold":
@@ -97,12 +98,16 @@ class TwoLayerNetwork:
 
 
 def evaluate(net: TwoLayerNetwork, ds: Dataset) -> np.ndarray:
-    """Network values on the points of ``ds``."""
+    """Network values on the points of ``ds``, ``psi(X W^T + b) @ a``, built in one (n, k)
+    float64 array in place: the product, ``+= b``, then the activation written over it.
+    One n x k temporary, and the values of three separate ones bit for bit."""
     if not net.k:
         return np.zeros(ds.n)
     if ds.d != net.d:
         raise ParameterError(f"dimension mismatch: network d={net.d}, points d={ds.d}")
-    return get_activation(net.activation)(ds.points @ net.W.T + net.b) @ net.a
+    t = ds.points @ net.W.T
+    t += net.b
+    return get_activation(net.activation)(t, out=t) @ net.a
 
 
 def from_unit_frame(net: TwoLayerNetwork, k: int) -> TwoLayerNetwork:

@@ -32,19 +32,25 @@ from .data import Dataset, GenericityReport, genericity, unit_frame
 from .errors import ParameterError
 from .network import FitTrace, StepProposal, TwoLayerNetwork, boost_fit, from_unit_frame
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 def ntk_step(ds: Dataset, residual: np.ndarray, seed: int) -> StepProposal | None:
     """One NTK step for the given residual: the two neurons of the derivative
     neuron (u, v, b = 0, delta) and their values; None when v = 0 or when u
-    ties a point (some u . x_i is exactly zero, a measure-zero event where the
-    two-ReLU realization is not exact), and ``boost_fit`` draws again.
+    ties a point, and ``boost_fit`` draws again.  A tie is a margin u . x_i
+    within its product's rounding bound d eps ||u|| ||x_i||, zero included:
+    its sign is not known, so the two-ReLU realization may not be exact, and
+    its delta would put a weight of order 1/delta on the step.  ``ds`` is in
+    ``data.unit_frame`` (rows of norm below 2), as ``ntk_fit`` passes it, so
+    one scalar 2 d eps ||u|| covers every row's bound.
     """
     r = np.asarray(residual, dtype=np.float64)
     if float(r @ r) == 0.0:
         raise ParameterError("residual must be nonzero")
     u = np.random.default_rng(seed).standard_normal(ds.d)
     margins = ds.points @ u
-    if (margins == 0.0).any():
+    if np.abs(margins).min() <= 2.0 * ds.d * _EPS * math.sqrt(u @ u):
         return None
     v = np.where(margins >= 0.0, r, 0.0) @ ds.points
     if float(v @ v) == 0.0:

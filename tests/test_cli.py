@@ -39,7 +39,7 @@ def test_gen_data_writes_file_and_report(tmp_path, capsys):
 def test_gen_data_deterministic_bytes(tmp_path):
     a = _gen(tmp_path, seed=5, name="a.bin")
     b = _gen(tmp_path, seed=5, name="b.bin")
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_gen_data_bad_dimension(tmp_path, capsys):
@@ -53,7 +53,7 @@ def test_fit_baum_relu_summary(tmp_path, capsys):
     rc = main(["fit", "--method", "baum-relu", path])
     assert rc == 0
     capsys.readouterr()
-    summary = json.loads(open(str(tmp_path / "ds.summary.json")).read())
+    summary = json.loads((tmp_path / "ds.summary.json").read_text())
     assert summary["k"] == 16  # 4 * ceil(40/10)
     assert summary["error_ratio"] < 1e-12
     assert (tmp_path / "ds.network.json").exists()
@@ -64,7 +64,7 @@ def test_fit_harmonic_summary(tmp_path):
     path = _gen(tmp_path, n=40, d=80)
     rc = main(["fit", "--method", "harmonic", "--epsilon", "0.3", path])
     assert rc == 0
-    summary = json.loads(open(str(tmp_path / "ds.summary.json")).read())
+    summary = json.loads((tmp_path / "ds.summary.json").read_text())
     # the summary ratio is global; the epsilon guarantee holds on the active set
     assert summary["active_set_size"] >= summary["active_set_guarantee"]
     assert summary["trimmed_out"] == 40 - summary["active_set_size"]
@@ -413,7 +413,7 @@ def test_config_file_defaults(tmp_path, capsys):
     path = _gen(tmp_path)
     at = _flag_file(tmp_path, "--method ntk\n--epsilon 0.3\n")
     assert main(["fit", at, path]) == 0
-    summary = json.loads(open(str(tmp_path / "ds.summary.json")).read())
+    summary = json.loads((tmp_path / "ds.summary.json").read_text())
     assert summary["method"] == "ntk" and summary["epsilon"] == 0.3
     capsys.readouterr()
 
@@ -422,7 +422,7 @@ def test_config_values_are_converted(tmp_path, capsys):
     """A flag file is text; its --epsilon reaches summary.json as a float."""
     path = _gen(tmp_path)
     assert main(["fit", "--method", "ntk", _flag_file(tmp_path, "--epsilon 0.3"), path]) == 0
-    summary = json.loads(open(str(tmp_path / "ds.summary.json")).read())
+    summary = json.loads((tmp_path / "ds.summary.json").read_text())
     assert summary["epsilon"] == 0.3 and isinstance(summary["epsilon"], float)
     capsys.readouterr()
 
@@ -458,8 +458,8 @@ def test_sweep_csv_sorted_and_deterministic(tmp_path, capsys):
             "--n-list", "40,20", "--seeds", "0,1", "-o", out1]
     assert main(argv) == 0
     assert main(argv[:-1] + [out2]) == 0
-    assert open(out1).read() == open(out2).read()
-    lines = open(out1).read().strip().splitlines()
+    assert Path(out1).read_text() == Path(out2).read_text()
+    lines = Path(out1).read_text().strip().splitlines()
     assert lines[0].startswith("method,n,d,seed")
     assert len(lines) == 5
     ns = [int(line.split(",")[1]) for line in lines[1:]]
@@ -524,7 +524,7 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys, monkeypatch):
             "--epsilon", "0.3", "--seeds", "0"]
     assert main(base + ["-o", serial]) == 0
     assert main(base + ["--parallel", "-o", parallel]) == 0
-    assert open(serial).read() == open(parallel).read()
+    assert Path(serial).read_text() == Path(parallel).read_text()
     capsys.readouterr()
 
 

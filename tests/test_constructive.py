@@ -253,6 +253,25 @@ def test_exact_fit_holds_one_feature_matrix():
     assert _traced_peak(_near_duplicate()) <= 1.5 * 8 * 200 * 2000
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_features_reuse_one_chunk_buffer(dtype):
+    """``_features`` holds the K x n result plus at most 1.1 float64 n x n chunks:
+    one buffer serves every chunk, and its ReLU is written into the result.  The
+    values are ``relu(X W^T + b)`` cast to ``dtype``, bit for bit."""
+    rng = np.random.default_rng(0)
+    n, d, K = 400, 20, 4000
+    X, W, b = rng.standard_normal((n, d)), rng.standard_normal((K, d)), rng.standard_normal(K)
+    tracemalloc.start()
+    try:
+        A = constructive._features(X, W, b, dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= K * n * np.dtype(dtype).itemsize + 1.1 * n * n * 8
+    assert A.dtype == dtype and A.flags.f_contiguous
+    assert np.array_equal(A, relu(X @ W.T + b).astype(dtype))
+
+
 # -- Baum threshold -----------------------------------------------------------
 
 def test_baum_threshold_two_neurons_for_one_group():

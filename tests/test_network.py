@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,10 +26,14 @@ def _net(neurons, activation="relu"):
 
 
 def test_activations():
-    t = np.array([-1.0, 0.0, 2.0])
-    assert np.array_equal(relu(t), [0.0, 0.0, 2.0])
-    # boundary t = 0 maps to 1
-    assert np.array_equal(threshold(t), [0.0, 1.0, 1.0])
+    t = np.array([-1.0, -0.0, 0.0, 2.0])
+    assert np.array_equal(relu(t), [0.0, 0.0, 0.0, 2.0])
+    # boundary t = +-0 maps to 1
+    assert threshold(t).dtype == np.float64
+    assert np.array_equal(threshold(t), [0.0, 1.0, 1.0, 1.0])
+    for psi in (relu, threshold):
+        s = t.copy()
+        assert psi(s, out=s) is s and np.array_equal(s, psi(t))
     with pytest.raises(ParameterError):
         get_activation("sigmoid")
 
@@ -61,9 +66,49 @@ def test_evaluate_matches_naive():
 
 
 def test_evaluate_dimension_mismatch():
-    net = _net([Neuron(1.0, np.zeros(3), 0.0)])
-    with pytest.raises(ParameterError):
-        evaluate(net, sample_sphere(2, 4, 0))
+    for activation in ("relu", "threshold"):
+        net = _net([Neuron(1.0, np.zeros(3), 0.0)], activation)
+        with pytest.raises(ParameterError):
+            evaluate(net, sample_sphere(2, 4, 0))
+
+
+@pytest.mark.parametrize("activation", ["relu", "threshold"])
+@pytest.mark.parametrize("k", [1, 2, 40])
+def test_evaluate_is_the_activation_formula_bit_for_bit(activation, k):
+    """evaluate's in-place buffer gives ``psi(X W^T + b) @ a`` exactly, also at
+    pre-activations that are exactly zero: x . w = -b, and a row w = -0 with b = -0
+    (-0 wherever the product keeps the sign), where threshold reads 1."""
+    rng = np.random.default_rng(k)
+    X = rng.integers(-3, 4, (12, 3)).astype(float)
+    X[:, 0] = 1.0                                       # no zero rows
+    W = rng.integers(-3, 4, (k, 3)).astype(float)
+    b = rng.standard_normal(k)
+    b[0] = -float(X[0] @ W[0])
+    if k > 1:
+        W[1], b[1] = -0.0, -0.0
+    net = _net(zip(rng.standard_normal(k), W, b), activation)
+    t = X @ W.T + b
+    assert (t == 0.0).sum() >= 1 + 12 * (k > 1)
+    want = get_activation(activation)(t) @ net.a
+    assert np.array_equal(evaluate(net, Dataset(X, np.zeros(12))), want)
+
+
+@pytest.mark.parametrize("activation", ["relu", "threshold"])
+def test_evaluate_holds_one_n_by_k_buffer(activation):
+    """Peak traced memory of one evaluation stays within 1.1 n k float64 entries: the
+    pre-activations, their bias and the activation share one array."""
+    rng = np.random.default_rng(0)
+    n, d, k = 300, 20, 500
+    ds = Dataset(rng.standard_normal((n, d)), np.zeros(n))
+    net = _net(zip(rng.standard_normal(k), rng.standard_normal((k, d)),
+                   rng.standard_normal(k)), activation)
+    tracemalloc.start()
+    try:
+        evaluate(net, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * k * 8
 
 
 def test_total_weight():

@@ -114,16 +114,21 @@ def test_step_and_proposal_match_their_definition(monkeypatch):
         assert np.max(np.abs(diff)) <= 1e-12 * scale
 
 
-def test_step_tie_returns_none_and_boost_fit_draws_again(monkeypatch):
-    """Seed 7 draws u = default_rng(7).standard_normal(d); the row (u_1, -u_0, 0, ...)
-    has margin exactly 0 under it, so that step is None, and the fit's next attempt
-    draws a fresh u and goes on to fit the data."""
-    d = 5
+def _tied(d):
+    """u = default_rng(7).standard_normal(d), the row (u_1, -u_0, 0, ...) and the
+    Rademacher sphere points of n = 30 with that row appended, label 1."""
     u = np.random.default_rng(7).standard_normal(d)
     row = np.zeros(d)
     row[:2] = u[1], -u[0]
     base = _labeled(30, d, 0)
-    ds = Dataset(np.vstack([base.points, row]), np.r_[base.labels, 1.0])
+    return u, row, Dataset(np.vstack([base.points, row]), np.r_[base.labels, 1.0])
+
+
+def test_step_tie_returns_none_and_boost_fit_draws_again(monkeypatch):
+    """Seed 7 draws u = default_rng(7).standard_normal(d); the row (u_1, -u_0, 0, ...)
+    has margin exactly 0 under it at d = 5, so that step is None, and the fit's next
+    attempt draws a fresh u and goes on to fit the data."""
+    u, _, ds = _tied(5)
     assert (ds.points @ u)[-1] == 0.0
     assert ntk_step(ds, ds.labels, 7) is None
 
@@ -139,6 +144,17 @@ def test_step_tie_returns_none_and_boost_fit_draws_again(monkeypatch):
     assert steps[0] is None and steps[1] is not None
     assert len(steps) == len(res.trace.iterations) + 1
     assert res.trace.final_error_ratio <= 0.25
+
+
+def test_step_near_tie_returns_none():
+    """At d = 3 the tied row's margin reads -5.5e-21, not 0: inside the product's
+    rounding bound d eps ||u|| ||x||, where a step would carry |a| = 1.6e20 on values
+    that round to 0.  That step is None too, and ``ntk_fit`` still fits the data."""
+    u, row, ds = _tied(3)
+    margin = (ds.points @ u)[-1]
+    assert 0.0 < abs(margin) <= 3 * np.finfo(float).eps * np.linalg.norm(u) * np.linalg.norm(row)
+    assert ntk_step(ds, ds.labels, 7) is None
+    assert ntk_fit(ds, 0.25, seed=7).trace.final_error_ratio <= 0.25
 
 
 # -- arcsin Gram --------------------------------------------------------------
