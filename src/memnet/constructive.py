@@ -31,34 +31,38 @@ from .network import Neuron, TwoLayerNetwork, evaluate, from_unit_frame, relu
 _SLOPE_EPS = 1e-14
 
 
-def derivative_neurons(u: np.ndarray, v: np.ndarray, b: float, delta: float,
-                       sign: float = 1.0) -> tuple[Neuron, Neuron]:
-    """Two ReLU neurons realizing sign * f_{delta,u,v,b}."""
+def derivative_neurons(u: np.ndarray, v: np.ndarray, b: float | np.ndarray,
+                       delta: float | np.ndarray, sign: float = 1.0) -> tuple[Neuron, Neuron]:
+    """Two ReLU neurons realizing sign * f_{delta,u,v,b}; given G stacked (G, d) u, v and
+    (G,) b, delta, each is a ``Neuron`` of G rows."""
     s = sign / delta
-    return Neuron(s, u + delta * v, -b), Neuron(-s, u, -b)
+    return Neuron(s, u + np.asarray(delta)[..., None] * v, -b), Neuron(-s, u, -b)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def safe_delta(margins: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     """delta = (1/2) min_i |margins_i| / |slopes_i| over axis 0, skipping near-zero slopes
     (1 if all are), for the margins u.x_i - b and slopes v.x_i of derivative neurons."""
     slopes = np.abs(slopes)
     keep = slopes >= _SLOPE_EPS
-    ratio = np.divide(np.abs(margins), slopes, out=np.full(slopes.shape, np.inf), where=keep)
+    ratio = np.abs(margins) / slopes
+    ratio[~keep] = np.inf
     return np.where(keep.any(axis=0), 0.5 * ratio.min(axis=0), 1.0)
 
 
 def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray,
               dtype=np.float64) -> np.ndarray:
     """relu(x_i . w_j + b_j) as a column-major (n, len(W)) ``dtype`` array,
-    computed in float64 for n rows of W at a time in one reused (n, n) chunk
-    buffer, whose ReLU is written straight into the result."""
-    n = len(points)
-    A = np.empty((len(W), n), dtype)
-    chunk = np.empty((min(n, len(W)), n))
-    for s in range(0, len(W), n):
-        t = np.matmul(W[s:s + n], points.T, out=chunk[:len(W) - s])
-        t += b[s:s + n, None]
-        relu(t, out=A[s:s + n])
+    computed in float64 for 128 rows of W at a time in one reused (128, n) block,
+    whose ReLU is written straight into the result.  The block's 1024 n bytes stay
+    below sgeqp3's workspace for 10 n columns (about 1360 n bytes), which, beside
+    the candidate matrix, sets the exact fit's peak: fewer rows would not lower it."""
+    A = np.empty((len(W), len(points)), dtype)
+    block = np.empty((min(128, len(W)), len(points)))
+    for s in range(0, len(W), 128):
+        t = np.matmul(W[s:s + 128], points.T, out=block[:len(W) - s])
+        t += b[s:s + 128, None]
+        relu(t, out=A[s:s + 128])
     return A.T
 
 
@@ -194,24 +198,24 @@ def _slabs(ds: Dataset, idx: np.ndarray, relu: bool):
     return U, b, tau, XU, V, XV
 
 
-def _partition_neurons(ds: Dataset, idx: np.ndarray, relu: bool) -> list[Neuron]:
-    """Per group of ``_slabs``: two threshold neurons realizing the indicator of its
-    slab, or, when ``relu``, the two derivative neurons of opposite sign at biases
-    b -+ tau, supported on the slab and equal to v . x on it."""
-    U, b, tau, XU, V, XV = _slabs(ds, idx, relu)
+def _partition_network(ds: Dataset, idx: np.ndarray, activation: str) -> TwoLayerNetwork:
+    """Per group of ``_slabs``, in group order, two threshold neurons realizing the indicator
+    of its slab or, for the ReLU, the two derivative neurons of opposite sign at biases
+    b -+ tau, supported on the slab and equal to v . x on it: all groups stacked as arrays."""
+    U, b, tau, XU, V, XV = _slabs(ds, idx, activation == "relu")
     lo, hi = b - tau, b + tau
-    if not relu:
-        return [nr for g in range(len(b))
-                for nr in (Neuron(1.0, U[g], -lo[g]), Neuron(-1.0, U[g], -hi[g]))]
-    d_lo, d_hi = safe_delta(XU - lo, XV), safe_delta(XU - hi, XV)
-    return [nr for g in range(len(b))
-            for nr in (*derivative_neurons(U[g], V[g], lo[g], d_lo[g]),
-                       *derivative_neurons(U[g], V[g], hi[g], d_hi[g], -1.0))]
+    if V is None:
+        rows = Neuron(np.ones(len(b)), U, -lo), Neuron(-np.ones(len(b)), U, -hi)
+    else:
+        rows = (*derivative_neurons(U, V, lo, safe_delta(XU - lo, XV)),
+                *derivative_neurons(U, V, hi, safe_delta(XU - hi, XV), -1.0))
+    a, W, c = (np.stack(col, axis=1) for col in zip(*rows))     # each group's rows in turn
+    return TwoLayerNetwork(zip(a.ravel(), W.reshape(-1, ds.d), c.ravel()), activation)
 
 
 def _partition_fit(ds: Dataset, indices: np.ndarray, activation: str, labels: np.ndarray,
                    tol: float, seed: int, what: str) -> TwoLayerNetwork:
-    """``_partition_neurons`` over a random partition of ``indices`` into groups of
+    """``_partition_network`` over a random partition of ``indices`` into groups of
     at most d, certified to fit ``labels`` within ``tol``; a new partition is
     drawn on DegenerateDataError from a group or the certificate, 20 at most."""
     ds, k = unit_frame(ds)
@@ -220,7 +224,7 @@ def _partition_fit(ds: Dataset, indices: np.ndarray, activation: str, labels: np
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         idx = indices[rng.permutation(len(indices))]
         try:
-            net = TwoLayerNetwork(_partition_neurons(ds, idx, activation == "relu"), activation)
+            net = _partition_network(ds, idx, activation)
             if np.max(np.abs(evaluate(net, ds) - labels)) > tol:
                 raise DegenerateDataError(f"{what} failed to certify the fit")
             return from_unit_frame(net, k)

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from memnet.constructive import _slabs, derivative_neurons, safe_delta
 from memnet.data import genericity, norm_exponent
 from memnet.harmonic import _mixture_basis, bump_eval, decompose_directions, relu_mixture
 from memnet.hermite import gl_grid, hermite_eval
@@ -46,6 +47,22 @@ def slab_oracle(points, group):
     u, b = null[:-1] / norm, s * float(null[-1]) / norm
     rest = np.delete(points @ u, group) - b
     return u, b, 0.5 * float(np.min(np.abs(rest))) if len(rest) else s
+
+
+def baum_group_neurons(ds, idx, relu):
+    """The rows of a Baum partition built group by group from ``constructive._slabs``:
+    per group, the threshold pair (1, u, -(b - tau)), (-1, u, -(b + tau)), or the two
+    ``derivative_neurons`` pairs of opposite sign at biases b -+ tau.  An oracle for
+    ``constructive._partition_network``, which stacks every group's rows at once."""
+    U, b, tau, XU, V, XV = _slabs(ds, idx, relu)
+    lo, hi = b - tau, b + tau
+    if not relu:
+        return [nr for g in range(len(b))
+                for nr in (Neuron(1.0, U[g], -lo[g]), Neuron(-1.0, U[g], -hi[g]))]
+    d_lo, d_hi = safe_delta(XU - lo, XV), safe_delta(XU - hi, XV)
+    return [nr for g in range(len(b))
+            for nr in (*derivative_neurons(U[g], V[g], lo[g], d_lo[g]),
+                       *derivative_neurons(U[g], V[g], hi[g], d_hi[g], -1.0))]
 
 
 def halfspace_sum(points, r, u):

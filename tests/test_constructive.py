@@ -19,7 +19,7 @@ from memnet.data import (Dataset, gaussian_labels, norm_exponent, rademacher_lab
                          save_dataset)
 from memnet.errors import DataError, DegenerateDataError, RankDeficiencyError
 from memnet.network import Neuron, TwoLayerNetwork, evaluate, relu
-from probes import linearized_values, slab_oracle
+from probes import baum_group_neurons, linearized_values, slab_oracle
 
 
 def _sphere(n, d, seed, labels="gaussian"):
@@ -76,6 +76,34 @@ def test_safe_delta_columns_are_its_one_dimensional_calls():
     assert deltas[3] == 1.0
     assert deltas.tobytes() == b"".join(safe_delta(margins[:, j], slopes[:, j]).tobytes()
                                         for j in range(7))
+
+
+def _masked_safe_delta(margins, slopes):
+    """``safe_delta`` by a masked divide: the ratio is computed only where the slope
+    is not flat, and is inf elsewhere."""
+    slopes = np.abs(slopes)
+    keep = slopes >= constructive._SLOPE_EPS
+    ratio = np.divide(np.abs(margins), slopes, out=np.full(slopes.shape, np.inf), where=keep)
+    return np.where(keep.any(axis=0), 0.5 * ratio.min(axis=0), 1.0)
+
+
+def test_safe_delta_is_the_masked_divide():
+    """Dividing everywhere and then setting flat slopes' ratios to inf gives the masked
+    divide's bytes: on (n, G) stacks with exactly zero slopes, slopes below 1e-14, zero
+    margins (over a flat slope too) and an all-flat column (delta 1), and on 1-D input."""
+    rng = np.random.default_rng(3)
+    for n, G in ((800, 40), (37, 5), (1, 3)):
+        margins, slopes = rng.standard_normal((2, n, G))
+        slopes[rng.random((n, G)) < 0.2] = 0.0
+        slopes[rng.random((n, G)) < 0.1] = 3e-15
+        margins[rng.random((n, G)) < 0.2] = 0.0
+        slopes[:, 1] = 0.0
+        deltas = safe_delta(margins, slopes)
+        assert deltas[1] == 1.0
+        assert deltas.tobytes() == _masked_safe_delta(margins, slopes).tobytes()
+        for j in range(G):
+            assert (safe_delta(margins[:, j], slopes[:, j]).tobytes()
+                    == _masked_safe_delta(margins[:, j], slopes[:, j]).tobytes())
 
 
 # -- generic exact fit --------------------------------------------------------
@@ -255,21 +283,27 @@ def test_exact_fit_holds_one_feature_matrix():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_features_reuse_one_chunk_buffer(dtype):
-    """``_features`` holds the K x n result plus at most 1.1 float64 n x n chunks:
-    one buffer serves every chunk, and its ReLU is written into the result.  The
-    values are ``relu(X W^T + b)`` cast to ``dtype``, bit for bit."""
+    """``_features`` holds the K x n result plus at most 1.1 float64 blocks of 128 x n,
+    whatever n, and numpy's one ufunc buffer (``getbufsize`` float64 values, 64 KB),
+    which the broadcast bias add takes: one block serves every 128 rows of W, and its
+    ReLU is written into the result.  K off a multiple of 128 and K below 128 included.
+    The values are the whole product's ``relu(W X^T + b)`` cast to ``dtype``, bit for
+    bit, and ``relu(X W^T + b)`` at (n, K) = (400, 4000): at (130, 300) numpy 2.4's
+    OpenBLAS rounds 174 entries of X W^T differently from W X^T, blocked or not."""
     rng = np.random.default_rng(0)
-    n, d, K = 400, 20, 4000
-    X, W, b = rng.standard_normal((n, d)), rng.standard_normal((K, d)), rng.standard_normal(K)
-    tracemalloc.start()
-    try:
-        A = constructive._features(X, W, b, dtype)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= K * n * np.dtype(dtype).itemsize + 1.1 * n * n * 8
-    assert A.dtype == dtype and A.flags.f_contiguous
-    assert np.array_equal(A, relu(X @ W.T + b).astype(dtype))
+    for n, K in ((400, 4000), (130, 300), (60, 90)):
+        X, W, b = rng.standard_normal((n, 20)), rng.standard_normal((K, 20)), rng.standard_normal(K)
+        tracemalloc.start()
+        try:
+            A = constructive._features(X, W, b, dtype)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (K * n * np.dtype(dtype).itemsize + 1.1 * 128 * n * 8
+                        + 8 * np.getbufsize())
+        assert A.dtype == dtype and A.flags.f_contiguous
+        assert np.array_equal(A, relu(W @ X.T + b[:, None]).T.astype(dtype))
+        assert n != 400 or np.array_equal(A, relu(X @ W.T + b).astype(dtype))
 
 
 # -- Baum threshold -----------------------------------------------------------
@@ -337,18 +371,49 @@ def test_baum_threshold_redraws_a_partition_that_fails_to_certify(monkeypatch):
     y = np.zeros(40)
     y[:12] = 1.0
     calls = []
-    partition_neurons = constructive._partition_neurons
+    partition_network = constructive._partition_network
 
-    def corrupt_first(ds, idx, relu):
+    def corrupt_first(ds, idx, activation):
         calls.append(idx)
-        neurons = partition_neurons(ds, idx, relu)
-        return [Neuron(nr.a * 2.0, nr.w, nr.b) for nr in neurons] if len(calls) == 1 else neurons
+        net = partition_network(ds, idx, activation)
+        return (TwoLayerNetwork(zip(net.a * 2.0, net.W, net.b), activation)
+                if len(calls) == 1 else net)
 
-    monkeypatch.setattr(constructive, "_partition_neurons", corrupt_first)
+    monkeypatch.setattr(constructive, "_partition_network", corrupt_first)
     net = baum_threshold_fit(ds.with_labels(y))
     assert len(calls) == 2                      # two partitions of three groups
     assert net.k == 2 * math.ceil(12 / 5)
     assert np.array_equal(evaluate(net, ds), y)
+
+
+@pytest.mark.parametrize("activation", ["relu", "threshold"])
+def test_partition_network_is_the_per_group_builder(activation):
+    """The partition network stacked at once is, byte for byte, the one built group
+    by group from ``derivative_neurons`` calls (or threshold pairs), a partial last
+    group included."""
+    ds = _sphere(107, 10, 4)
+    for seed in range(3):
+        idx = np.random.default_rng(seed).permutation(ds.n)
+        net = constructive._partition_network(ds, idx, activation)
+        ref = TwoLayerNetwork(baum_group_neurons(ds, idx, activation == "relu"), activation)
+        assert net.k == 2 * (1 + (activation == "relu")) * math.ceil(107 / 10)
+        assert all(x.tobytes() == r.tobytes()
+                   for x, r in ((net.a, ref.a), (net.W, ref.W), (net.b, ref.b)))
+
+
+@pytest.mark.parametrize("fit, ones", [(baum_relu_fit, None), (baum_threshold_fit, 37),
+                                       (baum_threshold_fit, 71)])
+def test_baum_fits_match_the_per_group_builder(monkeypatch, fit, ones):
+    """Whole fits, with the unit frame, partial groups and, for 71 ones in 107 labels,
+    the majority-ones flip, give the per-group builder's bytes."""
+    ds = _sphere(107, 10, 5)
+    labels = ds.labels if ones is None else np.r_[np.ones(ones), np.zeros(107 - ones)]
+    ds = Dataset(ds.points * 3.0, labels)
+    net = fit(ds, seed=2)
+    monkeypatch.setattr(constructive, "_partition_network", lambda ds, idx, activation:
+                        TwoLayerNetwork(baum_group_neurons(ds, idx, activation == "relu"),
+                                        activation))
+    assert fit(ds, seed=2).to_json() == net.to_json()
 
 
 def test_baum_fits_solve_once_per_partition(monkeypatch):
@@ -364,8 +429,8 @@ def test_baum_fits_solve_once_per_partition(monkeypatch):
 
     for name in ("solve", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(constructive, "_partition_neurons",
-                        counted("partitions", constructive._partition_neurons))
+    monkeypatch.setattr(constructive, "_partition_network",
+                        counted("partitions", constructive._partition_network))
     for n, ones in ((200, 40), (207, 47)):
         ds = _sphere(n, 20, n, labels="rademacher")
         y = np.r_[np.ones(ones), np.zeros(n - ones)]
