@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-from .data import Dataset, norm_exponent, row_norms, unit_frame
+from .data import BLOCK, Dataset, norm_exponent, row_norms, unit_frame
 from .errors import DataError, DegenerateDataError, RankDeficiencyError
 from .network import Neuron, TwoLayerNetwork, evaluate, from_unit_frame, relu
 
@@ -53,16 +53,16 @@ def safe_delta(margins: np.ndarray, slopes: np.ndarray) -> np.ndarray:
 def _features(points: np.ndarray, W: np.ndarray, b: np.ndarray,
               dtype=np.float64) -> np.ndarray:
     """relu(x_i . w_j + b_j) as a column-major (n, len(W)) ``dtype`` array,
-    computed in float64 for 128 rows of W at a time in one reused (128, n) block,
-    whose ReLU is written straight into the result.  The block's 1024 n bytes stay
+    computed in float64 for ``BLOCK`` (128) rows of W at a time in one reused (128, n)
+    block, whose ReLU is written straight into the result.  The block's 1024 n bytes stay
     below sgeqp3's workspace for 10 n columns (about 1360 n bytes), which, beside
     the candidate matrix, sets the exact fit's peak: fewer rows would not lower it."""
     A = np.empty((len(W), len(points)), dtype)
-    block = np.empty((min(128, len(W)), len(points)))
-    for s in range(0, len(W), 128):
-        t = np.matmul(W[s:s + 128], points.T, out=block[:len(W) - s])
-        t += b[s:s + 128, None]
-        relu(t, out=A[s:s + 128])
+    block = np.empty((min(BLOCK, len(W)), len(points)))
+    for s in range(0, len(W), BLOCK):
+        t = np.matmul(W[s:s + BLOCK], points.T, out=block[:len(W) - s])
+        t += b[s:s + BLOCK, None]
+        relu(t, out=A[s:s + BLOCK])
     return A.T
 
 

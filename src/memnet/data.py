@@ -4,10 +4,11 @@ A dataset is an immutable collection of ``n`` points in ``R^d`` with real
 labels.  The genericity report carries the coherence ``gamma`` (largest
 normalized inner product between distinct points), the spread parameter
 ``omega`` (``d`` times the top eigenvalue of the empirical second moment
-matrix) and the minimal row norm.  gamma comes from a scan of the n x n
-normalized Gram matrix in blocks of 128 rows, so no n x n temporary is
-built: each block is one product X[s:s+128] X^T, divided in place by the
-outer product of row norms, with its diagonal entries zeroed.
+matrix) and the minimal row norm.  gamma comes from a scan of the block upper
+triangle of the n x n normalized Gram matrix in blocks of ``BLOCK`` (128)
+rows, so no n x n temporary is built and a pair of rows in two blocks is formed
+once: block s is one product X[s:s+128] X[s:]^T, divided in place by the outer
+product of row norms, with its diagonal entries (at [r, r]) zeroed.
 ``general_position`` is a separate, costlier probabilistic certificate
 that no fit needs.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import DataError, ParameterError
 
 _MAGIC = b"MEMNETDS"
-_BLOCK = 128  # rows per block of the coherence scan, which reuses two 128 x n buffers
+BLOCK = 128  # rows per block: coherence scan, exact-fit features and network evaluation
 _MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))  # squared norm still normal
 
 
@@ -158,12 +159,14 @@ def genericity(ds: Dataset) -> GenericityReport:
         if not (np.isfinite(norms).all() and norms.min() >= _MIN_NORM):
             raise DataError("squared row norms leave the float64 range")
         gamma = 0.0
-        gram, outer = np.empty((min(_BLOCK, n), n)), np.empty((min(_BLOCK, n), n))
-        for s in range(0, n, _BLOCK):
-            C = np.matmul(X[s:s + _BLOCK], X.T, out=gram[:min(_BLOCK, n - s)])
-            C /= np.multiply.outer(norms[s:s + _BLOCK], norms, out=outer[:len(C)])
+        gram, outer = np.empty(min(BLOCK, n) * n), np.empty(min(BLOCK, n) * n)
+        for s in range(0, n, BLOCK):
+            shape = (min(BLOCK, n - s), n - s)  # rows before s met these in their blocks
+            size = shape[0] * shape[1]
+            C = np.matmul(X[s:s + BLOCK], X[s:].T, out=gram[:size].reshape(shape))
+            C /= np.multiply.outer(norms[s:s + BLOCK], norms[s:], out=outer[:size].reshape(shape))
             rows = np.arange(len(C))
-            C[rows, s + rows] = 0.0  # a single point has coherence 0
+            C[rows, rows] = 0.0  # a single point has coherence 0
             gamma = np.max([gamma, C.max(), -C.min()])  # a NaN propagates
         if not np.isfinite(gamma):
             raise DataError("normalized Gram matrix of the rows leaves the float64 range")

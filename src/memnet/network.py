@@ -8,6 +8,8 @@ boosting driver consumes a one-step constructor that proposes a small network co
 with the current residual, and accumulates scaled copies of the proposals until the
 residual is small.  With a finite trimming threshold (harmonic construction) it drops points
 whose residual grew too large from an active set, which only shrinks, and fits on that set.
+``evaluate`` takes ``data.BLOCK`` (128) rows at a time: bit for bit the one-shot formula
+when k <= 128, and past that only the k-sum regrouped.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Dataset, row_norms
+from .data import BLOCK, Dataset, row_norms
 from .errors import ConvergenceError, InvariantError, ParameterError
 
 
@@ -98,16 +100,23 @@ class TwoLayerNetwork:
 
 
 def evaluate(net: TwoLayerNetwork, ds: Dataset) -> np.ndarray:
-    """Network values on the points of ``ds``, ``psi(X W^T + b) @ a``, built in one (n, k)
-    float64 array in place: the product, ``+= b``, then the activation written over it.
-    One n x k temporary, and the values of three separate ones bit for bit."""
+    """Network values on the points of ``ds``, ``psi(X W^T + b) @ a``, for ``data.BLOCK``
+    neurons at a time in one reused (n, BLOCK) float64 buffer: the product, ``+= b``, then
+    the activation written over it.  The first block's ``@ a`` is the result and each later
+    block's is added to it, left to right (a sum started from zeros would turn -0 into
+    +0), so for k <= BLOCK the values are the one-shot formula's bit for bit."""
     if not net.k:
         return np.zeros(ds.n)
     if ds.d != net.d:
         raise ParameterError(f"dimension mismatch: network d={net.d}, points d={ds.d}")
-    t = ds.points @ net.W.T
-    t += net.b
-    return get_activation(net.activation)(t, out=t) @ net.a
+    psi, buf, f = get_activation(net.activation), np.empty(ds.n * min(BLOCK, net.k)), None
+    for s in range(0, net.k, BLOCK):
+        W = net.W[s:s + BLOCK]
+        t = np.matmul(ds.points, W.T, out=buf[:ds.n * len(W)].reshape(ds.n, len(W)))
+        t += net.b[s:s + BLOCK]
+        v = psi(t, out=t) @ net.a[s:s + BLOCK]
+        f = v if f is None else np.add(f, v, out=f)
+    return f
 
 
 def from_unit_frame(net: TwoLayerNetwork, k: int) -> TwoLayerNetwork:

@@ -104,18 +104,21 @@ def test_genericity_matches_bruteforce():
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 800])
 def test_blocked_genericity_equals_dense_formula(n):
-    """On sphere points and with the last row a copy of the one before it
-    (gamma 1 within rounding, from C.max()) or its negation (from -C.min()):
-    the pair straddles two blocks at n = 129 and 257 and shares the last
-    block at n = 800.  omega and min_norm are bit for bit the dense
-    formula's; so is gamma when the scan is one block (n <= 128: the same
-    product).  Past one block gamma is within 2 ulps: BLAS rounds an entry
+    """On sphere points and with the last row a copy of the one before it or of
+    the first row (gamma 1 within rounding, from C.max()) or its negation (from
+    -C.min()): the scan forms pair (i, j), i < j, in i's block only (twice when
+    j is in it too), and the pair straddles two blocks at n = 129 and 257,
+    shares the last block at n = 800 and spans the first and the last block
+    past n = 128.  omega and min_norm are bit for bit the dense formula's; so
+    is gamma when the scan is one block (n <= 128: the same product).  Past
+    one block gamma is within 2 ulps: BLAS rounds an entry
     of a 128-row block and of the whole X X^T differently at its edge tiles
     (n = 129 moves gamma by 1 ulp on OpenBLAS)."""
     pts = sample_sphere(n, 20, n).points
     cases = [pts]
     if n > 1:
-        cases += [np.vstack([pts[:-1], sign * pts[-2]]) for sign in (1.0, -1.0)]
+        cases += [np.vstack([pts[:-1], sign * pts[i]])
+                  for sign in (1.0, -1.0) for i in {0, n - 2}]
     for points in cases:
         ds = Dataset(points, np.zeros(n))
         rep = genericity(ds)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from memnet.constructive import baum_relu_fit, baum_threshold_fit, exact_fit_generic
-from memnet.data import Dataset, gaussian_labels, rademacher_labels, sample_sphere
+from memnet.data import BLOCK, Dataset, gaussian_labels, rademacher_labels, sample_sphere
 from memnet.errors import ConvergenceError, InvariantError, ParameterError
 from memnet.harmonic import harmonic_fit
 from memnet.network import (FitTrace, IterationRecord, Neuron, StepProposal, TwoLayerNetwork,
@@ -73,7 +73,7 @@ def test_evaluate_dimension_mismatch():
 
 
 @pytest.mark.parametrize("activation", ["relu", "threshold"])
-@pytest.mark.parametrize("k", [1, 2, 40])
+@pytest.mark.parametrize("k", [1, 2, 40, 128])
 def test_evaluate_is_the_activation_formula_bit_for_bit(activation, k):
     """evaluate's in-place buffer gives ``psi(X W^T + b) @ a`` exactly, also at
     pre-activations that are exactly zero: x . w = -b, and a row w = -0 with b = -0
@@ -109,6 +109,51 @@ def test_evaluate_holds_one_n_by_k_buffer(activation):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * n * k * 8
+
+
+@pytest.mark.parametrize("activation", ["relu", "threshold"])
+def test_evaluate_memory_does_not_grow_with_k(activation):
+    """At k = 10 blocks the peak traced memory is one (n, 128) float64 buffer plus a few
+    n-vectors (the result and one block's values), and numpy's ufunc buffer of
+    ``np.getbufsize()`` elements, which the broadcast ``+= b`` allocates whatever k is."""
+    rng = np.random.default_rng(0)
+    n, d, k = 300, 20, 10 * BLOCK
+    ds = Dataset(rng.standard_normal((n, d)), np.zeros(n))
+    net = _net(zip(rng.standard_normal(k), rng.standard_normal((k, d)),
+                   rng.standard_normal(k)), activation)
+    tracemalloc.start()
+    try:
+        evaluate(net, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * BLOCK * 8 + 4 * n * 8 + np.getbufsize() * 8
+
+
+@pytest.mark.parametrize("activation", ["relu", "threshold"])
+def test_evaluate_sums_blocks_left_to_right(activation):
+    """Past one block evaluate is the blockwise sum, first block first, bit for bit (signs
+    of zero included), with exact-zero pre-activations in every block; per point it is the
+    one-shot ``psi(X W^T + b) @ a`` within 1e-13 (|psi| @ |a|)."""
+    rng = np.random.default_rng(5)
+    n, k = 12, 3 * BLOCK + 5
+    X = rng.integers(-3, 4, (n, 3)).astype(float)
+    X[:, 0] = 1.0                                       # no zero rows
+    W = rng.integers(-3, 4, (k, 3)).astype(float)
+    b = rng.standard_normal(k)
+    for s in range(0, k, BLOCK):
+        b[s] = -float(X[s % n] @ W[s])
+        W[s + 1], b[s + 1] = -0.0, -0.0
+    a = rng.standard_normal(k)
+    net = _net(zip(a, W, b), activation)
+    psi = get_activation(activation)
+    t = X @ W.T + b
+    assert (t == 0.0).sum() >= 4 * (1 + n)
+    blocks = [psi(X @ W[s:s + BLOCK].T + b[s:s + BLOCK]) @ a[s:s + BLOCK]
+              for s in range(0, k, BLOCK)]
+    got = evaluate(net, Dataset(X, np.zeros(n)))
+    assert got.tobytes() == functools.reduce(np.add, blocks).tobytes()
+    assert np.all(np.abs(got - psi(t) @ a) <= 1e-13 * (np.abs(psi(t)) @ np.abs(a)))
 
 
 def test_total_weight():
