@@ -114,9 +114,10 @@ def sample_complex_neuron(ds: Dataset, residual: np.ndarray, m: int, seed: int,
 
     cutoff = projection_cutoff(n, m)
     floor = r_sq / (2.0 * CONSTANTS["corr_c"] * math.sqrt(n * gamma * gamma))
-    # spawn-keyed stream: a dataset sampled with the same integer seed would
-    # otherwise share its Gaussian draws, aligning every candidate with a
-    # data point and clipping the whole pool
+    # ``seed`` is the one harmonic_fit derives from its own seed and boost_fit's
+    # (iteration, attempt) key.  Spawn-keyed stream: a dataset sampled with the same
+    # integer seed would otherwise share its Gaussian draws, aligning every candidate
+    # with a data point and clipping the whole pool
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     W = rng.standard_normal((_CANDIDATES, ds.d))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=_CANDIDATES)
@@ -403,10 +404,14 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
         max_iters = max(4000, 20 * n)
     norm_scale = math.sqrt(n / y_sq) if y_sq > 0.0 else 1.0
     notes = {"m": m, "gamma": gamma, "gamma_clamped": gamma != report.gamma}
+
+    def step(r, key):  # one sampler seed per (iteration, attempt) key
+        attempt_seed = np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0]
+        return single_neuron_step(ds, r * norm_scale, int(attempt_seed), m, gamma)
+
     try:
-        net, trace, active = boost_fit(
-            lambda r, s: single_neuron_step(ds, r * norm_scale, s, m, gamma), ds, epsilon,
-            max_iters=max_iters, seed=seed, trim_sq=y_sq * gamma * gamma)
+        net, trace, active = boost_fit(step, ds, epsilon, max_iters=max_iters,
+                                       trim_sq=y_sq * gamma * gamma)
     except ConvergenceError as err:
         err.trace.notes.update(notes)
         raise

@@ -139,9 +139,11 @@ class StepProposal:
     values: np.ndarray
 
 
-# A step builder maps (residual, zero off the active set; attempt_seed) to a
-# proposal, or None to signal a degenerate draw that the driver should retry.
-StepBuilder = Callable[[np.ndarray, int], StepProposal | None]
+# A step builder maps (residual, zero off the active set and read only; the attempt's
+# key (iteration, attempt)) to a proposal, or None to signal a degenerate draw that
+# boost_fit should retry.  boost_fit draws nothing: the builder owns its randomness
+# (the harmonic fit derives a seed from the key, the ntk fit reads one stream per fit).
+StepBuilder = Callable[[np.ndarray, tuple[int, int]], StepProposal | None]
 
 # Attempts per boosting step: the only redraw of both steps.  An ntk step returns None
 # when v = 0 or u ties a point, a harmonic step when its sampler misses the floor.
@@ -156,6 +158,7 @@ class IterationRecord:
     eta: float
     neurons_added: int
     active_set_size: int
+    attempts: int  # the accepted attempt's index plus 1
 
 
 @dataclass
@@ -172,7 +175,7 @@ class FitTrace:
 
 
 def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
-              max_iters: int, seed: int = 0, trim_sq: float = math.inf
+              max_iters: int, trim_sq: float = math.inf
               ) -> tuple[TwoLayerNetwork, FitTrace, np.ndarray]:
     """Greedy residual fitting: r <- r - eta * f for proposals f.
 
@@ -181,8 +184,11 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
     set A for good.  The builder, the line search eta = (r_A . f_A)/||f_A||^2
     (which never increases ||r_A||^2) and the stop at ||r_A||^2 <=
     epsilon ||y||^2 all use the residual restricted to A.  A step gets ``STEP_ATTEMPTS`` =
-    20 attempts at a proposal with positive correlation; exhausting them, or
-    ``max_iters``, raises ConvergenceError with the trace.
+    20 attempts at a proposal with positive correlation, attempt j of iteration i
+    calling the builder with the key (i, j); exhausting them, or ``max_iters``, raises
+    ConvergenceError with the trace.  It takes no seed and draws nothing.  With
+    ``trim_sq`` infinite A is every point, and the residual and the proposals are used
+    without masks.
     ``trace.notes["stop_reason"]`` is "epsilon reached" or the error's reason.
     """
     if not (0.0 < epsilon < 1.0):
@@ -192,23 +198,24 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
     trace = FitTrace()
     neurons: list[Neuron] = []
     active = np.ones(len(y), dtype=bool)
-    r = y.copy()
-    seed_root = np.random.SeedSequence(seed)
+    trims = trim_sq < math.inf
+    r, r_sq = y.copy(), y_sq
     for it in range(max_iters + 1):
-        active &= r * r <= trim_sq * (1 + 1e-12)
-        r_act = np.where(active, r, 0.0)
-        r_sq = float(r_act @ r_act)
+        if trims:
+            active &= r * r <= trim_sq * (1 + 1e-12)
+            r_act = np.where(active, r, 0.0)
+            r_sq = float(r_act @ r_act)
+        else:
+            r_act = r
         if r_sq <= epsilon * y_sq:
             break
         proposal = None
         # the pass after the last iteration only checks the stopping rule
         for attempt in range(STEP_ATTEMPTS if it < max_iters else 0):
-            attempt_seed = int(np.random.SeedSequence(entropy=seed_root.entropy,
-                                                      spawn_key=(it, attempt)).generate_state(1)[0])
-            cand = step_builder(r_act, attempt_seed)
+            cand = step_builder(r_act, (it, attempt))
             if cand is None:
                 continue
-            f_act = np.where(active, cand.values, 0.0)
+            f_act = np.where(active, cand.values, 0.0) if trims else cand.values
             corr = float(r_act @ f_act)
             norm_sq = float(f_act @ f_act)
             if corr > 0.0 and norm_sq > 0.0:
@@ -231,11 +238,14 @@ def boost_fit(step_builder: StepBuilder, ds: Dataset, epsilon: float,
             step_norm_beta=norm_sq / r_sq,
             eta=eta,
             neurons_added=len(proposal.neurons),
-            active_set_size=int(active.sum()),
+            active_set_size=int(active.sum()) if trims else len(y),
+            attempts=attempt + 1,
         ))
-        r_next = np.where(active, r, 0.0)
-        if float(r_next @ r_next) > r_sq * (1 + 1e-12):
+        r_next = np.where(active, r, 0.0) if trims else r
+        r_next_sq = float(r_next @ r_next)
+        if r_next_sq > r_sq * (1 + 1e-12):
             raise InvariantError("line-search step increased the residual")
+        r_sq = r_next_sq  # the next iteration's, unless trimming shrinks A
 
     trace.notes["stop_reason"] = "epsilon reached"
     trace.final_error_ratio = r_sq / y_sq if y_sq > 0 else 0.0

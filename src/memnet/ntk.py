@@ -4,7 +4,9 @@ the size bound at the measured coherence, and the boosted fit.
 One step draws u ~ N(0, I_d), sets v to the residual-weighted sum of points
 in the active halfspace {u . x >= 0}, and realizes psi'(u . x) (v . x) as
 two ReLU neurons via a small finite difference.  The step's correlation
-with the residual is exactly ||v||^2.
+with the residual is exactly ||v||^2.  A fit draws every u, retries after a tie
+included, from one Generator it builds from its seed, spawn-keyed so that a dataset
+sampled with the same integer seed shares none of its draws.
 
 A step makes four matrix-vector products with the n x d points X: the
 margins X u, v = (r on the halfspace, 0 off it) X, the slopes X v (with the
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -35,20 +36,22 @@ from .network import FitTrace, StepProposal, TwoLayerNetwork, boost_fit, from_un
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def ntk_step(ds: Dataset, residual: np.ndarray, seed: int) -> StepProposal | None:
+def ntk_step(ds: Dataset, residual: np.ndarray,
+             rng: np.random.Generator) -> StepProposal | None:
     """One NTK step for the given residual: the two neurons of the derivative
-    neuron (u, v, b = 0, delta) and their values; None when v = 0 or when u
-    ties a point, and ``boost_fit`` draws again.  A tie is a margin u . x_i
-    within its product's rounding bound d eps ||u|| ||x_i||, zero included:
-    its sign is not known, so the two-ReLU realization may not be exact, and
-    its delta would put a weight of order 1/delta on the step.  ``ds`` is in
-    ``data.unit_frame`` (rows of norm below 2), as ``ntk_fit`` passes it, so
-    one scalar 2 d eps ||u|| covers every row's bound.
+    neuron (u, v, b = 0, delta) and their values, u the next d normals of ``rng``;
+    None when v = 0 or when u ties a point, and ``boost_fit`` tries again, with
+    the stream's next u.  A tie is a margin u . x_i within its product's rounding
+    bound d eps ||u|| ||x_i||, zero included: its sign is not known, so the
+    two-ReLU realization may not be exact, and its delta would put a weight of
+    order 1/delta on the step.  ``ds`` is in ``data.unit_frame`` (rows of norm
+    below 2), as ``ntk_fit`` passes it, so one scalar 2 d eps ||u|| covers every
+    row's bound.
     """
     r = np.asarray(residual, dtype=np.float64)
     if float(r @ r) == 0.0:
         raise ParameterError("residual must be nonzero")
-    u = np.random.default_rng(seed).standard_normal(ds.d)
+    u = rng.standard_normal(ds.d)
     margins = ds.points @ u
     if np.abs(margins).min() <= 2.0 * ds.d * _EPS * math.sqrt(u @ u):
         return None
@@ -90,6 +93,9 @@ def ntk_fit(ds: Dataset, epsilon: float, seed: int = 0,
     """
     ds, k = unit_frame(ds)
     report = genericity(ds)
-    net, trace, _ = boost_fit(partial(ntk_step, ds), ds, epsilon, max_iters=max_iters, seed=seed)
+    # spawn key 2: the harmonic sampler's streams use 1
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
+    net, trace, _ = boost_fit(lambda r, key: ntk_step(ds, r, rng), ds, epsilon,
+                              max_iters=max_iters)
     return NtkFitResult(network=from_unit_frame(net, k), trace=trace,
                         kd_bound=ntk_kd_bound(ds.n, epsilon, report), report=report)

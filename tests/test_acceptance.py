@@ -164,7 +164,7 @@ def test_criterion_04_kernel_step_correlation():
     bound = 0.1 * math.sqrt(math.log(1.0 / gamma) / math.log(2.0 * ds.n))
     ratios = []
     for seed in range(200):
-        step = ntk_step(ds, y, seed)
+        step = ntk_step(ds, y, np.random.default_rng(seed))
         if step is None:
             continue
         ratios.append(float(y @ step.values) / y_sq)

@@ -21,7 +21,7 @@ from memnet.ntk import ntk_fit
 
 _SHA256 = {
     "harmonic": "0708df212de64e7d71d4910b1edfd7cbea1f5743b7220bd0881a34db3e1dd5b2",
-    "ntk": "ddce02245816965cd2f8cccacda373887e2cddaa0a3a89a6aa6a36bb230431a4",
+    "ntk": "388a5ac5cb384b74be756ff13bfb1f61ade48721d4130efd9c8d85b734530de2",
     "baum-relu": "73ad2411e41d3735b4efb537db58decf5dbd98016bff337d63545705b2df12d1",
     "baum_relu_fit": "1e2cbf0727b51329b45785a0571856182c01ef0af9919b3d6e28023c451be387",
     "baum_threshold_fit": "f9ae6320deea4b8f226a1cb88391655d87b69ebbefe7e8d025665bdc0c368703",
@@ -43,7 +43,7 @@ def _fit(method):
 
 @pytest.mark.parametrize("method, k, weight, stop_reason", [
     ("harmonic", 204, 30.448326735938533, "epsilon reached"),
-    ("ntk", 6, 5469.229206434775, "epsilon reached"),
+    ("ntk", 6, 3423.7752025200843, "epsilon reached"),
     ("baum-relu", 4, 37.29900491775697, None),
 ])
 def test_golden_network(method, k, weight, stop_reason):

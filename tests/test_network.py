@@ -387,7 +387,7 @@ def _dataset(n=20, d=5, seed=0):
 def test_boost_oracle_step_one_iteration():
     ds = _dataset()
 
-    def builder(r, seed):
+    def builder(r, key):
         # perfect step: f = r via a fake neuron (values carry the fit)
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=r.copy())
 
@@ -402,9 +402,9 @@ def test_boost_synthetic_contraction():
     ds = _dataset()
     alpha, beta = 0.3, 2.0
 
-    def builder(r, seed):
+    def builder(r, key):
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)],
-                            values=_synthetic_step(r, alpha, beta, seed))
+                            values=_synthetic_step(r, alpha, beta, key))
 
     net, trace, _ = boost_fit(builder, ds, epsilon=0.01, max_iters=1000)
     factor = 1.0 - alpha * alpha / beta
@@ -413,17 +413,17 @@ def test_boost_synthetic_contraction():
         assert abs(ratio - factor) < 1e-10
 
 
-def _unit_orthogonal(r, seed):
-    rng = np.random.default_rng(seed)
+def _unit_orthogonal(r, key):
+    rng = np.random.default_rng(key)
     u = rng.standard_normal(len(r))
     u -= (u @ r) / (r @ r) * r
     return u / np.linalg.norm(u)
 
 
-def _synthetic_step(r, alpha, beta, seed):
+def _synthetic_step(r, alpha, beta, key):
     # r.f = alpha ||r||^2 and ||f||^2 = beta ||r||^2 exactly
     rn = math.sqrt(float(r @ r))
-    u = _unit_orthogonal(r, seed)
+    u = _unit_orthogonal(r, key)
     return alpha * r + math.sqrt(beta - alpha * alpha) * rn * u
 
 
@@ -432,9 +432,9 @@ def test_boost_iteration_count_bound():
     ds = _dataset()
     alpha, beta = 0.1, 1.0
 
-    def builder(r, seed):
+    def builder(r, key):
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)],
-                            values=_synthetic_step(r, alpha, beta, seed))
+                            values=_synthetic_step(r, alpha, beta, key))
 
     # the adaptive eta (r.f)/||f||^2 equals the proof's fixed alpha/beta here
     net, trace, _ = boost_fit(builder, ds, epsilon=0.01, max_iters=1000)
@@ -445,8 +445,8 @@ def test_boost_pythagoras_per_step():
     ds = _dataset(30, 6, 3)
     rng = np.random.default_rng(0)
 
-    def builder(r, seed):
-        g = np.random.default_rng(seed).standard_normal(len(r))
+    def builder(r, key):
+        g = np.random.default_rng(key).standard_normal(len(r))
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=g)
 
     net, trace, _ = boost_fit(builder, ds, epsilon=0.2, max_iters=200)
@@ -461,8 +461,8 @@ def test_boost_pythagoras_per_step():
 def test_boost_adaptive_never_increases_residual():
     ds = _dataset(25, 4, 7)
 
-    def builder(r, seed):
-        g = np.random.default_rng(seed).standard_normal(len(r))
+    def builder(r, key):
+        g = np.random.default_rng(key).standard_normal(len(r))
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=g)
 
     net, trace, _ = boost_fit(builder, ds, epsilon=0.3, max_iters=500)
@@ -486,7 +486,7 @@ class _DriftingProposal:
 def test_boost_residual_increase_raises_invariant_error():
     ds = _dataset()
 
-    def builder(r, seed):
+    def builder(r, key):
         return _DriftingProposal([Neuron(1.0, np.zeros(ds.d), 1.0)], r.copy(), -r)
 
     with pytest.raises(InvariantError, match="increased the residual"):
@@ -497,8 +497,8 @@ def test_boost_weight_is_sum_of_scaled_steps():
     ds = _dataset(15, 4, 1)
     proposed = {}
 
-    def builder(r, seed):
-        rng = np.random.default_rng(seed)
+    def builder(r, key):
+        rng = np.random.default_rng(key)
         w, b = rng.standard_normal(ds.d), rng.standard_normal()
         vals = np.maximum(ds.points @ w + b, 0.0)
         sign = 1.0 if float(r @ vals) >= 0 else -1.0
@@ -522,8 +522,8 @@ def test_boost_retry_exhaustion_raises_with_trace():
     ds = _dataset()
     calls = []
 
-    def builder(r, seed):
-        calls.append(seed)
+    def builder(r, key):
+        calls.append(key)
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=-r)
 
     with pytest.raises(ConvergenceError, match="step retry budget exhausted") as err:
@@ -533,13 +533,57 @@ def test_boost_retry_exhaustion_raises_with_trace():
     assert err.value.trace.notes["stop_reason"] == "step retry budget exhausted"
 
 
+def _random_relu_builder(ds):
+    """Proposes the ReLU neuron of N(0, 1) weights and bias drawn from the key,
+    signed to correlate with the residual."""
+    def builder(r, key):
+        rng = np.random.default_rng(key)
+        w, b = rng.standard_normal(ds.d), rng.standard_normal()
+        vals = np.maximum(ds.points @ w + b, 0.0)
+        sign = 1.0 if float(r @ vals) >= 0 else -1.0
+        return StepProposal(neurons=[Neuron(sign, w, b)], values=sign * vals)
+    return builder
+
+
+def test_boost_hands_out_attempt_keys():
+    """The builder is called with (iteration, attempt): (0, 0), then (0, 1) after
+    a None, then (1, 0); each record counts the attempts its step used."""
+    ds = _dataset()
+    keys = []
+
+    def builder(r, key):
+        keys.append(key)
+        if key == (0, 0):
+            return None
+        return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)],
+                            values=_synthetic_step(r, 0.5, 1.0, key))
+
+    # each step leaves 3/4 of ||r||^2: the second one reaches the target
+    _, trace, _ = boost_fit(builder, ds, epsilon=0.6, max_iters=2)
+    assert keys == [(0, 0), (0, 1), (1, 0)]
+    assert [rec.attempts for rec in trace.iterations] == [2, 1]
+
+
+def test_boost_without_threshold_matches_the_masked_path():
+    """With trim_sq infinite boost_fit skips the active-set masks; the network
+    and the trace are the ones a finite threshold no point reaches gives, bit for bit."""
+    ds = _dataset(15, 4, 1)
+    builder = _random_relu_builder(ds)
+    fast,fast_trace, fast_active = boost_fit(builder, ds, epsilon=0.5, max_iters=2000)
+    masked, masked_trace, masked_active = boost_fit(builder, ds, epsilon=0.5, max_iters=2000,
+                                                    trim_sq=1e300)
+    assert fast.to_json() == masked.to_json()
+    assert fast_trace == masked_trace
+    assert fast_active.all() and masked_active.all()
+
+
 def test_boost_iteration_cap_raises_with_trace():
     ds = _dataset()
 
-    def slow(r, seed):
+    def slow(r, key):
         # each step contracts ||r||^2 by 1 - alpha^2/beta = 0.99
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)],
-                            values=_synthetic_step(r, 0.1, 1.0, seed))
+                            values=_synthetic_step(r, 0.1, 1.0, key))
 
     with pytest.raises(ConvergenceError, match="iteration cap") as err:
         boost_fit(slow, ds, epsilon=0.1, max_iters=3)
@@ -548,7 +592,7 @@ def test_boost_iteration_cap_raises_with_trace():
     assert trace.final_error_ratio == pytest.approx(0.99 ** 3, rel=1e-9)
     assert trace.notes["stop_reason"] == "iteration cap reached"
 
-    def perfect(r, seed):
+    def perfect(r, key):
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=r.copy())
 
     # reaching the target on the last allowed step is not a failure
@@ -564,14 +608,7 @@ def test_boost_trimming(n, d, seed, trim_sq, epsilon):
     ceil(||y||^2 / trim_sq) points, and the stop uses the trimmed residual."""
     ds = _dataset(n, d, seed)
     y_sq = float(ds.labels @ ds.labels)
-
-    def builder(r, attempt_seed):
-        rng = np.random.default_rng(attempt_seed)
-        w, b = rng.standard_normal(ds.d), rng.standard_normal()
-        vals = np.maximum(ds.points @ w + b, 0.0)
-        sign = 1.0 if float(r @ vals) >= 0 else -1.0
-        return StepProposal(neurons=[Neuron(sign, w, b)], values=sign * vals)
-
+    builder = _random_relu_builder(ds)
     net, trace, active = boost_fit(builder, ds, epsilon=epsilon, max_iters=5000,
                                    trim_sq=trim_sq)
     sizes = [rec.active_set_size for rec in trace.iterations] + [int(active.sum())]
@@ -602,8 +639,8 @@ def test_boost_monotone_property(n, d, data_seed, fit_seed, trim_sq, epsilon, ki
     examples trim some during the fit."""
     ds = _dataset(n, d, data_seed)
 
-    def builder(r, attempt_seed):
-        rng = np.random.default_rng(attempt_seed)
+    def builder(r, key):
+        rng = np.random.default_rng((fit_seed, *key))
         if kind == "flaky" and rng.random() < 0.3:
             return None
         w, b, sign = rng.standard_normal(d), rng.standard_normal(), rng.choice([-1.0, 1.0])
@@ -611,8 +648,7 @@ def test_boost_monotone_property(n, d, data_seed, fit_seed, trim_sq, epsilon, ki
         return StepProposal(neurons=[Neuron(sign, w, b)], values=sign * vals)
 
     try:
-        _, trace, active = boost_fit(builder, ds, epsilon, max_iters=40, seed=fit_seed,
-                                     trim_sq=trim_sq)
+        _, trace, active = boost_fit(builder, ds, epsilon, max_iters=40, trim_sq=trim_sq)
         final = [int(active.sum())]
     except ConvergenceError as err:
         trace, final = err.trace, []
@@ -639,7 +675,7 @@ def test_boost_epsilon_validation():
 def test_trace_csv(tmp_path):
     ds = _dataset()
 
-    def builder(r, seed):
+    def builder(r, key):
         return StepProposal(neurons=[Neuron(1.0, np.zeros(ds.d), 1.0)], values=r.copy())
 
     net, trace, _ = boost_fit(builder, ds, epsilon=0.5, max_iters=10)
@@ -653,10 +689,10 @@ def test_trace_csv(tmp_path):
 def test_trace_csv_header_names_the_record_fields(tmp_path):
     """The header is ``iteration`` followed by IterationRecord's field names,
     in order, and each row is the iteration index followed by its record."""
-    trace = FitTrace(iterations=[IterationRecord(4.0, 0.5, 0.25, 2.0, 1, 7)])
+    trace = FitTrace(iterations=[IterationRecord(4.0, 0.5, 0.25, 2.0, 1, 7, 2)])
     path = tmp_path / "trace.csv"
     trace.to_csv(str(path))
     header, row = path.read_text().splitlines()
     names = [f.name for f in dataclasses.fields(IterationRecord)]
     assert header.split(",") == ["iteration", *names]
-    assert row == "0,4.0,0.5,0.25,2.0,1,7"
+    assert row == "0,4.0,0.5,0.25,2.0,1,7,2"

@@ -31,14 +31,14 @@ def test_step_correlation_is_v_norm_squared():
     ds = _labeled(50, 10, 0)
     r = ds.labels
     for seed in range(10):
-        step = ntk_step(ds, r, seed)
+        step = ntk_step(ds, r, np.random.default_rng(seed))
         _, v = _u_and_v(step, ds, r)
         assert float(r @ step.values) == pytest.approx(float(v @ v), rel=1e-9)
 
 
 def test_step_two_relu_realization_exact():
     ds = _labeled(30, 8, 2)
-    step = ntk_step(ds, ds.labels, 0)
+    step = ntk_step(ds, ds.labels, np.random.default_rng(0))
     u, v = _u_and_v(step, ds, ds.labels)
     assert np.max(np.abs(step.values - linearized_values(u, v, 0.0, ds.points))) < 1e-9
 
@@ -48,7 +48,7 @@ def test_step_norm_controlled_by_covariance():
     ds = _labeled(60, 12, 3)
     rep = genericity(ds)
     for seed in range(5):
-        step = ntk_step(ds, ds.labels, seed)
+        step = ntk_step(ds, ds.labels, np.random.default_rng(seed))
         _, v = _u_and_v(step, ds, ds.labels)
         cap = ds.n * rep.omega / ds.d * float(v @ v)
         assert float(step.values @ step.values) <= cap * (1 + 1e-9)
@@ -57,14 +57,14 @@ def test_step_norm_controlled_by_covariance():
 def test_step_zero_residual_rejected():
     ds = sample_sphere(5, 3, 0)
     with pytest.raises(ParameterError):
-        ntk_step(ds, np.zeros(5), 0)
+        ntk_step(ds, np.zeros(5), np.random.default_rng(0))
 
 
 def test_step_single_point():
     ds = Dataset(np.array([[1.0, 0.0]]), np.array([2.0]))
     # when the point is active, v = r_1 x_1 and the correlation is r_1^2
     for seed in range(20):
-        step = ntk_step(ds, ds.labels, seed)
+        step = ntk_step(ds, ds.labels, np.random.default_rng(seed))
         if step is not None:
             upper, lower = step.neurons
             assert np.allclose((upper.w - lower.w) * upper.a, 2.0 * ds.points[0])
@@ -84,7 +84,7 @@ def test_step_and_proposal_match_their_definition(monkeypatch):
     ds = _labeled(200, 20, 1)
     X, r = ds.points, ds.labels
     for seed in range(10):
-        step = ntk_step(ds, r, seed)
+        step = ntk_step(ds, r, np.random.default_rng(seed))
         u, v_ref = _u_and_v(step, ds, r)
         rows = [(X[i] @ u, X[i] @ v_ref) for i in range(ds.n)]
         delta_ref = 0.5 * min(abs(m) / abs(s) for m, s in rows if abs(s) >= 1e-14)
@@ -97,8 +97,8 @@ def test_step_and_proposal_match_their_definition(monkeypatch):
     real_boost_fit = ntk.boost_fit
 
     def recording_boost_fit(builder, *args, **kwargs):
-        def record(residual, attempt_seed):
-            proposal = builder(residual, attempt_seed)
+        def record(residual, key):
+            proposal = builder(residual, key)
             if proposal is not None:
                 proposals.append(proposal)
             return proposal
@@ -125,25 +125,60 @@ def _tied(d):
 
 
 def test_step_tie_returns_none_and_boost_fit_draws_again(monkeypatch):
-    """Seed 7 draws u = default_rng(7).standard_normal(d); the row (u_1, -u_0, 0, ...)
-    has margin exactly 0 under it at d = 5, so that step is None, and the fit's next
-    attempt draws a fresh u and goes on to fit the data."""
+    """default_rng(7) draws u = default_rng(7).standard_normal(d); the row (u_1, -u_0,
+    0, ...) has margin exactly 0 under it at d = 5, so that step is None, and the
+    fit's next attempt draws the next u of its stream and goes on to fit the data."""
     u, _, ds = _tied(5)
     assert (ds.points @ u)[-1] == 0.0
-    assert ntk_step(ds, ds.labels, 7) is None
+    assert ntk_step(ds, ds.labels, np.random.default_rng(7)) is None
 
     steps = []
     real_step = ntk.ntk_step
 
-    def tie_first(ds, residual, seed):
-        steps.append(real_step(ds, residual, 7 if not steps else seed))
+    def tie_first(ds, residual, rng):
+        steps.append(real_step(ds, residual, np.random.default_rng(7) if not steps else rng))
         return steps[-1]
 
     monkeypatch.setattr(ntk, "ntk_step", tie_first)
     res = ntk_fit(ds, 0.25, seed=0)
     assert steps[0] is None and steps[1] is not None
     assert len(steps) == len(res.trace.iterations) + 1
+    assert res.trace.iterations[0].attempts == 2
     assert res.trace.final_error_ratio <= 0.25
+
+
+def test_fit_draws_every_u_from_one_stream(monkeypatch):
+    """A fit builds one Generator, and every step, retries included, draws from it."""
+    ds = _labeled(200, 20, 1)
+    built, seen = [], []
+    real_rng, real_step = np.random.default_rng, ntk.ntk_step
+
+    def counting_rng(*args):
+        built.append(real_rng(*args))
+        return built[-1]
+
+    def spy(ds, residual, rng):
+        seen.append(rng)
+        return real_step(ds, residual, rng)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(ntk, "ntk_step", spy)
+    ntk_fit(ds, 0.25, seed=1)
+    assert len(built) == 1 and len(seen) > 20
+    assert all(rng is built[0] for rng in seen)
+
+
+@pytest.mark.parametrize("n, d, seed", [(40, 5, 0), (60, 20, 3)])
+def test_fit_draws_no_u_of_its_datasets_points(n, d, seed):
+    """``ntk_fit(seed=s)`` on ``sample_sphere(n, d, s)`` draws no u (a step's lower
+    neuron's w, in the unit frame that is the identity here) equal to a row of the
+    Gaussian ``default_rng(s)`` drew for the points: its stream is spawn-keyed."""
+    ds = _labeled(n, d, seed)
+    rows = np.random.default_rng(seed).standard_normal((n, d))
+    res = ntk_fit(ds, 0.25, seed=seed)
+    us = res.network.W[1::2]
+    assert len(us) == len(res.trace.iterations)
+    assert not any(np.array_equal(u, row) for u in us for row in rows)
 
 
 def test_step_near_tie_returns_none():
@@ -153,7 +188,7 @@ def test_step_near_tie_returns_none():
     u, row, ds = _tied(3)
     margin = (ds.points @ u)[-1]
     assert 0.0 < abs(margin) <= 3 * np.finfo(float).eps * np.linalg.norm(u) * np.linalg.norm(row)
-    assert ntk_step(ds, ds.labels, 7) is None
+    assert ntk_step(ds, ds.labels, np.random.default_rng(7)) is None
     assert ntk_fit(ds, 0.25, seed=7).trace.final_error_ratio <= 0.25
 
 
