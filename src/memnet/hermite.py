@@ -5,7 +5,8 @@ by He_{k+2} = (z^2 - (2k+1)) He_k - k(k-1) He_{k-2}; ``hermite_eval`` is its
 normalized view H_m = He_m / sqrt(m!), the project-wide convention, orthonormal
 against N(0,1) with H_m' = sqrt(m) H_{m-1}.  The harmonic fit evaluates H_{m-1}
 through ``hermite_eval``, scores its complex candidates through ``he_eval`` and
-integrates on ``gl_grid``; the Hermite lemma checks are test code.
+integrates on ``gl_grid``, numpy's 16-point rule stored as constants; the Hermite
+lemma checks are test code.
 """
 
 from __future__ import annotations
@@ -68,19 +69,24 @@ def hermite_eval(m: int, z):
 
 # -- Gaussian quadrature ------------------------------------------------------
 
-# the 16-point rule, loaded on first use: memnet does not import numpy.polynomial
-_leggauss_cache: list[np.ndarray] = []
+# numpy's 16-point Gauss-Legendre rule on [-1, 1], exactly symmetric, so memnet does not
+# import numpy.polynomial: the 8 positive nodes and their weights, mirrored
+_GL_X = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499])
+_GL_W = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                  0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                  0.062253523938647456, 0.027152459411754176])
+_GL_NODES = np.concatenate([-_GL_X[::-1], _GL_X])
+_GL_WEIGHTS = np.concatenate([_GL_W[::-1], _GL_W])
 
 
 def gl_grid(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights: ``panels`` equal panels on
     [lo, hi] with 16 nodes each, panel by panel."""
-    if not _leggauss_cache:
-        _leggauss_cache.extend(np.polynomial.legendre.leggauss(16))
-    nodes, weights = _leggauss_cache
     edges = np.linspace(lo, hi, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wts = (half[:, None] * weights[None, :]).ravel()
+    pts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return pts, wts

@@ -127,8 +127,11 @@ def from_unit_frame(net: TwoLayerNetwork, k: int) -> TwoLayerNetwork:
 
 
 def total_weight(net: TwoLayerNetwork) -> float:
-    """W(f) = sum_l |a_l| ||(w_l, b_l)||, the norms by ``data.row_norms``."""
-    return float(np.abs(net.a) @ row_norms(np.column_stack([net.W, net.b])))
+    """W(f) = sum_l |a_l| ||(w_l, b_l)||, ``data.row_norms`` of [W | b] by ``BLOCK`` rows."""
+    norms = np.empty(net.k)
+    for s in range(0, net.k, BLOCK):
+        norms[s:s + BLOCK] = row_norms(np.column_stack([net.W[s:s + BLOCK], net.b[s:s + BLOCK]]))
+    return float(np.abs(net.a) @ norms)
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ StepBuilder = Callable[[np.ndarray, tuple[int, int]], StepProposal | None]
 STEP_ATTEMPTS = 20
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     residual_sq: float
     step_correlation_alpha: float

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from memnet.harmonic import (CONSTANTS, ComplexNeuron, _breakpoint_argmax, _deco
                              _mixture_basis, bump_eval, choose_degree, decompose_directions,
                              harmonic_fit, perturbation_vector, projection_cutoff,
                              relu_mixture, sample_complex_neuron, single_neuron_step)
-from memnet.hermite import he_coeffs, hermite_eval
+from memnet.hermite import gl_grid, he_coeffs, hermite_eval
 from memnet.network import evaluate, total_weight
 from probes import (direct_masses, directional_sum, f2_rows, hermite_gram, hermite_textbook,
                     mixture_expectation, mixture_quadrature, mixture_rows)
@@ -381,6 +382,63 @@ def test_polynomial_evaluations_bit_identical_to_horner():
         assert np.array_equal(_mixture_basis(m, 1.5)[1], np.vstack([f2_re, f2_im]) * wts)
 
 
+def test_horner_is_numpy_polyval_on_every_basis_row():
+    """``_horner`` is numpy's polyval op for op: bit for bit, signed zeros included, on
+    every scaled basis row (z = 1 and z = i), its polyder and polyder(c, 2), m = 1..20,
+    at nodes of both signs and at -0 and +0."""
+    P = np.polynomial.polynomial
+    x = np.concatenate([[-0.0, 0.0, -1.0, 1.0, -2.5, 3.25], np.linspace(-6.0, 6.0, 97)])
+    for m in range(1, 21):
+        basis_re, basis_im, scale = _decomp_basis(m)
+        for c in np.vstack([basis_re, basis_im]) * scale:
+            for coeffs in (c, P.polyder(c), P.polyder(c, 2)):
+                got = harmonic._horner(coeffs, x, np.empty_like(x))
+                assert got.tobytes() == P.polyval(x, coeffs).tobytes(), m
+
+
+def test_mass_table_derivatives_are_numpys_polyder(monkeypatch):
+    """A table build evaluates, for each scaled basis row c (z = 1 and z = i), numpy's
+    polyder(c, 2), polyder(c) and c in that order, coefficients bit for bit, m = 1..20
+    (the spy stops the build after the first level's rows)."""
+    P = np.polynomial.polynomial
+
+    class Stop(Exception):
+        pass
+
+    def spy(c, x, out, _real=harmonic._horner):
+        seen.append(c.copy())
+        if len(seen) == len(want):
+            raise Stop
+        return _real(c, x, out)
+
+    monkeypatch.setattr(harmonic, "_horner", spy)
+    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
+    for m in range(1, 21):
+        basis_re, basis_im, scale = _decomp_basis(m)
+        want = [der for c in np.vstack([basis_re, basis_im]) * scale
+                for der in (P.polyder(c, 2), P.polyder(c), c)]
+        seen = []
+        with pytest.raises(Stop):
+            _mixture_basis(m, 1.5)
+        assert [c.tobytes() for c in seen] == [c.tobytes() for c in want], m
+
+
+@pytest.mark.parametrize("m", [1, 2, 9, 20])
+def test_mass_table_is_numpys_polynomial_formula(m):
+    """The table's rows are numpy's (polyval(c'') chi + 2 polyval(c') chi' + polyval(c) chi'')
+    times the weights, with c' and c'' by polyder, bit for bit (signed zeros included)."""
+    P = np.polynomial.polynomial
+    panels, AB = _mixture_basis(m, 1.5)
+    basis_re, basis_im, scale = _decomp_basis(m)
+    nodes, wts = gl_grid(-3.0, 3.0, panels)
+    chi, chi1, chi2 = bump_eval(nodes, 1.5)
+    table = np.array([(P.polyval(nodes, P.polyder(c, 2)) * chi
+                       + 2.0 * P.polyval(nodes, P.polyder(c)) * chi1
+                       + P.polyval(nodes, c) * chi2) * wts
+                      for c in np.vstack([basis_re, basis_im]) * scale])
+    assert AB.tobytes() == table.tobytes()
+
+
 # -- ReLU mixture -------------------------------------------------------------
 
 def test_mixture_quadratic_reconstruction():
@@ -476,9 +534,57 @@ def test_mass_table_zero_row_raises(monkeypatch):
     assert np.any(dd.polys[2] != 0.0)  # so direction 2 needs a positive mass
     AB = AB.copy()
     AB[[2, m + 1 + 2]] = 0.0  # row 2 of A and of B
-    monkeypatch.setitem(harmonic._mixture_basis_cache, (m, round(M, 9)), (panels, AB))
+    monkeypatch.setitem(harmonic._mixture_basis_cache, (m, M), (panels, AB))
     with pytest.raises(QuadratureResolutionError, match="f_2"):
         relu_mixture(dd, M)
+
+
+def test_mass_table_cache_keeps_radii_apart(monkeypatch):
+    """Tables are cached on the exact (m, M): a radius below 5e-10 does not reuse the
+    table of another one that rounds to the same nine decimals."""
+    dd = decompose_directions(1, 4)
+    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
+    cold = relu_mixture(dd, 2e-10)
+    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
+    first = relu_mixture(dd, 4e-10)
+    assert relu_mixture(dd, 2e-10).tobytes() == cold.tobytes()
+    assert not np.allclose(first, cold)
+    assert len(harmonic._mixture_basis_cache) == 2
+
+
+def _fixture_radius(m=9, n=200):
+    """The mixture radius M of degree m at n points, as ``harmonic_fit`` takes it."""
+    return 2.0 * m * projection_cutoff(n, m)
+
+
+def test_mass_table_build_peaks_at_its_table_and_a_dozen_rows(monkeypatch):
+    """A cold build at m = 9, n = 200 (the ``harmonic-lowcoh`` pre-flight) holds at most the
+    table plus 12 node-length rows: each row is written in place through one scratch row,
+    and the previous level's table is freed before the next one is allocated."""
+    M = _fixture_radius()
+    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
+    tracemalloc.start()
+    try:
+        AB = _mixture_basis(9, M)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= AB.nbytes + 12 * AB.shape[1] * 8
+
+
+def test_mixture_masses_allocate_a_few_rows():
+    """On a cached table ``relu_mixture`` allocates two scratch rows, not (m+1)-row
+    temporaries (m = 9, n = 200: 20 rows of 16384 nodes)."""
+    M = _fixture_radius()
+    dd = decompose_directions(complex(math.cos(1.0), math.sin(1.0)), 9)
+    AB = _mixture_basis(9, M)[1]
+    tracemalloc.start()
+    try:
+        relu_mixture(dd, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * AB.shape[1] * 8
 
 
 def test_mixture_rejects_bad_radius():

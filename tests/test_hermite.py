@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import memnet.hermite as hermite
 from memnet.errors import ParameterError
 from memnet.hermite import gl_grid, he_coeffs, he_eval, hermite_eval
 from probes import (gauss_expectation, hermite_coefficients, hermite_textbook, horner,
@@ -100,6 +101,13 @@ def test_scalar_input_gives_numpy_scalar():
                     (-1.25 + 0.5j, np.complex128)):
         for m in range(6):
             assert type(hermite_eval(m, z)) is kind
+
+
+def test_gl_rule_is_numpys_leggauss_bit_for_bit():
+    """The stored 16-point rule, 8 positive nodes and weights mirrored, is numpy's."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert hermite._GL_NODES.tobytes() == nodes.tobytes()
+    assert hermite._GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_gl_grid_matches_per_panel_rule():

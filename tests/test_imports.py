@@ -258,9 +258,8 @@ def test_import_leaves_scipy_unloaded():
     """Importing the CLI, which imports every fit, and ``bounds`` does not
     import scipy: only ``exact_fit_generic`` needs it, and loads scipy's
     LAPACK extension inside, so a process that never runs the exact fit (a
-    harmonic fit) pays neither its load time nor its memory.  Nor does it import numpy.polynomial,
-    which ``hermite.gl_grid`` and the mixture table builder load on first
-    use."""
+    harmonic fit) pays neither its load time nor its memory.  Nor does it import
+    numpy.polynomial, which no memnet path loads (a fit is checked below)."""
     code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
             "import memnet.cli, memnet.bounds; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
@@ -268,3 +267,18 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_harmonic_fit_leaves_numpy_polynomial_unloaded():
+    """A harmonic fit in a fresh process, its pre-flight mixture table included, loads no
+    numpy.polynomial: ``hermite`` stores the Gauss-Legendre rule, and the table evaluates
+    its polynomials and their derivatives itself."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+            "from memnet.data import rademacher_labels, sample_sphere; "
+            "from memnet.harmonic import harmonic_fit; "
+            "res = harmonic_fit(rademacher_labels(sample_sphere(40, 80, 0), 1), epsilon=0.3); "
+            "print(res.network.k > 1, "
+            "sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "True []"

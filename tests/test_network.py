@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from memnet.constructive import baum_relu_fit, baum_threshold_fit, exact_fit_generic
-from memnet.data import BLOCK, Dataset, gaussian_labels, rademacher_labels, sample_sphere
+from memnet.data import (BLOCK, Dataset, gaussian_labels, rademacher_labels, row_norms,
+                         sample_sphere)
 from memnet.errors import ConvergenceError, InvariantError, ParameterError
 from memnet.harmonic import harmonic_fit
 from memnet.network import (FitTrace, IterationRecord, Neuron, StepProposal, TwoLayerNetwork,
@@ -163,6 +164,32 @@ def test_total_weight():
     # W(f) = sum |a| sqrt(||w||^2 + b^2): the bias counts
     net = _net([Neuron(2.0, np.array([3.0, 4.0]), 12.0)])
     assert abs(total_weight(net) - 26.0) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_total_weight_blocks_are_the_one_shot_norms(k):
+    """Norms taken ``BLOCK`` rows at a time are the one-shot ``row_norms`` of [W | b] bit for
+    bit, the rows past float64's normal sums of squares (``np.hypot.reduce``) included."""
+    rng = np.random.default_rng(k)
+    W = rng.standard_normal((k, 20)) * 10.0 ** rng.choice([-200, 0, 200], size=(k, 1))
+    net = _net(zip(rng.standard_normal(k), W, rng.standard_normal(k)))
+    want = float(np.abs(net.a) @ row_norms(np.column_stack([net.W, net.b])))
+    assert np.float64(total_weight(net)).tobytes() == np.float64(want).tobytes()
+
+
+def test_total_weight_holds_no_k_by_d_copy():
+    """At k = 10 blocks the peak traced memory is about one (BLOCK, d+1) block of [W | b]
+    and a few k-vectors, not the k (d+1) floats of a copy of it."""
+    rng = np.random.default_rng(0)
+    k, d = 10 * BLOCK, 100
+    net = _net(zip(rng.standard_normal(k), rng.standard_normal((k, d)), rng.standard_normal(k)))
+    tracemalloc.start()
+    try:
+        total_weight(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * BLOCK * (d + 1) * 8 + 4 * k * 8
 
 
 def test_total_weight_additive_under_concat():
