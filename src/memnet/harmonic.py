@@ -22,9 +22,10 @@ p_j is a signed mixture of ReLUs by psi'' = delta_0, with biases on
 int |f_j''|.  The argmax dominates the mixture mean corr / sum of masses.
 ``harmonic_fit`` builds the degree's mixture once, before the first step,
 so a degree with no finite float64 mixture is refused up front; the test
-suite checks the domination on every step of an acceptance fit.  One builder,
-``_mixture_basis``, writes the table's node-weighted f'' rows in place (17-22 ms and
-a 3.5 MB allocation peak cold at m = 9, n = 200 on a 2-core VM).
+suite checks the domination on every step of an acceptance fit.  No table is
+kept: ``_mixture`` streams the node-weighted f'' rows through scratch rows and
+keeps only their masses (14-16 ms and a 1.7 MB allocation peak, about 13
+node-length rows, at m = 9, n = 200 on a 2-core VM; nothing stays allocated).
 
 The fit runs on ``data.unit_frame``'s rows, of norm near 1 as in the paper.  The
 tuning constants (cutoff, correlation floor) are calibrated once on a reference
@@ -238,11 +239,8 @@ def bump_eval(t: np.ndarray, M: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return chi, d1, d2
 
 
-_mixture_basis_cache: dict[tuple, tuple] = {}
-
-
 def _in_float_range(m: int, M: float) -> bool:
-    """Whether degree m's table on [-2M, 2M] can stay in float64, before its O(m^3) basis:
+    """Whether degree m's mixture on [-2M, 2M] can stay in float64, before its O(m^3) basis:
     m! must fit, and so must the leading terms, below (4M)^m / sqrt(m! m) (|L_j(i)| < 2^m)."""
     return m <= 170 and (m * math.log(4.0 * M) - 0.5 * math.log(math.factorial(m) * m)
                          <= math.log(np.finfo(np.float64).max))
@@ -256,50 +254,50 @@ def _horner(c: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mixture_basis(m: int, M: float) -> tuple:
-    """(panels, AB) on ``panels`` Gauss-Legendre panels of [-2M, 2M]: AB's rows
-    are the node-weighted (p chi_M)'' = p'' chi + 2 p' chi' + p chi'' of the
-    z = 1 basis rows p of ``_decomp_basis`` times its scale (A, rows 0..m) over
-    those of the z = i basis (B); f'' is linear in z.  Panels double from 64
-    until each int |f''| is stable to 1e-6 relative (at most 4096).  Each row is
-    written in place through one scratch row, by numpy's polyval and polyder op for op."""
+def _mixture(dd: DirectionalDecomposition, M: float) -> tuple[int, np.ndarray]:
+    """(panels, masses): ``relu_mixture``'s masses and its count of Gauss-Legendre panels
+    of [-2M, 2M].  Per level and j, the node-weighted (p chi_M)'' = p'' chi + 2 p' chi' +
+    p chi'' of the scaled z = 1 and z = i rows of ``_decomp_basis`` (A_j, B_j; f'' is
+    linear in z) go into two scratch rows, by numpy's polyval and polyder op for op; then
+    Re z A_j + Im z B_j, in place, gives dd's mass.  Panels double from 64 until every
+    mass of A and B is stable to 1e-6 relative (at most 4096); no table is kept."""
+    m = dd.m
     if M <= 0.0:
         raise ParameterError("M must be positive")
-    key = (m, M)
-    if key not in _mixture_basis_cache:
-        if not _in_float_range(m, M):
-            raise QuadratureResolutionError(f"degree {m} overflows float64 on [-2M, 2M]")
-        basis_re, basis_im, scale = _decomp_basis(m)
-        C = np.vstack([basis_re, basis_im]) * scale
-        C1 = C[:, 1:] * np.arange(1, m + 1)  # numpy's polyder(c): j c[j]
-        C2 = C1[:, 1:] * np.arange(1, m) if m > 1 else C[:, :1] * 0  # polyder(c, 2)
-        panels, prev = 64, None
-        while True:
-            nodes, wts = gl_grid(-2.0 * M, 2.0 * M, panels)
-            chi, chi1, chi2 = bump_eval(nodes, M)
-            AB = row = None  # a row view would keep the previous level's table alive
-            AB, tmp, masses = np.empty((len(C), len(nodes))), np.empty_like(nodes), np.empty(len(C))
-            for i, row in enumerate(AB):  # (p'' chi + 2 p' chi' + p chi'') wts, op for op
+    if not _in_float_range(m, M):
+        raise QuadratureResolutionError(f"degree {m} overflows float64 on [-2M, 2M]")
+    basis_re, basis_im, scale = _decomp_basis(m)
+    C = np.vstack([basis_re, basis_im]) * scale
+    C1 = C[:, 1:] * np.arange(1, m + 1)  # numpy's polyder(c): j c[j]
+    C2 = C1[:, 1:] * np.arange(1, m) if m > 1 else C[:, :1] * 0  # polyder(c, 2)
+    panels, prev = 64, None
+    while True:
+        nodes, wts = gl_grid(-2.0 * M, 2.0 * M, panels)
+        chi, chi1, chi2 = bump_eval(nodes, M)
+        a, b, tmp = np.empty_like(nodes), np.empty_like(nodes), np.empty_like(nodes)
+        basis, masses = np.empty(len(C)), np.empty(m + 1)
+        for j in range(m + 1):
+            for i, row in ((j, a), (m + 1 + j, b)):  # (p'' chi + 2 p' chi' + p chi'') wts
                 np.multiply(_horner(C2[i], nodes, row), chi, out=row)
                 np.multiply(_horner(C1[i], nodes, tmp), 2.0, out=tmp)
                 row += np.multiply(tmp, chi1, out=tmp)
                 row += np.multiply(_horner(C[i], nodes, tmp), chi2, out=tmp)
                 row *= wts
-                masses[i] = np.abs(row, out=tmp).sum()
-            if not np.isfinite(masses).all():
-                raise QuadratureResolutionError(
-                    f"degree {m} overflows float64 on the {panels}-panel grid")
-            if prev is not None:
-                ref = max(float(masses.max()), 1e-300)
-                if np.all(np.abs(masses - prev)
-                          <= 1e-6 * np.maximum(np.abs(masses), ref * 1e-12)):
-                    break
-            if panels >= 4096:
-                break
-            prev = masses
-            panels *= 2
-        _mixture_basis_cache[key] = (panels, AB)
-    return _mixture_basis_cache[key]
+                basis[i] = np.abs(row, out=tmp).sum()
+            np.add(np.multiply(a, dd.z.real, out=a), np.multiply(b, dd.z.imag, out=b), out=a)
+            masses[j] = np.abs(a, out=a).sum()
+        nodes = wts = chi = chi1 = chi2 = a = b = tmp = None  # before the next level's
+        if not np.isfinite(basis).all():
+            raise QuadratureResolutionError(
+                f"degree {m} overflows float64 on the {panels}-panel grid")
+        ref = max(float(basis.max()), 1e-300)
+        if panels >= 4096 or prev is not None and np.all(
+                np.abs(basis - prev) <= 1e-6 * np.maximum(np.abs(basis), ref * 1e-12)):
+            break
+        prev, panels = basis, 2 * panels
+    for j in np.flatnonzero(dd.polys.any(axis=1) & (masses <= 0.0))[:1]:
+        raise QuadratureResolutionError(f"int |f_{j}''| vanished for a nonzero p_{j}")
+    return panels, masses
 
 
 def relu_mixture(dd: DirectionalDecomposition, M: float) -> np.ndarray:
@@ -310,16 +308,9 @@ def relu_mixture(dd: DirectionalDecomposition, M: float) -> np.ndarray:
     f_j(t) = int psi(t - y) f_j''(y) dy exactly; biases follow |f_j''| and
     signs follow sign(f_j'').  Every direction with a nonzero p_j must have
     a positive mass.  The masses are the direct sums of |Re z A + Im z B|
-    over the degree's grid (``_mixture_basis``), row by row in two scratch rows.
+    over the degree's grid, streamed row by row afresh in each call (``_mixture``).
     """
-    AB = _mixture_basis(dd.m, M)[1]
-    s, t, masses = np.empty(AB.shape[1]), np.empty(AB.shape[1]), np.empty(dd.m + 1)
-    for j, (a, b) in enumerate(zip(AB[:dd.m + 1], AB[dd.m + 1:])):
-        np.add(np.multiply(a, dd.z.real, out=s), np.multiply(b, dd.z.imag, out=t), out=s)
-        masses[j] = np.abs(s, out=s).sum()
-    for j in np.flatnonzero(dd.polys.any(axis=1) & (masses <= 0.0))[:1]:
-        raise QuadratureResolutionError(f"int |f_{j}''| vanished for a nonzero p_{j}")
-    return masses
+    return _mixture(dd, M)[1]
 
 
 # -- single-neuron step and the trimmed iterative fit -------------------------
@@ -400,6 +391,9 @@ def harmonic_fit(ds: Dataset, epsilon: float, seed: int = 0,
     n = ds.n
     if n < 2:  # log n = 0 makes the projection cutoff, hence M, zero
         raise DegenerateDataError(f"harmonic_fit needs n >= 2 points, got n={n}")
+    # An untouched 8 MiB block, freed at once, lifts glibc's dynamic mmap threshold (128 KiB
+    # by default) above the steps' temporaries: they reuse heap pages (CHANGES.md, FOUND 72)
+    np.empty(1 << 20)
     ds, k = unit_frame(ds)
     y_sq = float(ds.labels @ ds.labels)
     report = genericity(ds)

@@ -15,7 +15,7 @@ import numpy as np
 
 from memnet.constructive import _slabs, derivative_neurons, safe_delta
 from memnet.data import genericity, norm_exponent
-from memnet.harmonic import _mixture_basis, bump_eval, decompose_directions, relu_mixture
+from memnet.harmonic import _mixture, bump_eval, decompose_directions, relu_mixture
 from memnet.hermite import gl_grid, hermite_eval
 from memnet.network import Neuron, TwoLayerNetwork
 
@@ -194,8 +194,8 @@ def f2_rows(m, M, panels):
 
 @functools.lru_cache(maxsize=None)
 def mixture_rows(m, M):
-    """``f2_rows`` at the panel count of the mass table."""
-    return f2_rows(m, M, _mixture_basis(m, M)[0])
+    """``f2_rows`` at the panel count of ``relu_mixture``'s grid."""
+    return f2_rows(m, M, _mixture(decompose_directions(1, m), M)[0])
 
 
 def mixture_quadrature(dd, M):

@@ -1,7 +1,14 @@
+import inspect
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +20,7 @@ from memnet.errors import (ConvergenceError, DegenerateDataError, InvariantError
                            ParameterError, QuadratureResolutionError,
                            SamplerFailureError)
 from memnet.harmonic import (CONSTANTS, ComplexNeuron, _breakpoint_argmax, _decomp_basis,
-                             _mixture_basis, bump_eval, choose_degree, decompose_directions,
+                             _mixture, bump_eval, choose_degree, decompose_directions,
                              harmonic_fit, perturbation_vector, projection_cutoff,
                              relu_mixture, sample_complex_neuron, single_neuron_step)
 from memnet.hermite import gl_grid, he_coeffs, hermite_eval
@@ -374,12 +381,41 @@ def test_decompose_float_matches_exact_recombination():
             assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
+def _masses_by_formula(f2, zs):
+    """(panels, the masses at each z) from ``f2(panels)`` = (weights, f'' rows at z = 1,
+    f'' rows at z = i): panels double from 64 until every node-weighted row's mass is
+    stable to 1e-6 relative (at most 4096), and each z's masses sum
+    |Re z A_j + Im z B_j| row by row, as ``relu_mixture`` sums them."""
+    panels, prev = 64, None
+    while True:
+        wts, f2_re, f2_im = f2(panels)
+        A, B = f2_re * wts, f2_im * wts
+        basis = np.array([np.abs(row).sum() for row in np.vstack([A, B])])
+        ref = max(float(basis.max()), 1e-300)
+        if panels >= 4096 or prev is not None and np.all(
+                np.abs(basis - prev) <= 1e-6 * np.maximum(np.abs(basis), ref * 1e-12)):
+            return panels, [np.array([np.abs(a * z.real + b * z.imag).sum()
+                                      for a, b in zip(A, B)]) for z in zs]
+        prev, panels = basis, 2 * panels
+
+
+_FORMULA_ZS = (1.0 + 0.0j, 1j, complex(math.cos(1.0), math.sin(1.0)))
+
+
+def _streamed(m, M):
+    """``_mixture``'s (panels, masses) at each of ``_FORMULA_ZS``, as bytes."""
+    got = [_mixture(decompose_directions(z, m), M) for z in _FORMULA_ZS]
+    assert len({panels for panels, _ in got}) == 1
+    return got[0][0], [masses.tobytes() for _, masses in got]
+
+
 def test_polynomial_evaluations_bit_identical_to_horner():
-    """The mass table's (p chi)'' rows are the probe's textbook Horner rows
-    times the quadrature weights, bit for bit."""
+    """The mixture's masses and panel count are those of the probe's textbook Horner
+    rows times the quadrature weights, bit for bit, at z = 1, i and a generic z."""
     for m in range(1, 13):
-        _, wts, f2_re, f2_im = mixture_rows(m, 1.5)
-        assert np.array_equal(_mixture_basis(m, 1.5)[1], np.vstack([f2_re, f2_im]) * wts)
+        panels, masses = _masses_by_formula(lambda panels: f2_rows(m, 1.5, panels)[1:],
+                                            _FORMULA_ZS)
+        assert _streamed(m, 1.5) == (panels, [x.tobytes() for x in masses]), m
 
 
 def test_horner_is_numpy_polyval_on_every_basis_row():
@@ -397,9 +433,9 @@ def test_horner_is_numpy_polyval_on_every_basis_row():
 
 
 def test_mass_table_derivatives_are_numpys_polyder(monkeypatch):
-    """A table build evaluates, for each scaled basis row c (z = 1 and z = i), numpy's
-    polyder(c, 2), polyder(c) and c in that order, coefficients bit for bit, m = 1..20
-    (the spy stops the build after the first level's rows)."""
+    """A mixture build evaluates, for each j, the scaled basis rows c of A_j (z = 1) and
+    then B_j (z = i), and for each numpy's polyder(c, 2), polyder(c) and c in that order,
+    coefficients bit for bit, m = 1..20 (the spy stops the build after the first level)."""
     P = np.polynomial.polynomial
 
     class Stop(Exception):
@@ -412,31 +448,34 @@ def test_mass_table_derivatives_are_numpys_polyder(monkeypatch):
         return _real(c, x, out)
 
     monkeypatch.setattr(harmonic, "_horner", spy)
-    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
     for m in range(1, 21):
         basis_re, basis_im, scale = _decomp_basis(m)
-        want = [der for c in np.vstack([basis_re, basis_im]) * scale
+        want = [der for j in range(m + 1) for c in (basis_re[j] * scale, basis_im[j] * scale)
                 for der in (P.polyder(c, 2), P.polyder(c), c)]
         seen = []
         with pytest.raises(Stop):
-            _mixture_basis(m, 1.5)
+            relu_mixture(decompose_directions(1, m), 1.5)
         assert [c.tobytes() for c in seen] == [c.tobytes() for c in want], m
 
 
 @pytest.mark.parametrize("m", [1, 2, 9, 20])
 def test_mass_table_is_numpys_polynomial_formula(m):
-    """The table's rows are numpy's (polyval(c'') chi + 2 polyval(c') chi' + polyval(c) chi'')
-    times the weights, with c' and c'' by polyder, bit for bit (signed zeros included)."""
+    """The mixture's masses and panel count are those of numpy's rows (polyval(c'') chi
+    + 2 polyval(c') chi' + polyval(c) chi'') times the weights, with c' and c'' by polyder,
+    bit for bit, at z = 1, i and a generic z."""
     P = np.polynomial.polynomial
-    panels, AB = _mixture_basis(m, 1.5)
     basis_re, basis_im, scale = _decomp_basis(m)
-    nodes, wts = gl_grid(-3.0, 3.0, panels)
-    chi, chi1, chi2 = bump_eval(nodes, 1.5)
-    table = np.array([(P.polyval(nodes, P.polyder(c, 2)) * chi
-                       + 2.0 * P.polyval(nodes, P.polyder(c)) * chi1
-                       + P.polyval(nodes, c) * chi2) * wts
-                      for c in np.vstack([basis_re, basis_im]) * scale])
-    assert AB.tobytes() == table.tobytes()
+
+    def f2(panels):
+        nodes, wts = gl_grid(-3.0, 3.0, panels)
+        chi, chi1, chi2 = bump_eval(nodes, 1.5)
+        re, im = ([P.polyval(nodes, P.polyder(c, 2)) * chi + 2.0 * P.polyval(nodes, P.polyder(c))
+                   * chi1 + P.polyval(nodes, c) * chi2 for c in basis * scale]
+                  for basis in (basis_re, basis_im))
+        return wts, np.array(re), np.array(im)
+
+    panels, masses = _masses_by_formula(f2, _FORMULA_ZS)
+    assert _streamed(m, 1.5) == (panels, [x.tobytes() for x in masses])
 
 
 # -- ReLU mixture -------------------------------------------------------------
@@ -515,41 +554,30 @@ def test_mass_table_matches_direct_sum(m):
         assert np.all(np.abs(got - want) <= 1e-10 * want), z
 
 
-def test_mass_table_degree_one_builds_without_warnings(monkeypatch):
+def test_mass_table_degree_one_builds_without_warnings():
     """At m = 1, f'' vanishes on [-M, M], so A = B = 0 there: the grid and
     the masses must come out without a division by zero or a NaN."""
-    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        AB = _mixture_basis(1, 2.0)[1]
-        masses = relu_mixture(decompose_directions(1j, 1), 2.0)
-    assert np.all(np.isfinite(AB))
-    assert np.all(masses > 0.0)
+        masses = [relu_mixture(decompose_directions(z, 1), 2.0) for z in (1, 1j)]
+    assert np.all(np.isfinite(masses))
+    assert np.all(masses[1] > 0.0)
 
 
 def test_mass_table_zero_row_raises(monkeypatch):
     m, M = 4, 3.0
-    panels, AB = _mixture_basis(m, M)
     dd = decompose_directions(complex(math.cos(1.0), math.sin(1.0)), m)
     assert np.any(dd.polys[2] != 0.0)  # so direction 2 needs a positive mass
-    AB = AB.copy()
-    AB[[2, m + 1 + 2]] = 0.0  # row 2 of A and of B
-    monkeypatch.setitem(harmonic._mixture_basis_cache, (m, M), (panels, AB))
+
+    def spy(m, _real=harmonic._decomp_basis):  # the mixture sees rows A_2 = B_2 = 0
+        basis_re, basis_im, scale = _real(m)
+        basis_re, basis_im = basis_re.copy(), basis_im.copy()
+        basis_re[2] = basis_im[2] = 0.0
+        return basis_re, basis_im, scale
+
+    monkeypatch.setattr(harmonic, "_decomp_basis", spy)
     with pytest.raises(QuadratureResolutionError, match="f_2"):
         relu_mixture(dd, M)
-
-
-def test_mass_table_cache_keeps_radii_apart(monkeypatch):
-    """Tables are cached on the exact (m, M): a radius below 5e-10 does not reuse the
-    table of another one that rounds to the same nine decimals."""
-    dd = decompose_directions(1, 4)
-    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
-    cold = relu_mixture(dd, 2e-10)
-    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
-    first = relu_mixture(dd, 4e-10)
-    assert relu_mixture(dd, 2e-10).tobytes() == cold.tobytes()
-    assert not np.allclose(first, cold)
-    assert len(harmonic._mixture_basis_cache) == 2
 
 
 def _fixture_radius(m=9, n=200):
@@ -557,34 +585,75 @@ def _fixture_radius(m=9, n=200):
     return 2.0 * m * projection_cutoff(n, m)
 
 
-def test_mass_table_build_peaks_at_its_table_and_a_dozen_rows(monkeypatch):
-    """A cold build at m = 9, n = 200 (the ``harmonic-lowcoh`` pre-flight) holds at most the
-    table plus 12 node-length rows: each row is written in place through one scratch row,
-    and the previous level's table is freed before the next one is allocated."""
-    M = _fixture_radius()
-    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
-    tracemalloc.start()
-    try:
-        AB = _mixture_basis(9, M)[1]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= AB.nbytes + 12 * AB.shape[1] * 8
-
-
-def test_mixture_masses_allocate_a_few_rows():
-    """On a cached table ``relu_mixture`` allocates two scratch rows, not (m+1)-row
-    temporaries (m = 9, n = 200: 20 rows of 16384 nodes)."""
+def test_cold_mixture_peaks_at_a_dozen_rows():
+    """A cold mixture at m = 9, n = 200 (the ``harmonic-lowcoh`` pre-flight: 16384 nodes)
+    holds about a dozen node-length rows at its peak, most of them ``bump_eval``'s, where a
+    (2(m+1), nodes) table alone takes 20."""
     M = _fixture_radius()
     dd = decompose_directions(complex(math.cos(1.0), math.sin(1.0)), 9)
-    AB = _mixture_basis(9, M)[1]
     tracemalloc.start()
     try:
         relu_mixture(dd, M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * AB.shape[1] * 8
+    row = 16 * _mixture(dd, M)[0] * 8  # 16 nodes a panel, float64
+    assert peak <= 14 * row
+
+
+def test_nothing_outlives_the_preflight():
+    """After ``harmonic_fit`` returns, no array buffer allocated under ``relu_mixture``
+    is still traced: the pre-flight keeps neither a table nor a cache."""
+    spans = [(first, first + len(lines)) for lines, first in
+             map(inspect.getsourcelines, (harmonic._mixture, harmonic.relu_mixture))]
+    tracemalloc.start(8)  # deep enough to reach ``_mixture`` from any numpy call
+    try:
+        res = harmonic_fit(rademacher_labels(sample_sphere(40, 80, 0), 1), epsilon=0.8, seed=0)
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    assert res.network.k > 1
+    left = [trace for trace in snapshot.traces for frame in trace.traceback
+            if frame.filename == harmonic.__file__
+            and any(lo <= frame.lineno < hi for lo, hi in spans)]
+    assert left == []
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
+def test_steps_take_no_page_faults():
+    """In a fresh process, a harmonic fit's steps reuse heap pages: the fit frees one
+    8 MiB block before its first step, which lifts glibc's dynamic mmap threshold above
+    the step's (64, n) complex pool (n = 150: 150 KiB, past the 128 KiB default).
+    Under one BLAS thread, as the benchmark runs, the median step takes at most one
+    minor page fault (over 100 without the block)."""
+    code = textwrap.dedent(f"""
+        import resource, statistics, sys
+        sys.path.insert(0, {str(Path(harmonic.__file__).parents[1])!r})
+        import memnet.harmonic as harmonic
+        from memnet.data import rademacher_labels, sample_sphere
+        from memnet.errors import ConvergenceError
+        faults = []
+        def spy(*args, _real=harmonic.single_neuron_step):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            out = _real(*args)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            return out
+        harmonic.single_neuron_step = spy
+        try:
+            harmonic.harmonic_fit(rademacher_labels(sample_sphere(150, 100, 0), 1),
+                                  epsilon=0.25, seed=0, max_iters=60)
+        except ConvergenceError:
+            pass
+        print(len(faults), statistics.median(faults))
+        """)
+    env = dict(os.environ, **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS"), "1"))  # as bench/run.py
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    steps, median = out.stdout.split()
+    assert int(steps) >= 60
+    assert float(median) <= 1.0
 
 
 def test_mixture_rejects_bad_radius():
@@ -774,7 +843,8 @@ def test_every_step_dominates_the_mixture_mean(monkeypatch):
     """The paper's lemma, on every step of one acceptance fit (criterion 8,
     seed 0): the breakpoint argmax |corr| is at least the mixture mean
     corr_g / sum_j int |f_j''| of the sampler's complex neuron, to 1e-9
-    relative.  The fit itself builds the mixture once, before its first step."""
+    relative, with the masses from the direct-sum oracle (within 1e-10 of
+    ``relu_mixture``'s).  The fit itself builds the mixture once, before its first step."""
     picks, argmaxes = [], []
 
     def sampler(ds, residual, m, seed, gamma, _real=harmonic.sample_complex_neuron):
@@ -793,7 +863,7 @@ def test_every_step_dominates_the_mixture_mean(monkeypatch):
                        seed=0)
     assert len(picks) == len(argmaxes) >= res.network.k > 0
     for (z, corr_g, m), (corr, M) in zip(picks, argmaxes):
-        mean_corr = corr_g / relu_mixture(decompose_directions(z, m), M).sum()
+        mean_corr = corr_g / direct_masses(decompose_directions(z, m), M).sum()
         assert abs(corr) >= mean_corr * (1.0 - 1e-9)
 
 
@@ -964,15 +1034,14 @@ TABLE_OVERFLOW_FROM = {50: 68, 200: 47, 1000: 39}
 
 def test_float_range_check_matches_table_build(monkeypatch):
     """The check rejects exactly the degrees the table build rejected, for m
-    = 3..200 at three n; at each boundary, the table's first level is still
-    finite one degree below it and the build overflows at it."""
+    = 3..200 at three n; at each boundary, the first level's rows are still
+    finite one degree below it and the mixture overflows at it."""
     for n, first in TABLE_OVERFLOW_FROM.items():
         rejected = [m for m in range(3, 201)
                     if not harmonic._in_float_range(m, 2.0 * m * projection_cutoff(n, m))]
         assert rejected == list(range(first, 201))
     # a small M keeps the leading terms in range: past 170, m! alone rejects
     assert harmonic._in_float_range(170, 1e-3) and not harmonic._in_float_range(171, 1e-3)
-    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
     monkeypatch.setattr(harmonic, "_in_float_range", lambda m, M: True)
     for n, first in TABLE_OVERFLOW_FROM.items():
         with np.errstate(over="ignore", invalid="ignore"):
@@ -980,30 +1049,29 @@ def test_float_range_check_matches_table_build(monkeypatch):
                                            * projection_cutoff(n, first - 1), 64)
             assert np.isfinite(np.vstack([f2_re, f2_im]) * wts).all()
             with pytest.raises(QuadratureResolutionError, match="64-panel"):
-                _mixture_basis(first, 2.0 * first * projection_cutoff(n, first))
+                relu_mixture(decompose_directions(1, first),
+                             2.0 * first * projection_cutoff(n, first))
 
 
 def test_mass_table_stops_on_non_finite_level(monkeypatch):
-    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
     M = 2.0 * 48 * projection_cutoff(200, 48)
+    dd = decompose_directions(1, 48)
     with pytest.raises(QuadratureResolutionError, match=r"\[-2M, 2M\]"):
-        _mixture_basis(48, M)  # the float-range check, before the first level
+        relu_mixture(dd, M)  # the float-range check, before the first level
     # past that check, the panel loop still stops on the first non-finite level
     monkeypatch.setattr(harmonic, "_in_float_range", lambda m, M: True)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(QuadratureResolutionError, match="64-panel"):
-            _mixture_basis(48, M)
-    assert harmonic._mixture_basis_cache == {}
+            relu_mixture(dd, M)
 
 
 def test_harmonic_fit_one_point_is_degenerate(monkeypatch):
     """At n = 1, log n = 0 zeroes the projection cutoff; the fit names n
-    before it builds the degree's mixture table."""
-    monkeypatch.setattr(harmonic, "_mixture_basis_cache", {})
+    before it builds the degree's mixture."""
+    monkeypatch.setattr(harmonic, "relu_mixture", None)  # never reached
     ds = rademacher_labels(sample_sphere(1, 5, 0), 1)
     with pytest.raises(DegenerateDataError, match="n=1"):
         harmonic_fit(ds, epsilon=0.3)
-    assert harmonic._mixture_basis_cache == {}
 
 
 def test_harmonic_fit_zero_labels():

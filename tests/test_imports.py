@@ -270,8 +270,8 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_harmonic_fit_leaves_numpy_polynomial_unloaded():
-    """A harmonic fit in a fresh process, its pre-flight mixture table included, loads no
-    numpy.polynomial: ``hermite`` stores the Gauss-Legendre rule, and the table evaluates
+    """A harmonic fit in a fresh process, its pre-flight mixture included, loads no
+    numpy.polynomial: ``hermite`` stores the Gauss-Legendre rule, and the mixture evaluates
     its polynomials and their derivatives itself."""
     code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
             "from memnet.data import rademacher_labels, sample_sphere; "
